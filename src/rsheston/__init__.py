@@ -27,22 +27,20 @@ from .markov_chain import (
     validate_intensity,
 )
 from .models import (
-    AffineCoefficients,
+    ExponentParams,
     HestonRegimeParams,
     UtilitySpec,
     ValidationReport,
     Variant,
-    to_affine_coefficients,
+    exponent_params,
     validate_feller,
     validate_solution_assumptions,
 )
 from .regime_expectation import RegimeIntegrand, XiTable, upsilon_heston, xi_mc, xi_mc_table, xi_ode
 from .riccati import (
-    B_separable,
     CharFnCoeffs,
     D_leverage,
     PiecewiseAB,
-    b_separable_fn,
     char_fn_coeffs,
     compose_piecewise,
     d_leverage_fn,
@@ -69,7 +67,6 @@ from .value_strategy import (
     strategy_rows,
     timedep_strategy,
     value_mmh_general,
-    value_smmh,
     value_smmh_rho,
     value_timedep_heston,
 )

@@ -49,7 +49,7 @@ from .models import (
     validate_solution_assumptions,
 )
 from .regime_expectation import upsilon_heston, xi_mc_table, xi_ode
-from .riccati import B_separable, D_leverage, b_separable_fn, d_leverage_fn
+from .riccati import D_leverage, d_leverage_fn
 from .simulate import (
     SimConfig,
     constant_strategy,
@@ -59,7 +59,7 @@ from .simulate import (
     simulate_paths,
     terminal_wealth_histogram,
 )
-from .value_strategy import ValueQuery, optimal_strategy, value_mmh_general, value_smmh, value_smmh_rho
+from .value_strategy import ValueQuery, optimal_strategy, value_mmh_general, value_smmh_rho
 
 __all__ = ["RunConfig", "load_config", "shipped_config", "main", "entry"]
 
@@ -119,8 +119,8 @@ class RunConfig:
 
     def sim_config(self, n_paths=None, steps_per_year=None, seed=None) -> SimConfig:
         return SimConfig(
-            n_paths=n_paths or self.n_paths,
-            steps_per_year=steps_per_year or self.steps_per_year,
+            n_paths=self.n_paths if n_paths is None else n_paths,
+            steps_per_year=self.steps_per_year if steps_per_year is None else steps_per_year,
             seed=self.seed if seed is None else seed,
             v0=self.v0,
             x0=self.x0,
@@ -128,15 +128,29 @@ class RunConfig:
         )
 
 
+def _number(sec: dict[str, str], key: str, kind=float, default=None):
+    """``kind(sec[key])``, or of ``default`` when given and the key is absent.
+
+    A value that does not convert is a parse failure naming the key.
+    """
+    raw = sec[key] if default is None else sec.get(key, default)
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ParseError(f"{key} = {raw!r} is not a valid {kind.__name__}") from None
+
+
 def _floats_by_state(sec: dict[str, str], key: str, l: int, required=True) -> np.ndarray | None:
     if key in sec:
-        return np.full(l, float(sec[key]))
+        if any(k.startswith(key + ".") for k in sec):
+            raise ConfigError(f"[model] gives {key} both as a scalar and per state")
+        return np.full(l, _number(sec, key))
     vals = np.empty(l)
     found = 0
     for e in range(1, l + 1):
         k = f"{key}.{e}"
         if k in sec:
-            vals[e - 1] = float(sec[k])
+            vals[e - 1] = _number(sec, k)
             found += 1
     if found == l:
         return vals
@@ -156,15 +170,15 @@ def load_config(path) -> RunConfig:
     l = 0
     for key in chain_sec:
         parts = key.split(".")
-        if len(parts) != 3 or parts[0] != "q":
-            raise ConfigError(f"[chain] keys look like q.i.j, got {key!r}")
+        if len(parts) != 3 or parts[0] != "q" or not all(x.isdigit() and int(x) >= 1 for x in parts[1:]):
+            raise ConfigError(f"[chain] keys look like q.i.j with i, j >= 1, got {key!r}")
         l = max(l, int(parts[1]), int(parts[2]))
     if l == 0:
         raise ConfigError("[chain] section defines no intensity entries")
     q = np.zeros((l, l))
-    for key, value in chain_sec.items():
+    for key in chain_sec:
         _, i, j = key.split(".")
-        q[int(i) - 1, int(j) - 1] = float(value)
+        q[int(i) - 1, int(j) - 1] = _number(chain_sec, key)
     chain = validate_intensity(q)
 
     model = sections["model"]
@@ -174,9 +188,9 @@ def load_config(path) -> RunConfig:
         raise ConfigError("[model] variant must be one of mmh, smmh, smmh_rho") from None
     kwargs = dict(
         variant=variant,
-        horizon=float(model["T"]),
-        delta=float(model["delta"]),
-        rho=float(model.get("rho", "0")),
+        horizon=_number(model, "T"),
+        delta=_number(model, "delta"),
+        rho=_number(model, "rho", default="0"),
         r=_floats_by_state(model, "r", l),
         nu=_floats_by_state(model, "nu", l),
         kappa=_floats_by_state(model, "kappa", l),
@@ -188,7 +202,7 @@ def load_config(path) -> RunConfig:
     else:
         if "d" not in model:
             raise ConfigError("[model] separable variants need the scalar slope d")
-        kwargs["d"] = float(model["d"])
+        kwargs["d"] = _number(model, "d")
     params = HestonRegimeParams(**kwargs)
 
     initial = sections["initial"]
@@ -197,14 +211,14 @@ def load_config(path) -> RunConfig:
     return RunConfig(
         params=params,
         chain=chain,
-        v0=float(initial["v0"]),
-        x0=float(initial["x0"]),
-        state0=int(initial["state0"]),
-        grid_step=float(solver.get("grid_step", params.horizon / 5000.0)),
-        n_paths_xi=int(solver.get("n_paths_xi", 10000)),
-        seed=int(solver.get("seed", 12345)),
-        n_paths=int(sim.get("n_paths", 100000)),
-        steps_per_year=int(sim.get("steps_per_year", 250)),
+        v0=_number(initial, "v0"),
+        x0=_number(initial, "x0"),
+        state0=_number(initial, "state0", int),
+        grid_step=_number(solver, "grid_step", default=params.horizon / 5000.0),
+        n_paths_xi=_number(solver, "n_paths_xi", int, default=10000),
+        seed=_number(solver, "seed", int, default=12345),
+        n_paths=_number(sim, "n_paths", int, default=100000),
+        steps_per_year=_number(sim, "steps_per_year", int, default=250),
         sha256=hashlib.sha256(raw).hexdigest(),
     )
 
@@ -212,15 +226,6 @@ def load_config(path) -> RunConfig:
 def shipped_config(name: str) -> Path:
     """Path of a packaged example config (set1 or set2)."""
     return Path(resources.files("rsheston") / "configs" / f"{name}.cfg")
-
-
-def _coeff_fn(cfg: RunConfig):
-    p = cfg.params
-    if p.variant is Variant.SMMH_RHO:
-        return d_leverage_fn(p)
-    if p.variant is Variant.SMMH:
-        return b_separable_fn(p)
-    return None
 
 
 def _csv_writer(fh, cfg: RunConfig, columns):
@@ -247,10 +252,9 @@ def cmd_solve(args) -> int:
     validate_feller(cfg.params).raise_if_failed()
     validate_solution_assumptions(p).raise_if_failed()
     times = np.linspace(0.0, p.horizon, args.t_grid)
-    coeff = _coeff_fn(cfg)
     xi = None
-    if coeff is not None:
-        integrand = upsilon_heston(p, coeff)
+    if p.variant is not Variant.MMH:
+        integrand = upsilon_heston(p, d_leverage_fn(p))
         if args.xi_method == "mc":
             xi = xi_mc_table(cfg.chain, integrand, times, cfg.n_paths_xi, cfg.seed)
         else:
@@ -262,18 +266,14 @@ def cmd_solve(args) -> int:
             t = float(t)
             for state in range(1, p.n_states + 1):
                 q = ValueQuery(t=t, v=cfg.v0, x=cfg.x0, state=state)
-                if p.variant is Variant.SMMH_RHO:
-                    phi = value_smmh_rho(p, q, xi)
-                    coeff_val = D_leverage(p, t)
-                    xi_val = xi.at(t, state)
-                elif p.variant is Variant.SMMH:
-                    phi = value_smmh(p, q, xi)
-                    coeff_val = B_separable(p, t)
-                    xi_val = xi.at(t, state)
-                else:
+                if p.variant is Variant.MMH:
                     phi, _ = value_mmh_general(p, cfg.chain, q, cfg.n_paths_xi, cfg.seed)
                     coeff_val = float("nan")
                     xi_val = phi / util
+                else:
+                    phi = value_smmh_rho(p, q, xi)
+                    coeff_val = D_leverage(p, t)
+                    xi_val = xi.at(t, state)
                 sp = optimal_strategy(p, t, state)
                 writer.writerow(
                     [_fmt(t), state, _fmt(phi), _fmt(xi_val), _fmt(coeff_val), _fmt(sp.pi_mv), _fmt(sp.pi_h), _fmt(sp.pi_total)]

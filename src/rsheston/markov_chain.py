@@ -137,7 +137,7 @@ def path_stream(seed, index: int) -> np.random.Generator:
     """Dedicated RNG stream for one simulated path.
 
     Streams are derived deterministically from (seed, path index), so a
-    run is reproducible no matter how paths are batched across workers.
+    run is reproducible no matter how paths are batched.
     """
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(index))))
 

@@ -20,28 +20,32 @@ Three variants are supported:
                  rho = 0.
 * ``SMMH_RHO`` - the separable case with leverage (rho != 0 allowed).
 
-The general affine coefficient tables (AffineCoefficients) exist so the
-Heston mapping can be checked against the generic affine structure; the
-solvers themselves consume HestonRegimeParams.
+SMMH is SMMH_RHO at rho = 0, so the solvers distinguish only MMH from
+the separable variants.  Every exponent (the composed A/B of any
+variant and the separable D) is the same CIR closed form evaluated on
+the tilted parameters that ``exponent_params`` maps out of
+HestonRegimeParams.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AssumptionViolated, FellerViolated
+from .errors import AssumptionViolated
 
 __all__ = [
     "Variant",
     "UtilitySpec",
     "HestonRegimeParams",
-    "AffineCoefficients",
+    "ExponentParams",
     "CheckResult",
     "ValidationReport",
-    "to_affine_coefficients",
+    "exponent_params",
     "validate_feller",
     "validate_solution_assumptions",
 ]
@@ -144,10 +148,6 @@ class HestonRegimeParams:
         return self.nu.size
 
     @property
-    def utility(self) -> UtilitySpec:
-        return UtilitySpec(self.delta)
-
-    @property
     def delta_ratio(self) -> float:
         """delta / (1 - delta), the risk-aversion tilt."""
         return self.delta / (1.0 - self.delta)
@@ -173,58 +173,44 @@ class HestonRegimeParams:
 
     def tilted_kappa(self) -> np.ndarray:
         """Mean-reversion speed of the drift-adjusted factor used by the exponent ODEs."""
-        return self.kappa - self.delta_ratio * self.rho * self.chi * self.price_of_risk_slope
+        return exponent_params(self).kappa
 
 
-@dataclass(frozen=True, eq=False)
-class AffineCoefficients:
-    """Per-state tables of the generic affine structure.
+class ExponentParams(NamedTuple):
+    """Per-state CIR parameters of the exponent ODEs (see ``exponent_params``)."""
 
-    gamma^2 = G1 + G2 x, mu_X = M1 + M2 x, sigma_X^2 = S1 + S2 x, and
-    rho*gamma*sigma_X = Z1 + Z2 x, together with r, rho and delta.
+    kappa: np.ndarray
+    theta: np.ndarray
+    beta: np.ndarray
+    vartheta: float
+
+
+@lru_cache(maxsize=32)
+def exponent_params(p: HestonRegimeParams) -> ExponentParams:
+    """Map model parameters onto the CIR closed form the exponents solve.
+
+    Per state, with the signed market price of risk slope s = lam_hat/nu:
+
+        kappa_t = kappa - (delta/(1-delta)) rho chi s   (tilted rate)
+        theta_t = kappa theta / kappa_t                  (so kappa_t theta_t = kappa theta)
+        beta    = (delta/(1-delta)) s^2 / (2 vt)
+
+    and alpha = 0 at the horizon.  The composed A/B of every variant use
+    these per segment; the separable exponent is D = vt B.  theta_t is
+    meaningless where kappa_t <= 0, which the solvability check reports.
+
+    Parameter sets are immutable and hash by identity, so the result is
+    cached per set; its arrays are read-only.
     """
-
-    g1: np.ndarray
-    g2: np.ndarray
-    m1: np.ndarray
-    m2: np.ndarray
-    s1: np.ndarray
-    s2: np.ndarray
-    z1: np.ndarray
-    z2: np.ndarray
-    r: np.ndarray
-    rho: float
-    delta: float
-
-    def __post_init__(self):
-        if np.any(self.g1 < 0) or np.any(self.g2 < 0) or np.any(self.s1 < 0) or np.any(self.s2 < 0):
-            raise ValueError("g1, g2, s1, s2 must be nonnegative")
-        UtilitySpec(self.delta)
-        if self.rho != 0.0:
-            # with correlation, sigma_X must be a per-state multiple of gamma
-            ok = np.allclose(self.z1 * self.g2, self.z2 * self.g1, atol=1e-12) and np.allclose(
-                self.rho**2 * (self.g1 * self.s1), self.z1**2, atol=1e-12
-            ) and np.allclose(self.rho**2 * (self.g2 * self.s2), self.z2**2, atol=1e-12)
-            if not ok:
-                raise ValueError("rho != 0 requires sigma_X proportional to gamma per state")
-
-
-def to_affine_coefficients(p: HestonRegimeParams) -> AffineCoefficients:
-    """Map Heston regime parameters onto the generic affine tables."""
+    ratio = p.delta_ratio
+    vt = p.vartheta
     slope = p.price_of_risk_slope
-    return AffineCoefficients(
-        g1=np.zeros(p.n_states),
-        g2=slope**2,
-        m1=p.kappa * p.theta,
-        m2=-p.kappa,
-        s1=np.zeros(p.n_states),
-        s2=p.chi**2,
-        z1=np.zeros(p.n_states),
-        z2=p.rho * slope * p.chi,
-        r=p.r,
-        rho=p.rho,
-        delta=p.delta,
-    )
+    kt = p.kappa - ratio * p.rho * p.chi * slope
+    tt = p.kappa * p.theta / kt
+    beta = ratio * slope**2 / (2.0 * vt)
+    for arr in (kt, tt, beta):
+        arr.setflags(write=False)
+    return ExponentParams(kappa=kt, theta=tt, beta=beta, vartheta=vt)
 
 
 @dataclass(frozen=True)
@@ -283,30 +269,26 @@ def validate_feller(p: HestonRegimeParams) -> ValidationReport:
     return ValidationReport(checks=checks, vartheta=p.vartheta)
 
 
-def require_feller(p: HestonRegimeParams) -> ValidationReport:
-    return validate_feller(p).raise_if_failed(FellerViolated)
-
-
 def validate_solution_assumptions(p: HestonRegimeParams) -> ValidationReport:
     """Solvability conditions guaranteeing the closed-form exponents exist.
 
-    MMH: per state, (1/(2*vt)) * (delta/(1-delta)) * lam_hat^2/nu^2 must
-    stay below kt^2/(2*chi^2) for the tilted rate kt, the tilted rate
-    must be positive, and max_e (kt - at)/chi^2 <= min_e (kt + at)/chi^2
-    so the backward recursion never leaves the admissible strip.
+    With the tilted rate kt and beta of ``exponent_params``:
 
-    SMMH: (delta/(1-delta)) d^2 < kappa^2 / chi^2.
+    MMH: per state, kt > 0 and beta < kt^2/(2 chi^2), and
+    max_e (kt - at)/chi^2 <= min_e (kt + at)/chi^2 with
+    at = sqrt(kt^2 - 2 beta chi^2), so the backward recursion never
+    leaves the admissible strip.
 
-    SMMH_RHO: 0 < kb and (delta/(1-delta)) d^2 < vt * kb^2 / chi^2 for
-    the leverage-adjusted rate kb = kappa - (delta/(1-delta)) rho chi |d|.
+    Separable variants: kt > 0 and (delta/(1-delta)) d^2 < vt kt^2/chi^2,
+    which is beta < kt^2/(2 chi^2) scaled by 2 vt (at rho = 0: kt = kappa,
+    vt = 1).
     """
-    vt = p.vartheta
-    ratio = p.delta_ratio
+    ep = exponent_params(p)
+    kt, beta, vt = ep.kappa, ep.beta, ep.vartheta
+    with np.errstate(divide="ignore"):
+        bound = kt**2 / (2.0 * p.chi**2)
     checks: list[CheckResult] = []
     if p.variant is Variant.MMH:
-        kt = p.tilted_kappa()
-        slope2 = p.price_of_risk_slope**2
-        beta = ratio * slope2 / (2.0 * vt)
         for e in range(p.n_states):
             checks.append(
                 CheckResult(
@@ -317,9 +299,9 @@ def validate_solution_assumptions(p: HestonRegimeParams) -> ValidationReport:
                 CheckResult(
                     "riccati_constant_bound",
                     e + 1,
-                    bool(beta[e] < kt[e] ** 2 / (2.0 * p.chi[e] ** 2)),
+                    bool(beta[e] < bound[e]),
                     float(beta[e]),
-                    float(kt[e] ** 2 / (2.0 * p.chi[e] ** 2)),
+                    float(bound[e]),
                 )
             )
         if all(c.passed for c in checks):
@@ -329,28 +311,15 @@ def validate_solution_assumptions(p: HestonRegimeParams) -> ValidationReport:
             checks.append(
                 CheckResult("state_bound_compatible", None, bool(lo <= hi), float(lo), float(hi), "<=")
             )
-    elif p.variant is Variant.SMMH:
-        kap, chi = float(p.kappa[0]), float(p.chi[0])
+    else:
+        checks.append(CheckResult("tilted_rate_positive", None, bool(kt[0] > 0.0), 0.0, float(kt[0])))
         checks.append(
             CheckResult(
                 "excess_slope_bound",
                 None,
-                bool(ratio * p.d**2 < kap**2 / chi**2),
-                float(ratio * p.d**2),
-                float(kap**2 / chi**2),
-            )
-        )
-    else:  # SMMH_RHO
-        kap, chi = float(p.kappa[0]), float(p.chi[0])
-        kb = kap - ratio * p.rho * chi * abs(p.d)
-        checks.append(CheckResult("tilted_rate_positive", None, bool(kb > 0.0), 0.0, float(kb)))
-        checks.append(
-            CheckResult(
-                "excess_slope_bound",
-                None,
-                bool(ratio * p.d**2 < vt * kb**2 / chi**2),
-                float(ratio * p.d**2),
-                float(vt * kb**2 / chi**2),
+                bool(beta[0] < bound[0]),
+                float(2.0 * vt * beta[0]),
+                float(2.0 * vt * bound[0]),
             )
         )
     return ValidationReport(checks=tuple(checks), vartheta=vt)

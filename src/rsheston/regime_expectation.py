@@ -63,9 +63,9 @@ class RegimeIntegrand:
 def upsilon_heston(p: HestonRegimeParams, coeff_fn: Callable[[float], float]) -> RegimeIntegrand:
     """Integrand u(t, e) = delta r(e) + coeff_fn(t) * kappa(e) theta(e).
 
-    ``coeff_fn`` is the factor-exponent evaluator of the variant at
-    hand (D_leverage for leverage, B_separable without it); it is
-    evaluated lazily so no interpolation error enters here.
+    ``coeff_fn`` is the factor-exponent evaluator of the separable
+    variants (``d_leverage_fn``); it is evaluated lazily so no
+    interpolation error enters here.
     """
     delta_r = p.delta * p.r
     kap_th = p.kappa * p.theta
@@ -109,11 +109,6 @@ class XiTable:
     def at(self, t: float, state: int) -> float:
         return float(np.interp(float(t), self.times, self.values[:, state - 1]))
 
-    def stderr_at(self, t: float, state: int) -> float:
-        if self.std_err is None:
-            return 0.0
-        return float(np.interp(float(t), self.times, self.std_err[:, state - 1]))
-
     def write_csv(self, stream: io.TextIOBase, comment: str | None = None) -> None:
         writer = csv.writer(stream, lineterminator="\n")
         if comment:
@@ -136,8 +131,7 @@ def xi_mc(
     """Monte Carlo estimate of xi(t, state) with its standard error.
 
     One dedicated RNG stream per chain path, derived from (seed, path
-    index); the estimate is identical for a fixed seed no matter how
-    the paths are distributed across workers.
+    index), so the estimate is reproducible for a fixed seed.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")

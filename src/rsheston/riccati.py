@@ -22,8 +22,9 @@ backward time they solve
 
 This module provides the closed forms, an independent backward RK4
 integrator over piecewise-constant coefficients, the backward
-composition across a regime path, and the two explicit single-equation
-solutions used by the separable model variants.
+composition across a regime path, and the factor exponent D = vt B of
+the separable variants.  All of them evaluate the closed form on the
+tilted parameters of ``models.exponent_params``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import BlowUp, DomainViolation
 from .markov_chain import RegimePath
-from .models import HestonRegimeParams, Variant
+from .models import HestonRegimeParams, Variant, exponent_params
 
 __all__ = [
     "CharFnCoeffs",
@@ -44,9 +45,7 @@ __all__ = [
     "char_fn_coeffs",
     "riccati_numeric",
     "compose_piecewise",
-    "B_separable",
     "D_leverage",
-    "b_separable_fn",
     "d_leverage_fn",
 ]
 
@@ -78,7 +77,7 @@ def _closed_ab(kappa, theta, chi, alpha, beta, tau):
     if kappa <= 0 or theta <= 0 or chi <= 0:
         raise DomainViolation("closed forms need kappa, theta, chi > 0")
     tau = np.asarray(tau, dtype=float)
-    if np.any(tau < 0):
+    if (tau < 0).any():
         raise DomainViolation("tau must be nonnegative")
     a = _discriminant_root(kappa, chi, beta)
     chi2 = chi * chi
@@ -97,7 +96,7 @@ def _closed_ab(kappa, theta, chi, alpha, beta, tau):
     c = (kappa - a - alpha * chi2) / (kappa + a - alpha * chi2)
     decay = np.exp(-a * tau)
     den = 1.0 - c * decay
-    if np.any(den <= 0.0):
+    if (den <= 0.0).any():
         raise DomainViolation("coefficient denominator vanished inside the domain")
     b = (-c * (kappa + a) * decay + kappa - a) / (chi2 * den)
     big_a = kappa * theta * (kappa - a) / chi2 * tau - (2.0 * kappa * theta / chi2) * np.log(
@@ -270,22 +269,15 @@ class PiecewiseAB:
 def compose_piecewise(path: RegimePath, p: HestonRegimeParams) -> PiecewiseAB:
     """Backward composition of the closed forms over a regime path.
 
-    Works on the drift-adjusted coefficients: per state,
-    kt = kappa - (delta/(1-delta)) rho chi lam_hat/nu (the adjusted
-    reversion speed), tt = kappa theta / kt (so kt*tt = kappa*theta) and
-    beta = (1/(2 vt)) (delta/(1-delta)) (lam_hat/nu)^2.  All of these
-    are computed here, in one place, to keep the formulas from drifting
-    apart between modules.
+    Each segment uses its state's tilted (kappa, theta, beta) from
+    ``exponent_params``; A and B come out unscaled (multiply by vartheta
+    for the value exponent).
     """
     if np.any(path.states > p.n_states):
         raise ValueError("path states exceed the model's state count")
-    vt = p.vartheta
-    ratio = p.delta_ratio
-    kt = p.tilted_kappa()
+    kt, tt, beta, vt = exponent_params(p)
     if np.any(kt <= 0.0):
         raise DomainViolation("drift-adjusted reversion speed must stay positive")
-    tt = p.kappa * p.theta / kt
-    beta = ratio * p.price_of_risk_slope**2 / (2.0 * vt)
 
     edges = path.boundaries()
     segs: list[_Segment] = []
@@ -314,102 +306,40 @@ def compose_piecewise(path: RegimePath, p: HestonRegimeParams) -> PiecewiseAB:
     )
 
 
-def _check_time_in_horizon(t, horizon: float):
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < -1e-12) or np.any(t_arr > horizon + 1e-12):
-        raise DomainViolation(f"t must lie in [0, {horizon}]")
-
-
-def B_separable(p: HestonRegimeParams, t):
-    """Explicit factor-exponent B(t) for the separable no-leverage variant.
-
-    B(t) = (-c (kappa + a) e^{-a (T-t)} + kappa - a)
-           / (chi^2 (1 - c e^{-a (T-t)}))
-
-    with a = sqrt(kappa^2 - (delta/(1-delta)) d^2 chi^2) and
-    c = (kappa - a)/(kappa + a).  B(T) = 0.
-    """
-    if p.variant is not Variant.SMMH:
-        raise DomainViolation("B_separable applies to the SMMH variant only")
-    _check_time_in_horizon(t, p.horizon)
-    kap, chi = float(p.kappa[0]), float(p.chi[0])
-    disc = kap * kap - p.delta_ratio * p.d**2 * chi * chi
-    if disc <= 0.0:
-        raise DomainViolation("(delta/(1-delta)) d^2 < kappa^2/chi^2 fails")
-    a = math.sqrt(disc)
-    c = (kap - a) / (kap + a)
-    decay = np.exp(-a * (p.horizon - np.asarray(t, dtype=float)))
-    den = 1.0 - c * decay
-    if np.any(den <= 0.0):
-        raise DomainViolation("coefficient denominator vanished")
-    out = (-c * (kap + a) * decay + kap - a) / (chi * chi * den)
-    return float(out) if np.ndim(t) == 0 else out
-
-
 def D_leverage(p: HestonRegimeParams, t):
-    """Explicit factor exponent D(t) for the separable variant with leverage.
+    """Factor exponent D(t) = vt B(T - t) of the separable variants.
 
-    With kb = kappa - (delta/(1-delta)) rho chi |d|,
-    a = sqrt(kb^2 - (delta/(1-delta)) (chi^2/vt) d^2) and
-    c = (kb - a)/(kb + a):
-
-    D(t) = vt (-c (kb + a) e^{-a (T-t)} + kb - a)
-           / (chi^2 (1 - c e^{-a (T-t)}))
-
-    D(T) = 0, and D coincides with B_separable when rho = 0.
+    B is the closed form on the tilted (kappa, theta, beta) of
+    ``exponent_params`` with alpha = 0, so D(T) = 0.  Serves SMMH and
+    SMMH_RHO alike (at rho = 0, vt = 1 and the tilt vanishes).
     """
-    if p.variant is not Variant.SMMH_RHO:
-        raise DomainViolation("D_leverage applies to the SMMH_RHO variant only")
-    _check_time_in_horizon(t, p.horizon)
-    vt = p.vartheta
-    kap, chi = float(p.kappa[0]), float(p.chi[0])
-    kb = kap - p.delta_ratio * p.rho * chi * abs(p.d)
-    if kb <= 0.0:
-        raise DomainViolation("leverage-adjusted reversion speed must be positive")
-    disc = kb * kb - p.delta_ratio * (chi * chi / vt) * p.d**2
-    if disc <= 0.0:
-        raise DomainViolation("(delta/(1-delta)) d^2 < vt kb^2 / chi^2 fails")
-    a = math.sqrt(disc)
-    c = (kb - a) / (kb + a)
-    decay = np.exp(-a * (p.horizon - np.asarray(t, dtype=float)))
-    den = 1.0 - c * decay
-    if np.any(den <= 0.0):
-        raise DomainViolation("coefficient denominator vanished")
-    out = vt * (-c * (kb + a) * decay + kb - a) / (chi * chi * den)
-    return float(out) if np.ndim(t) == 0 else out
-
-
-def b_separable_fn(p: HestonRegimeParams):
-    """Scalar fast path of B_separable: validates once, then pure math.
-
-    Intended for hot loops (quadrature, ODE right-hand sides); returns
-    the same values as B_separable.
-    """
-    B_separable(p, 0.0)  # run the full validation once
-    kap, chi = float(p.kappa[0]), float(p.chi[0])
-    a = math.sqrt(kap * kap - p.delta_ratio * p.d**2 * chi * chi)
-    c = (kap - a) / (kap + a)
-    chi2, horizon = chi * chi, p.horizon
-
-    def b_of(t: float) -> float:
-        decay = math.exp(-a * (horizon - t))
-        return (-c * (kap + a) * decay + kap - a) / (chi2 * (1.0 - c * decay))
-
-    return b_of
+    if p.variant is Variant.MMH:
+        raise DomainViolation("D_leverage applies to the separable variants only")
+    t_arr = np.asarray(t, dtype=float)
+    if ((t_arr < -1e-12) | (t_arr > p.horizon + 1e-12)).any():
+        raise DomainViolation(f"t must lie in [0, {p.horizon}]")
+    kt, tt, beta, vt = exponent_params(p)
+    tau = np.maximum(p.horizon - t_arr, 0.0)
+    _, b = _closed_ab(float(kt[0]), float(tt[0]), float(p.chi[0]), 0.0, float(beta[0]), tau)
+    out = vt * b
+    return float(out) if t_arr.ndim == 0 else out
 
 
 def d_leverage_fn(p: HestonRegimeParams):
-    """Scalar fast path of D_leverage: validates once, then pure math."""
+    """Scalar fast path of D_leverage: validates once, then pure math.
+
+    Intended for hot loops (quadrature, ODE right-hand sides); returns
+    the same values as D_leverage.
+    """
     D_leverage(p, 0.0)  # run the full validation once
-    vt = p.vartheta
-    kap, chi = float(p.kappa[0]), float(p.chi[0])
-    kb = kap - p.delta_ratio * p.rho * chi * abs(p.d)
-    a = math.sqrt(kb * kb - p.delta_ratio * (chi * chi / vt) * p.d**2)
-    c = (kb - a) / (kb + a)
-    chi2, horizon = chi * chi, p.horizon
+    ep = exponent_params(p)
+    kt, chi, vt, horizon = float(ep.kappa[0]), float(p.chi[0]), ep.vartheta, p.horizon
+    a = _discriminant_root(kt, chi, float(ep.beta[0]))
+    c = (kt - a) / (kt + a)
+    chi2 = chi * chi
 
     def d_of(t: float) -> float:
         decay = math.exp(-a * (horizon - t))
-        return vt * (-c * (kb + a) * decay + kb - a) / (chi2 * (1.0 - c * decay))
+        return vt * ((-c * (kt + a) * decay + kt - a) / (chi2 * (1.0 - c * decay)))
 
     return d_of

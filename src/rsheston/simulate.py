@@ -72,7 +72,6 @@ class SimConfig:
     v0: float
     x0: float
     state0: int
-    rebalance: str = "every_step"
     driver_steps_per_year: int | None = None
 
     def __post_init__(self):
@@ -86,8 +85,6 @@ class SimConfig:
             raise ConfigError("x0 must be nonnegative")
         if self.state0 < 1:
             raise ConfigError("state0 must be a 1-based state label")
-        if self.rebalance != "every_step":
-            raise ConfigError("only rebalance = every_step is supported")
         if self.driver_steps_per_year is not None and (
             self.driver_steps_per_year % self.steps_per_year != 0
         ):
@@ -359,8 +356,8 @@ def martingale_diagnostic(
     downward.  Returns rows (t, mean, std_err, z) where z measures the
     gap to Phi(0, v0, x0, state0).
     """
-    if p.variant is not Variant.SMMH_RHO:
-        raise ConfigError("the value diagnostic is defined for the SMMH_RHO variant")
+    if p.variant is Variant.MMH:
+        raise ConfigError("the value diagnostic is defined for the separable variants")
     if xi is None:
         xi = xi_ode(chain, upsilon_heston(p, d_leverage_fn(p)))
     if strategy is None:

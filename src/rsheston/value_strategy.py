@@ -26,7 +26,7 @@ from .errors import DomainViolation
 from .markov_chain import MarkovChainSpec, RegimePath, occupation_integral, path_stream, sample_path
 from .models import HestonRegimeParams, Variant
 from .regime_expectation import XiTable
-from .riccati import B_separable, D_leverage, PiecewiseAB, compose_piecewise
+from .riccati import D_leverage, PiecewiseAB, compose_piecewise
 
 __all__ = [
     "ValueQuery",
@@ -35,7 +35,6 @@ __all__ = [
     "timedep_strategy",
     "value_timedep_heston",
     "value_mmh_general",
-    "value_smmh",
     "value_smmh_rho",
     "strategy_rows",
 ]
@@ -82,25 +81,24 @@ class StrategyPoint:
 def optimal_strategy(p: HestonRegimeParams, t: float, state: int) -> StrategyPoint:
     """Optimal portfolio weight at (t, state); wealth and factor free.
 
-    SMMH_RHO uses the leverage exponent D(t) in the hedging part; SMMH
-    and MMH (rho = 0) have no hedging part at all.
+    The separable variants use the exponent D(t) in the hedging part,
+    which vanishes at rho = 0 (always for SMMH); MMH is solved only at
+    rho = 0 and has no hedging part.
     """
     if not 1 <= state <= p.n_states:
         raise ValueError(f"state must be in 1..{p.n_states}")
     e = state - 1
     inv = 1.0 / (1.0 - p.delta)
-    if p.variant is Variant.SMMH_RHO:
-        pi_mv = inv * p.d / p.nu[e]
-        pi_h = inv * p.rho * (p.chi[e] / p.nu[e]) * D_leverage(p, t)
-        return StrategyPoint.of(float(pi_mv), float(pi_h))
-    if p.variant is Variant.SMMH:
-        return StrategyPoint.of(float(inv * p.d / p.nu[e]), 0.0)
-    if p.rho != 0.0:
-        raise DomainViolation(
-            "no optimal strategy is available for MMH with rho != 0 and "
-            "state-dependent coefficients"
-        )
-    return StrategyPoint.of(float(inv * p.lam_hat[e] / p.nu[e] ** 2), 0.0)
+    if p.variant is Variant.MMH:
+        if p.rho != 0.0:
+            raise DomainViolation(
+                "no optimal strategy is available for MMH with rho != 0 and "
+                "state-dependent coefficients"
+            )
+        return StrategyPoint.of(float(inv * p.lam_hat[e] / p.nu[e] ** 2), 0.0)
+    pi_mv = inv * p.d / p.nu[e]
+    pi_h = inv * p.rho * (p.chi[e] / p.nu[e]) * D_leverage(p, t)
+    return StrategyPoint.of(float(pi_mv), float(pi_h))
 
 
 def timedep_strategy(p: HestonRegimeParams, coeffs: PiecewiseAB) -> Callable[[float, int], float]:
@@ -180,19 +178,10 @@ def value_mmh_general(
     return est, err
 
 
-def value_smmh(p: HestonRegimeParams, q: ValueQuery, xi: XiTable) -> float:
-    """Separable no-leverage value: (v**delta/delta) xi(t, e) exp{B(t) x}."""
-    if p.variant is not Variant.SMMH:
-        raise DomainViolation("value_smmh applies to the SMMH variant only")
-    q.check(p)
-    util = q.v**p.delta / p.delta
-    return float(util * xi.at(q.t, q.state) * np.exp(B_separable(p, q.t) * q.x))
-
-
 def value_smmh_rho(p: HestonRegimeParams, q: ValueQuery, xi: XiTable) -> float:
-    """Separable leverage value: (v**delta/delta) xi(t, e) exp{D(t) x}."""
-    if p.variant is not Variant.SMMH_RHO:
-        raise DomainViolation("value_smmh_rho applies to the SMMH_RHO variant only")
+    """Separable value (SMMH or SMMH_RHO): (v**delta/delta) xi(t, e) exp{D(t) x}."""
+    if p.variant is Variant.MMH:
+        raise DomainViolation("value_smmh_rho applies to the separable variants only")
     q.check(p)
     util = q.v**p.delta / p.delta
     return float(util * xi.at(q.t, q.state) * np.exp(D_leverage(p, q.t) * q.x))

@@ -30,12 +30,8 @@ def hamiltonian_grid_argmax(
     lam = p.excess_slope[e]
     nu = p.nu[e]
     chi = p.chi[e]
-    if p.variant is Variant.SMMH_RHO:
-        fx_ratio = rs.D_leverage(p, t)
-    elif p.variant is Variant.SMMH:
-        fx_ratio = rs.B_separable(p, t)
-    else:
-        fx_ratio = 0.0  # rho = 0 removes the hedging term entirely
+    # MMH is solved only at rho = 0, which removes the hedging term entirely
+    fx_ratio = 0.0 if p.variant is Variant.MMH else rs.D_leverage(p, t)
     grid = np.arange(lo, hi + step / 2, step)
     objective = grid * x * (lam + p.rho * nu * chi * fx_ratio) + 0.5 * grid**2 * nu**2 * x * (
         p.delta - 1.0

@@ -168,7 +168,7 @@ def test_criterion_3_oracle_equivalence(set1):
         )
         worst_b = max(worst_b, np.abs(rs.D_leverage(p_rho, sol_d.times) - vt * sol_d.B).max())
         sol_b = rs.riccati_numeric([0.0, horizon], kap, th, chi, ratio * d**2 / 2, grid_step=1e-4)
-        worst_b = max(worst_b, np.abs(rs.B_separable(p_sep, sol_b.times) - sol_b.B).max())
+        worst_b = max(worst_b, np.abs(rs.D_leverage(p_sep, sol_b.times) - sol_b.B).max())
     ok_b = worst_b <= 1e-8
 
     # (c) backward composition over regime paths against the integrator
@@ -298,7 +298,7 @@ def test_criterion_6_reduction_tests(set1, xi_set1, chain):
     ok_terminal = (
         np.all(xi_set1.values[-1] == 1.0)
         and rs.D_leverage(set1, 5.0) == 0.0
-        and rs.B_separable(p_norho, 5.0) == 0.0
+        and rs.D_leverage(p_norho, 5.0) == 0.0
     )
     ok = ok_const and ok_hedge and ok_terminal
     assert report(

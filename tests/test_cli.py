@@ -51,6 +51,28 @@ class TestConfigParsing:
         cfg = cli.load_config(cfg_file)
         np.testing.assert_array_equal(cfg.params.r, [0.02, 0.02])
 
+    def test_non_numeric_value_exits_two(self, tmp_path, set1_path, capsys):
+        bad = tmp_path / "nan.cfg"
+        bad.write_text(set1_path.read_text().replace("delta = 0.3", "delta = abc"))
+        with pytest.raises(cli.ParseError, match="delta"):
+            cli.load_config(bad)
+        assert cli.main(["validate", str(bad)]) == 2
+        assert "delta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["q.0.1", "q.a.1"])
+    def test_malformed_chain_key_rejected(self, key, tmp_path, set1_path):
+        bad = tmp_path / "key.cfg"
+        bad.write_text(set1_path.read_text().replace("q.1.1 = -1.0909", f"{key} = 0.0\nq.1.1 = -1.0909"))
+        with pytest.raises(cli.ConfigError, match="q.i.j"):
+            cli.load_config(bad)
+
+    def test_scalar_and_per_state_key_conflict(self, tmp_path, set1_path):
+        bad = tmp_path / "both.cfg"
+        bad.write_text(set1_path.read_text().replace("r.1 = 0.03", "r = 0.5\nr.1 = 0.03"))
+        with pytest.raises(cli.ConfigError, match="both as a scalar and per state"):
+            cli.load_config(bad)
+        assert cli.main(["validate", str(bad)]) == 1
+
 
 class TestValidateCommand:
     def test_set1_passes(self, set1_path, capsys):
@@ -163,6 +185,14 @@ class TestSimulateCommand:
                   "--out", str(out)])
         _, rows = read_csv(out)
         assert rows[0]["std_err"] == ""
+
+    @pytest.mark.parametrize("flag", ["--paths", "--steps-per-year"])
+    def test_zero_count_flag_exits_one(self, flag, set1_path, tmp_path, capsys):
+        # a zero must reach SimConfig's check, not fall back to the config default
+        argv = ["simulate", str(set1_path), "--paths", "2", "--steps-per-year", "2",
+                flag, "0", "--out", str(tmp_path / "sim0.csv")]
+        assert cli.main(argv) == 1
+        assert "must be >= 1" in capsys.readouterr().err
 
     def test_set2_mean_lands_near_reported_value(self, set2_path, tmp_path):
         out = tmp_path / "sim2.csv"

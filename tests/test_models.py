@@ -45,43 +45,24 @@ class TestParameterCatalog:
 
 
 class TestAffineMapping:
+    """exponent_params: Heston parameters onto the CIR closed form of the exponents."""
+
     def test_set1_state1_drift_terms(self, set1):
-        coeffs = rs.to_affine_coefficients(set1)
-        assert coeffs.m1[0] == pytest.approx(0.08, abs=1e-15)
-        assert coeffs.m2[0] == pytest.approx(-4.0, abs=1e-15)
+        ep = rs.exponent_params(set1)
+        assert ep.kappa[0] * ep.theta[0] == pytest.approx(0.08, abs=1e-15)
+        assert ep.kappa[0] == pytest.approx(4.0 + 0.3 / 0.7 * 0.8 * 0.35 * 1.7, rel=1e-15)
 
     def test_zero_excess_return_state(self):
-        p = make_params(variant="mmh", d=None, rho=0.0, lam_hat=[0.0, 2.0])
-        coeffs = rs.to_affine_coefficients(p)
-        assert coeffs.g2[0] == 0.0
-        assert coeffs.z2[0] == 0.0
+        p = make_params(variant="mmh", d=None, rho=-0.5, lam_hat=[0.0, 2.0])
+        ep = rs.exponent_params(p)
+        assert ep.beta[0] == 0.0
+        assert ep.kappa[0] == p.kappa[0]  # no price of risk, no tilt
 
     def test_leverage_slope_squared(self, set1):
-        # lam_hat = d * nu, so gamma^2 slope is d^2 regardless of nu
-        coeffs = rs.to_affine_coefficients(set1)
-        np.testing.assert_allclose(coeffs.g2, 1.7**2, atol=1e-14)
-
-    def test_zero_correlation_kills_z_tables(self):
-        p = make_params(variant="smmh", rho=0.0)
-        coeffs = rs.to_affine_coefficients(p)
-        np.testing.assert_array_equal(coeffs.z2, 0.0)
-
-    def test_negative_tables_rejected(self):
-        with pytest.raises(ValueError):
-            rs.AffineCoefficients(
-                g1=np.array([-0.1]), g2=np.zeros(1), m1=np.zeros(1), m2=np.zeros(1),
-                s1=np.zeros(1), s2=np.zeros(1), z1=np.zeros(1), z2=np.zeros(1),
-                r=np.zeros(1), rho=0.0, delta=0.3,
-            )
-
-    def test_correlation_needs_proportional_factor_noise(self):
-        # rho != 0 with z-tables unrelated to gamma and sigma_X must fail
-        with pytest.raises(ValueError):
-            rs.AffineCoefficients(
-                g1=np.zeros(1), g2=np.array([1.0]), m1=np.zeros(1), m2=np.array([-1.0]),
-                s1=np.zeros(1), s2=np.array([1.0]), z1=np.zeros(1), z2=np.array([0.3]),
-                r=np.zeros(1), rho=-0.5, delta=0.3,
-            )
+        # lam_hat = d * nu, so the slope seen by kappa and beta is d regardless of nu
+        ep = rs.exponent_params(set1)
+        np.testing.assert_allclose(ep.beta, 0.3 / 0.7 * 1.7**2 / (2 * set1.vartheta), rtol=1e-14)
+        np.testing.assert_allclose(ep.kappa, ep.kappa[0], rtol=1e-15)
 
     def test_mapping_total_on_random_valid_params(self):
         rng = np.random.default_rng(42)
@@ -103,8 +84,9 @@ class TestAffineMapping:
                 chi=chi,
                 lam_hat=rng.uniform(-1.0, 3.0, size=l),
             )
-            coeffs = rs.to_affine_coefficients(p)  # must not raise
-            assert coeffs.g2.shape == (l,)
+            ep = rs.exponent_params(p)  # must not raise
+            assert ep.kappa.shape == ep.theta.shape == ep.beta.shape == (l,)
+            np.testing.assert_allclose(ep.kappa * ep.theta, p.kappa * p.theta, rtol=1e-12)
 
 
 class TestFeller:

@@ -139,18 +139,18 @@ class TestComposePiecewise:
 class TestSeparableSolutions:
     def test_b_terminal_zero(self):
         p = make_params(variant="smmh", rho=0.0)
-        assert rs.B_separable(p, 5.0) == 0.0
+        assert rs.D_leverage(p, 5.0) == 0.0
 
     def test_zero_slope_kills_b(self):
         p = make_params(variant="smmh", rho=0.0, d=0.0)
         ts = np.linspace(0, 5, 11)
-        np.testing.assert_array_equal(rs.B_separable(p, ts), 0.0)
+        np.testing.assert_array_equal(rs.D_leverage(p, ts), 0.0)
 
     def test_b_matches_numeric(self):
         p = make_params(variant="smmh", rho=0.0)
         beta = p.delta_ratio * p.d**2 / 2.0
         sol = rs.riccati_numeric([0.0, 5.0], KAPPA, THETA, CHI, beta, grid_step=1e-4)
-        b_closed = rs.B_separable(p, sol.times)
+        b_closed = rs.D_leverage(p, sol.times)
         assert np.abs(b_closed - sol.B).max() < 1e-8
 
     def test_d_terminal_zero(self, set1):
@@ -160,7 +160,7 @@ class TestSeparableSolutions:
         p_rho = make_params(rho=0.0)
         p_sep = make_params(variant="smmh", rho=0.0)
         ts = np.linspace(0, 5, 21)
-        np.testing.assert_allclose(rs.D_leverage(p_rho, ts), rs.B_separable(p_sep, ts), atol=1e-14)
+        np.testing.assert_allclose(rs.D_leverage(p_rho, ts), rs.D_leverage(p_sep, ts), atol=1e-14)
 
     def test_d_matches_numeric_after_rescale(self, set1):
         vt = set1.vartheta
@@ -182,7 +182,7 @@ class TestSeparableSolutions:
 
     def test_condition_violations_raise(self):
         with pytest.raises(rs.DomainViolation):
-            rs.B_separable(make_params(variant="smmh", rho=0.0, delta=0.99, kappa=0.5), 0.0)
+            rs.D_leverage(make_params(variant="smmh", rho=0.0, delta=0.99, kappa=0.5), 0.0)
         with pytest.raises(rs.DomainViolation):
             # positive rho drives the adjusted reversion speed negative here
             rs.D_leverage(make_params(delta=0.99, kappa=0.5, rho=0.8), 0.0)

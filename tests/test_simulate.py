@@ -147,10 +147,12 @@ class TestMartingaleDiagnostic:
         assert rows[-1][1] == pytest.approx(mean, rel=1e-12)
 
     def test_requires_leverage_variant(self, chain2):
-        p = make_params(variant="smmh", rho=0.0)
         cfg = rs.SimConfig(n_paths=10, steps_per_year=10, seed=1, v0=1.0, x0=0.02, state0=1)
+        p_mmh = make_params(variant="mmh", d=None, rho=0.0, lam_hat=[1.7, 2.21])
         with pytest.raises(rs.ConfigError):
-            rs.martingale_diagnostic(p, chain2, cfg, [0.0])
+            rs.martingale_diagnostic(p_mmh, chain2, cfg, [0.0])
+        rows = rs.martingale_diagnostic(make_params(variant="smmh", rho=0.0), chain2, cfg, [0.0])
+        assert rows[0][3] == 0.0
 
 
 class TestVarianceObservable:

@@ -151,25 +151,25 @@ class TestValueMmhGeneral:
 class TestValueSmmh:
     def test_terminal_condition(self, chain2):
         p = make_params(variant="smmh", rho=0.0)
-        xi = rs.xi_ode(chain2, rs.upsilon_heston(p, rs.b_separable_fn(p)))
+        xi = rs.xi_ode(chain2, rs.upsilon_heston(p, rs.d_leverage_fn(p)))
         q = rs.ValueQuery(t=5.0, v=10.0, x=0.3, state=2)
-        assert rs.value_smmh(p, q, xi) == pytest.approx(UTIL_10_03, rel=1e-12)
+        assert rs.value_smmh_rho(p, q, xi) == pytest.approx(UTIL_10_03, rel=1e-12)
 
     def test_zero_slope_leaves_regime_bond_value(self, chain2):
         p = make_params(variant="smmh", rho=0.0, d=0.0)
-        xi = rs.xi_ode(chain2, rs.upsilon_heston(p, rs.b_separable_fn(p)))
+        xi = rs.xi_ode(chain2, rs.upsilon_heston(p, rs.d_leverage_fn(p)))
         q = rs.ValueQuery(t=0.0, v=10.0, x=0.9, state=1)
         # B = 0: the value is utility times the rate-only regime expectation
         rate_only = rs.xi_ode(
             chain2, rs.RegimeIntegrand.from_scalar(lambda t, e: 0.3 * (0.03 if e == 1 else 0.01), 5.0, 2)
         )
-        assert rs.value_smmh(p, q, xi) == pytest.approx(UTIL_10_03 * rate_only.at(0.0, 1), rel=1e-9)
+        assert rs.value_smmh_rho(p, q, xi) == pytest.approx(UTIL_10_03 * rate_only.at(0.0, 1), rel=1e-9)
 
     def test_cross_method_against_partial_mc(self, chain2):
         p_sep = make_params(variant="smmh", rho=0.0)
-        xi = rs.xi_ode(chain2, rs.upsilon_heston(p_sep, rs.b_separable_fn(p_sep)))
+        xi = rs.xi_ode(chain2, rs.upsilon_heston(p_sep, rs.d_leverage_fn(p_sep)))
         q = rs.ValueQuery(t=0.0, v=10.0, x=0.02, state=1)
-        target = rs.value_smmh(p_sep, q, xi)
+        target = rs.value_smmh_rho(p_sep, q, xi)
         p_gen = make_params(variant="mmh", d=None, rho=0.0, lam_hat=[1.7 * 1.0, 1.7 * 1.3])
         est, err = rs.value_mmh_general(p_gen, chain2, q, 2000, seed=5)
         assert abs(est - target) < 3 * err
@@ -208,9 +208,9 @@ class TestValueSmmhRho:
         assert rs.value_smmh_rho(set1, q, xi1) > 0
         assert rs.value_smmh_rho(set2, q, xi2) < 0
 
-    def test_rejects_wrong_variant(self, chain2):
-        p = make_params(variant="smmh", rho=0.0)
-        xi = rs.xi_ode(chain2, rs.upsilon_heston(p, rs.b_separable_fn(p)), grid_step=0.01)
+    def test_rejects_wrong_variant(self, chain2, set1):
+        p = make_params(variant="mmh", d=None, rho=0.0, lam_hat=[1.7, 2.21])
+        xi = rs.xi_ode(chain2, rs.upsilon_heston(set1, rs.d_leverage_fn(set1)), grid_step=0.01)
         with pytest.raises(rs.DomainViolation):
             rs.value_smmh_rho(p, rs.ValueQuery(t=0.0, v=1.0, x=0.0, state=1), xi)
 
