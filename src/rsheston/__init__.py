@@ -54,11 +54,9 @@ from .simulate import (
     expected_utility_mc,
     martingale_diagnostic,
     optimal_weight_fn,
-    read_path_dump,
     simulate_paths,
     terminal_wealth_histogram,
     variance_observable,
-    write_path_dump,
 )
 from .value_strategy import (
     StrategyPoint,

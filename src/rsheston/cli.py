@@ -140,7 +140,7 @@ def _number(sec: dict[str, str], key: str, kind=float, default=None):
         raise ParseError(f"{key} = {raw!r} is not a valid {kind.__name__}") from None
 
 
-def _floats_by_state(sec: dict[str, str], key: str, l: int, required=True) -> np.ndarray | None:
+def _floats_by_state(sec: dict[str, str], key: str, l: int) -> np.ndarray:
     if key in sec:
         if any(k.startswith(key + ".") for k in sec):
             raise ConfigError(f"[model] gives {key} both as a scalar and per state")
@@ -154,8 +154,6 @@ def _floats_by_state(sec: dict[str, str], key: str, l: int, required=True) -> np
             found += 1
     if found == l:
         return vals
-    if found == 0 and not required:
-        return None
     raise ConfigError(f"[model] needs {key} as a scalar or all of {key}.1..{key}.{l}")
 
 
@@ -186,6 +184,16 @@ def load_config(path) -> RunConfig:
         variant = Variant(model.get("variant", ""))
     except ValueError:
         raise ConfigError("[model] variant must be one of mmh, smmh, smmh_rho") from None
+    per_state = ["r", "nu", "kappa", "theta", "chi"]
+    known = {"variant", "T", "delta", "rho"}
+    if variant is Variant.MMH:
+        per_state.append("lambda_hat")
+    else:
+        known.add("d")
+    known.update(f"{key}{suffix}" for key in per_state for suffix in ["", *(f".{e}" for e in range(1, l + 1))])
+    for key in model:
+        if key not in known:
+            raise ConfigError(f"[model] key {key!r} is not read by variant {variant.value} with {l} states")
     kwargs = dict(
         variant=variant,
         horizon=_number(model, "T"),

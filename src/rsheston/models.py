@@ -98,9 +98,10 @@ class HestonRegimeParams:
     state for MMH, or the single market-price slope ``d`` for the
     separable variants (there lam_hat(e) = d * nu(e)).
 
-    chi = 0 is tolerated at this level (deterministic factor, useful in
-    validator and simulation edge cases); the closed-form coefficient
-    functions themselves require chi > 0.
+    chi = 0 is allowed here (a deterministic factor, which
+    ``simulate_paths`` handles); the closed forms need chi > 0, and
+    ``validate_solution_assumptions`` fails ``factor_noise_positive``
+    without it.
     """
 
     variant: Variant
@@ -272,6 +273,8 @@ def validate_feller(p: HestonRegimeParams) -> ValidationReport:
 def validate_solution_assumptions(p: HestonRegimeParams) -> ValidationReport:
     """Solvability conditions guaranteeing the closed-form exponents exist.
 
+    Every variant needs chi > 0 in every state (``factor_noise_positive``);
+    the bounds below divide by chi and are skipped where it is zero.
     With the tilted rate kt and beta of ``exponent_params``:
 
     MMH: per state, kt > 0 and beta < kt^2/(2 chi^2), and
@@ -285,9 +288,11 @@ def validate_solution_assumptions(p: HestonRegimeParams) -> ValidationReport:
     """
     ep = exponent_params(p)
     kt, beta, vt = ep.kappa, ep.beta, ep.vartheta
-    with np.errstate(divide="ignore"):
-        bound = kt**2 / (2.0 * p.chi**2)
-    checks: list[CheckResult] = []
+    chi = p.chi
+    checks = [
+        CheckResult("factor_noise_positive", e + 1, bool(chi[e] > 0.0), 0.0, float(chi[e]))
+        for e in range(p.n_states)
+    ]
     if p.variant is Variant.MMH:
         for e in range(p.n_states):
             checks.append(
@@ -295,31 +300,31 @@ def validate_solution_assumptions(p: HestonRegimeParams) -> ValidationReport:
                     "tilted_rate_positive", e + 1, bool(kt[e] > 0.0), 0.0, float(kt[e])
                 )
             )
-            checks.append(
-                CheckResult(
-                    "riccati_constant_bound",
-                    e + 1,
-                    bool(beta[e] < bound[e]),
-                    float(beta[e]),
-                    float(bound[e]),
+            if chi[e] > 0.0:
+                bound = kt[e] ** 2 / (2.0 * chi[e] ** 2)
+                checks.append(
+                    CheckResult(
+                        "riccati_constant_bound", e + 1, bool(beta[e] < bound), float(beta[e]), float(bound)
+                    )
                 )
-            )
         if all(c.passed for c in checks):
-            at = np.sqrt(kt**2 - 2.0 * beta * p.chi**2)
-            lo = np.max((kt - at) / p.chi**2)
-            hi = np.min((kt + at) / p.chi**2)
+            at = np.sqrt(kt**2 - 2.0 * beta * chi**2)
+            lo = np.max((kt - at) / chi**2)
+            hi = np.min((kt + at) / chi**2)
             checks.append(
                 CheckResult("state_bound_compatible", None, bool(lo <= hi), float(lo), float(hi), "<=")
             )
     else:
         checks.append(CheckResult("tilted_rate_positive", None, bool(kt[0] > 0.0), 0.0, float(kt[0])))
-        checks.append(
-            CheckResult(
-                "excess_slope_bound",
-                None,
-                bool(beta[0] < bound[0]),
-                float(2.0 * vt * beta[0]),
-                float(2.0 * vt * bound[0]),
+        if chi[0] > 0.0:
+            bound = kt[0] ** 2 / (2.0 * chi[0] ** 2)
+            checks.append(
+                CheckResult(
+                    "excess_slope_bound",
+                    None,
+                    bool(beta[0] < bound),
+                    float(2.0 * vt * beta[0]),
+                    float(2.0 * vt * bound),
+                )
             )
-        )
     return ValidationReport(checks=tuple(checks), vartheta=vt)

@@ -1,34 +1,34 @@
 """Full stochastic simulation of the regime-switching Heston market.
 
-Scheme per step of size dt (state e frozen at the step start):
+Only what the checks read is simulated: wealth V, the factor X and the
+regime, under a given weight.  Scheme per step of size dt (state e
+frozen at the step start):
 
 * chain transitions are resolved exactly by exponential clocks, never
   by a per-step Bernoulli approximation;
 * the factor uses full-truncation Euler, with xp = max(X, 0) inside
   drift and diffusion:
       X <- X + kappa(e) (theta(e) - xp) dt + chi(e) sqrt(xp) dW_X
-* wealth and the asset price use log-Euler (hence stay positive):
+* wealth uses log-Euler (hence stays positive):
       ln V  <- ln V  + [r + pi lam_hat xp - pi^2 nu^2 xp / 2] dt
                      + pi nu sqrt(xp) dW_P
-      ln P1 <- ln P1 + [r + lam_hat xp - nu^2 xp / 2] dt
-                     + nu sqrt(xp) dW_P
 * dW_P = rho dW_X + sqrt(1 - rho^2) dW_perp.
 
 Each path owns one RNG stream derived from (seed, path index) and draws
 the chain trajectory first and then its normal increments, so results
 are bitwise reproducible regardless of how paths are batched.  Setting
 ``driver_steps_per_year`` draws the Brownian increments on a finer grid
-and aggregates them per step: two runs at different step sizes but the
-same driver resolution then share their Brownian paths exactly, which
-makes discretization-convergence comparisons nearly noise-free.
+and sums them per step as they are drawn: two runs at different step
+sizes but the same driver resolution then share their Brownian paths
+exactly, which makes discretization-convergence comparisons nearly
+noise-free.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -50,12 +50,7 @@ __all__ = [
     "variance_observable",
     "constant_strategy",
     "optimal_weight_fn",
-    "write_path_dump",
-    "read_path_dump",
 ]
-
-_DUMP_MAGIC = b"RAPB1"
-_DUMP_FIELDS = ("state", "X", "V", "P1")
 
 
 @dataclass(frozen=True)
@@ -96,8 +91,8 @@ class PathBundle:
     """Simulated trajectories sampled at ``record_times``.
 
     ``states`` holds 1-based labels, ``X`` the truncated factor (the
-    value actually driving variance, hence nonnegative), ``V`` wealth
-    and ``P1`` the asset price (P1(0) = 1).  ``min_v`` and
+    value actually driving variance, hence nonnegative) and ``V``
+    wealth; the asset price is not simulated.  ``min_v`` and
     ``min_x_effective`` are tracked over every step, not only recorded
     ones.  RNG provenance: stream i belongs to path i under ``seed``.
     """
@@ -107,7 +102,6 @@ class PathBundle:
     states: np.ndarray
     X: np.ndarray
     V: np.ndarray
-    P1: np.ndarray
     seed: int
     min_v: float
     min_x_effective: float
@@ -197,25 +191,19 @@ def simulate_paths(
     if cfg.driver_steps_per_year is not None:
         refine = cfg.driver_steps_per_year // cfg.steps_per_year
     n_driver = n_steps * refine
-    dt_d = dt / refine
-    sq_dtd = math.sqrt(dt_d)
+    sq_dtd = math.sqrt(dt / refine)
 
     rec_idx = _record_indices(record, n_steps, grid)
     rec_times = grid[rec_idx]
     rec_slot = {int(j): s for s, j in enumerate(rec_idx)}
 
     l = p.n_states
-    pi_tab = np.empty((n_steps, l))
+    # coef[k, :, e]: pi, r, lam_hat, nu, kappa, theta, chi at step k in state e
+    coef = np.empty((n_steps, 7, l))
     for k in range(n_steps):
         for e in range(l):
-            pi_tab[k, e] = strategy(float(grid[k]), e + 1)
-
-    r_arr = p.r
-    lam_arr = p.excess_slope
-    nu_arr = p.nu
-    kap_arr = p.kappa
-    th_arr = p.theta
-    chi_arr = p.chi
+            coef[k, 0, e] = strategy(float(grid[k]), e + 1)
+    coef[:, 1:] = np.stack([p.r, p.excess_slope, p.nu, p.kappa, p.theta, p.chi])
     rho, sq1mr = p.rho, math.sqrt(max(0.0, 1.0 - p.rho**2))
 
     n_paths = cfg.n_paths
@@ -223,7 +211,6 @@ def simulate_paths(
     out_states = np.empty((n_paths, m), dtype=np.int16)
     out_x = np.empty((n_paths, m))
     out_v = np.empty((n_paths, m))
-    out_p1 = np.empty((n_paths, m))
     min_lnv = math.inf
     min_xeff = math.inf
 
@@ -231,56 +218,43 @@ def simulate_paths(
     for i0 in range(0, n_paths, block):
         i1 = min(i0 + block, n_paths)
         b = i1 - i0
-        zx = np.empty((b, n_driver))
-        zp = np.empty((b, n_driver))
-        st_steps = np.empty((b, n_steps), dtype=np.int16)
+        # step-major, so each step reads contiguous rows
+        dwx = np.empty((n_steps, b))
+        dwp = np.empty((n_steps, b))
+        e_steps = np.empty((n_steps, b), dtype=np.int16)
         for ib in range(b):
             rng = path_stream(cfg.seed, i0 + ib)
             # draw order per path: chain first, then the normal block
             path = frozen_path
             if path is None:
                 path = sample_path(chain, 0.0, horizon, cfg.state0, rng)
-            z = rng.standard_normal((n_driver, 2))
-            zx[ib] = z[:, 0]
-            zp[ib] = z[:, 1]
-            st_steps[ib] = path.state_at(grid[:-1])
-            out_states[i0 + ib] = path.state_at(rec_times)
+            z = rng.standard_normal((n_driver, 2)).reshape(n_steps, refine, 2).sum(axis=1) * sq_dtd
+            dwx[:, ib] = z[:, 0]
+            dwp[:, ib] = rho * z[:, 0] + sq1mr * z[:, 1]
+            states = path.state_at(grid)
+            e_steps[:, ib] = states[:-1] - 1
+            out_states[i0 + ib] = states[rec_idx]
 
         x = np.full(b, cfg.x0)
         lnv = np.full(b, math.log(cfg.v0))
-        lnp1 = np.zeros(b)
         if 0 in rec_slot:
             s = rec_slot[0]
             out_x[i0:i1, s] = np.maximum(x, 0.0)
             out_v[i0:i1, s] = np.exp(lnv)
-            out_p1[i0:i1, s] = np.exp(lnp1)
         for k in range(n_steps):
-            e0 = st_steps[:, k] - 1
-            pi = pi_tab[k][e0]
-            rr = r_arr[e0]
-            lh = lam_arr[e0]
-            nn = nu_arr[e0]
+            pi, rr, lh, nn, kap, th, ch = coef[k][:, e_steps[k]]
             xp = np.maximum(x, 0.0)
             sq = np.sqrt(xp)
-            if refine == 1:
-                dwx = zx[:, k] * sq_dtd
-                dwp_perp = zp[:, k] * sq_dtd
-            else:
-                sl = slice(k * refine, (k + 1) * refine)
-                dwx = zx[:, sl].sum(axis=1) * sq_dtd
-                dwp_perp = zp[:, sl].sum(axis=1) * sq_dtd
-            dwp = rho * dwx + sq1mr * dwp_perp
             pn = pi * nn
-            lnv += (rr + pi * lh * xp - 0.5 * pn**2 * xp) * dt + pn * sq * dwp
-            lnp1 += (rr + lh * xp - 0.5 * nn**2 * xp) * dt + nn * sq * dwp
-            x = x + kap_arr[e0] * (th_arr[e0] - xp) * dt + chi_arr[e0] * sq * dwx
+            lnv += (rr + pi * lh * xp - 0.5 * pn**2 * xp) * dt + pn * sq * dwp[k]
+            x += kap * (th - xp) * dt  # drift, then diffusion: fixed-seed outputs depend on the order
+            x += ch * sq * dwx[k]
             min_xeff = min(min_xeff, float(xp.min()))
             min_lnv = min(min_lnv, float(lnv.min()))
             if k + 1 in rec_slot:
                 s = rec_slot[k + 1]
                 out_x[i0:i1, s] = np.maximum(x, 0.0)
                 out_v[i0:i1, s] = np.exp(lnv)
-                out_p1[i0:i1, s] = np.exp(lnp1)
         if not np.all(np.isfinite(lnv)):
             raise FloatingPointError("wealth overflowed; check the strategy and parameters")
 
@@ -290,7 +264,6 @@ def simulate_paths(
         states=out_states,
         X=out_x,
         V=out_v,
-        P1=out_p1,
         seed=cfg.seed,
         min_v=math.exp(min_lnv),
         min_x_effective=min_xeff,
@@ -396,39 +369,3 @@ def variance_observable(bundle: PathBundle, p: HestonRegimeParams) -> tuple[np.n
     nu2 = p.nu**2
     return bundle.record_times, nu2[bundle.states - 1] * bundle.X
 
-
-def write_path_dump(bundle: PathBundle, fh: BinaryIO) -> None:
-    """Binary dump: magic RAPB1, counts, field list, times, then path-major data."""
-    fh.write(_DUMP_MAGIC)
-    fh.write(struct.pack("<QQI", bundle.n_paths, len(bundle.record_times), len(_DUMP_FIELDS)))
-    for name in _DUMP_FIELDS:
-        raw = name.encode("ascii")
-        fh.write(struct.pack("<I", len(raw)))
-        fh.write(raw)
-    fh.write(bundle.record_times.astype("<f8").tobytes())
-    data = {
-        "state": bundle.states.astype("<f8"),
-        "X": bundle.X.astype("<f8"),
-        "V": bundle.V.astype("<f8"),
-        "P1": bundle.P1.astype("<f8"),
-    }
-    for i in range(bundle.n_paths):
-        for name in _DUMP_FIELDS:
-            fh.write(data[name][i].tobytes())
-
-
-def read_path_dump(fh: BinaryIO) -> dict:
-    """Inverse of write_path_dump; returns times plus one array per field."""
-    if fh.read(5) != _DUMP_MAGIC:
-        raise ValueError("not a path dump (bad magic)")
-    n_paths, n_times, n_fields = struct.unpack("<QQI", fh.read(20))
-    fields = []
-    for _ in range(n_fields):
-        (ln,) = struct.unpack("<I", fh.read(4))
-        fields.append(fh.read(ln).decode("ascii"))
-    times = np.frombuffer(fh.read(8 * n_times), dtype="<f8")
-    out = {name: np.empty((n_paths, n_times)) for name in fields}
-    for i in range(n_paths):
-        for name in fields:
-            out[name][i] = np.frombuffer(fh.read(8 * n_times), dtype="<f8")
-    return {"times": times, "n_paths": n_paths, **out}

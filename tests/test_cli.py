@@ -66,6 +66,35 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError, match="q.i.j"):
             cli.load_config(bad)
 
+    @pytest.mark.parametrize(
+        "key, line",
+        [
+            ("bogus", "bogus = 1"),
+            ("r.3", "r.3 = 9.0"),
+            ("r.0", "r.0 = 9.0"),
+            ("r.01", "r.01 = 9.0"),
+            ("lambda_hat.1", "lambda_hat.1 = 1.7"),
+        ],
+    )
+    def test_unread_model_key_rejected(self, key, line, tmp_path, set1_path, capsys):
+        bad = tmp_path / "extra.cfg"
+        bad.write_text(set1_path.read_text().replace("d = 1.7", f"d = 1.7\n{line}"))
+        with pytest.raises(cli.ConfigError, match=f"'{key}'"):
+            cli.load_config(bad)
+        assert cli.main(["validate", str(bad)]) == 1
+        assert key in capsys.readouterr().err
+
+    def test_slope_d_rejected_under_mmh(self, tmp_path, set1_path):
+        text = set1_path.read_text().replace("variant = smmh_rho", "variant = mmh").replace("rho = -0.8", "rho = 0.0")
+        text = text.replace("d = 1.7", "d = 1.7\nlambda_hat.1 = 1.7\nlambda_hat.2 = 2.21")
+        bad = tmp_path / "mmh_d.cfg"
+        bad.write_text(text)
+        with pytest.raises(cli.ConfigError, match="'d'"):
+            cli.load_config(bad)
+        good = tmp_path / "mmh.cfg"
+        good.write_text(text.replace("d = 1.7\n", ""))
+        assert cli.load_config(good).params.variant.value == "mmh"
+
     def test_scalar_and_per_state_key_conflict(self, tmp_path, set1_path):
         bad = tmp_path / "both.cfg"
         bad.write_text(set1_path.read_text().replace("r.1 = 0.03", "r = 0.5\nr.1 = 0.03"))
@@ -87,6 +116,15 @@ class TestValidateCommand:
         bad.write_text(text)
         assert cli.main(["validate", str(bad)]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_zero_factor_noise_exits_one(self, tmp_path, set1_path, capsys):
+        bad = tmp_path / "chi0.cfg"
+        bad.write_text(set1_path.read_text().replace("chi = 0.35", "chi = 0.0"))
+        assert cli.main(["validate", str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert "factor_noise_positive state 1: 0 < 0 [FAIL]" in out
+        assert "excess_slope_bound" not in out
+        assert "overall: FAIL" in out
 
     def test_malformed_file_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "broken.cfg"

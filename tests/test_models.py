@@ -138,6 +138,25 @@ class TestSolutionAssumptions:
         per_state = [c for c in report.checks if c.name == "riccati_constant_bound"]
         assert [c.state for c in per_state] == [1, 2]
 
+    @pytest.mark.parametrize(
+        "overrides, bound_states",
+        [
+            (dict(chi=0.0), []),
+            (dict(variant="mmh", d=None, rho=0.0, lam_hat=[1.7, 2.21], chi=[0.35, 0.0]), [1]),
+        ],
+        ids=["separable", "mmh"],
+    )
+    def test_zero_factor_noise_fails(self, overrides, bound_states):
+        report = rs.validate_solution_assumptions(make_params(**overrides))
+        assert not report.ok
+        noise = [c for c in report.checks if c.name == "factor_noise_positive"]
+        assert [c.state for c in noise] == [1, 2]
+        assert report.failures == tuple(c for c in noise if c.rhs == 0.0)
+        # the chi**2 bounds are skipped where chi = 0, and the MMH strip check with them
+        bounds = [c for c in report.checks if c.name in ("excess_slope_bound", "riccati_constant_bound")]
+        assert [c.state for c in bounds] == bound_states
+        assert not any(c.name == "state_bound_compatible" for c in report.checks)
+
     def test_reports_are_order_stable(self, set1):
         a = rs.validate_solution_assumptions(set1)
         b = rs.validate_solution_assumptions(set1)

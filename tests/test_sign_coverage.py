@@ -7,7 +7,9 @@ one-segment path, value_smmh_rho against value_timedep_heston, and the
 solvability report's tilted rate against HestonRegimeParams.tilted_kappa.
 Draws are seeded and kept only where validate_solution_assumptions
 accepts them; each sign combination of (d, rho, delta) is drawn once,
-plus SMMH (rho = 0) with either sign of d.
+plus SMMH (rho = 0) with either sign of d.  The d < 0 probe is also
+simulated under its optimal weight, where the value process must stay
+flat.
 """
 
 import itertools
@@ -96,3 +98,12 @@ def test_reported_tilted_rate_is_the_model_rate(p):
     report = rs.validate_solution_assumptions(p)
     rate = next(c for c in report.checks if c.name == "tilted_rate_positive")
     assert rate.rhs == p.tilted_kappa()[0]
+
+
+def test_negative_slope_value_process_is_flat(chain1):
+    # sized so that an exponent built on |d| instead of d fails here
+    # (z = +5.9 at t = 5 for this seed)
+    p = rs.HestonRegimeParams(**PROBE)
+    cfg = rs.SimConfig(n_paths=50_000, steps_per_year=20, seed=20260411, v0=10.0, x0=0.02, state0=1)
+    rows = rs.martingale_diagnostic(p, chain1, cfg, [0.0, 1.0, 2.5, 5.0])
+    assert all(abs(z) <= 3.0 for _, _, _, z in rows), rows
