@@ -40,6 +40,7 @@ from .regime_expectation import RegimeIntegrand, XiTable, upsilon_heston, xi_mc,
 from .riccati import (
     CharFnCoeffs,
     D_leverage,
+    D_leverage_integral,
     PiecewiseAB,
     char_fn_coeffs,
     compose_piecewise,
@@ -62,7 +63,6 @@ from .value_strategy import (
     StrategyPoint,
     ValueQuery,
     optimal_strategy,
-    strategy_rows,
     timedep_strategy,
     value_mmh_general,
     value_smmh_rho,

@@ -191,9 +191,15 @@ def load_config(path) -> RunConfig:
     else:
         known.add("d")
     known.update(f"{key}{suffix}" for key in per_state for suffix in ["", *(f".{e}" for e in range(1, l + 1))])
-    for key in model:
-        if key not in known:
-            raise ConfigError(f"[model] key {key!r} is not read by variant {variant.value} with {l} states")
+    read = dict(model=known, chain=chain_sec, initial={"v0", "x0", "state0"})
+    read.update(solver={"grid_step", "n_paths_xi", "seed"}, sim={"n_paths", "steps_per_year"})
+    for name, sec in sections.items():
+        if name not in read:
+            raise ConfigError(f"unknown section [{name}]")
+        for key in sec:
+            if key not in read[name]:
+                where = f" by variant {variant.value} with {l} states" if name == "model" else ""
+                raise ConfigError(f"[{name}] key {key!r} is not read{where}")
     kwargs = dict(
         variant=variant,
         horizon=_number(model, "T"),

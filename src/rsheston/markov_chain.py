@@ -51,10 +51,6 @@ class MarkovChainSpec:
     n_states: int
     intensity: np.ndarray
 
-    def rate_out(self, state: int) -> float:
-        """Total jump rate -q_ii out of a state label (1-based)."""
-        return -float(self.intensity[state - 1, state - 1])
-
 
 @dataclass(frozen=True, eq=False)
 class RegimePath:
@@ -99,6 +95,16 @@ class RegimePath:
         """Segment edges start = b_0 < ... < b_{K+1} = horizon."""
         return np.concatenate(([self.start], self.jump_times, [self.horizon]))
 
+    def segments(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nonempty segments clipped to [t, horizon] as (lo, hi, state) arrays."""
+        if not self.start <= t <= self.horizon:
+            raise ValueError("need path.start <= t <= path.horizon")
+        edges = self.boundaries()
+        lo = np.maximum(edges[:-1], t)
+        hi = np.minimum(edges[1:], self.horizon)
+        keep = hi > lo
+        return lo[keep], hi[keep], self.states[keep]
+
 
 def validate_intensity(matrix) -> MarkovChainSpec:
     """Validate a candidate intensity matrix and wrap it in a spec.
@@ -116,15 +122,9 @@ def validate_intensity(matrix) -> MarkovChainSpec:
     l = q.shape[0]
     if l < 1 or l > _MAX_STATES:
         raise ValueError(f"n_states must be in [1, {_MAX_STATES}], got {l}")
-    off = q[~np.eye(l, dtype=bool)]
-    if off.size and off.min() < 0:
-        bad = sorted(
-            (i + 1, j + 1)
-            for i in range(l)
-            for j in range(l)
-            if i != j and q[i, j] < 0
-        )
-        raise NegativeRate(f"negative off-diagonal rate(s) at {bad}")
+    bad = np.argwhere((q < 0) & ~np.eye(l, dtype=bool)) + 1
+    if bad.size:
+        raise NegativeRate(f"negative off-diagonal rate(s) at {[tuple(ij) for ij in bad.tolist()]}")
     sums = q.sum(axis=1)
     if np.any(np.abs(sums) > _ROW_SUM_TOL):
         bad_rows = [i + 1 for i in range(l) if abs(sums[i]) > _ROW_SUM_TOL]
@@ -226,9 +226,10 @@ def occupation_integral(
 ) -> float:
     """Integrate s -> g(s, state(s)) along a regime path over [t, horizon].
 
-    The integral is computed exactly segment by segment: within one
-    segment the state is constant and adaptive quadrature (absolute
-    tolerance 1e-12) handles the remaining time dependence.
+    The generic quadrature reference: within one segment the state is
+    constant and adaptive quadrature (absolute tolerance 1e-12) handles
+    the time dependence.  It serves ``RegimeIntegrand.from_scalar``; the
+    library's own integrands have closed-form path integrals.
     """
     if not path.start <= t <= horizon <= path.horizon + 1e-12:
         raise ValueError("need path.start <= t <= horizon <= path.horizon")

@@ -2,8 +2,9 @@
 
 Two independent routes are provided and cross-checked in the tests:
 
-* ``xi_mc``  - Monte Carlo over chain trajectories, using the exact
-  segment-wise occupation integral of the integrand.
+* ``xi_mc``  - Monte Carlo over chain trajectories, using the
+  integrand's path integral (closed form for ``upsilon_heston``,
+  ``occupation_integral`` for ``RegimeIntegrand.from_scalar``).
 * ``xi_ode`` - backward RK4 integration of the equivalent coupled
   linear ODE system
 
@@ -24,8 +25,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import StepFailure
-from .markov_chain import MarkovChainSpec, occupation_integral, path_stream, sample_path
+from .markov_chain import MarkovChainSpec, RegimePath, occupation_integral, path_stream, sample_path
 from .models import HestonRegimeParams
+from .riccati import D_leverage, D_leverage_integral
 
 __all__ = [
     "RegimeIntegrand",
@@ -43,40 +45,50 @@ _MIN_STEP = 1e-10
 class RegimeIntegrand:
     """Per-state time functions u(t, e), continuous and C^1 in t.
 
-    ``fn(t, state)`` evaluates one state (1-based label), ``fn_all(t)``
-    evaluates all states at once as an array of length n_states.
+    ``fn_all(t)`` evaluates all states at once as an array of length
+    n_states; ``path_integral(path, t)`` is int_t^T u(s, path(s)) ds,
+    by ``occupation_integral`` for ``from_scalar`` integrands.
     """
 
     horizon: float
     n_states: int
-    fn: Callable[[float, int], float]
     fn_all: Callable[[float], np.ndarray]
+    path_integral: Callable[[RegimePath, float], float]
 
     @classmethod
     def from_scalar(cls, fn: Callable[[float, int], float], horizon: float, n_states: int):
         def fn_all(t: float) -> np.ndarray:
             return np.array([fn(t, e) for e in range(1, n_states + 1)])
 
-        return cls(horizon=horizon, n_states=n_states, fn=fn, fn_all=fn_all)
+        def path_integral(path: RegimePath, t: float) -> float:
+            return occupation_integral(path, fn, t, horizon)
+
+        return cls(horizon=horizon, n_states=n_states, fn_all=fn_all, path_integral=path_integral)
 
 
 def upsilon_heston(p: HestonRegimeParams, coeff_fn: Callable[[float], float]) -> RegimeIntegrand:
-    """Integrand u(t, e) = delta r(e) + coeff_fn(t) * kappa(e) theta(e).
+    """Integrand u(t, e) = delta r(e) + D(t) kappa(e) theta(e).
 
-    ``coeff_fn`` is the factor-exponent evaluator of the separable
-    variants (``d_leverage_fn``); it is evaluated lazily so no
-    interpolation error enters here.
+    ``fn_all`` (the ``xi_ode`` hot loop) evaluates D by ``coeff_fn``,
+    normally ``d_leverage_fn``; one that disagrees with ``D_leverage`` at
+    t = 0 raises ValueError.  Path integrals are exact, by segment sums
+    and ``D_leverage_integral``.
     """
+    d0 = D_leverage(p, 0.0)
+    if abs(coeff_fn(0.0) - d0) > 1e-12 * max(1.0, abs(d0)):
+        raise ValueError(f"coeff_fn(0) = {coeff_fn(0.0)!r} disagrees with D_leverage(p, 0) = {d0!r}")
     delta_r = p.delta * p.r
     kap_th = p.kappa * p.theta
-
-    def fn(t: float, state: int) -> float:
-        return float(delta_r[state - 1] + coeff_fn(t) * kap_th[state - 1])
 
     def fn_all(t: float) -> np.ndarray:
         return delta_r + coeff_fn(t) * kap_th
 
-    return RegimeIntegrand(horizon=p.horizon, n_states=p.n_states, fn=fn, fn_all=fn_all)
+    def path_integral(path: RegimePath, t: float) -> float:
+        lo, hi, state = path.segments(t)
+        big_d = D_leverage_integral(p, np.append(lo, hi[-1:]))  # int_s^T D at every segment edge s
+        return float(delta_r[state - 1] @ (hi - lo) + kap_th[state - 1] @ (big_d[:-1] - big_d[1:]))
+
+    return RegimeIntegrand(horizon=p.horizon, n_states=p.n_states, fn_all=fn_all, path_integral=path_integral)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,16 +145,19 @@ def xi_mc(
     One dedicated RNG stream per chain path, derived from (seed, path
     index), so the estimate is reproducible for a fixed seed.
     """
+    return _chain_mc(spec, t, integrand.horizon, state, n_paths, seed, lambda path: integrand.path_integral(path, t))
+
+
+def _chain_mc(spec, t: float, horizon: float, state: int, n_paths: int, seed, log_weight) -> tuple[float, float]:
+    """Mean and standard error of exp(log_weight(path)) over paths i from (t, state), each on stream (seed, i)."""
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    horizon = integrand.horizon
     if t >= horizon:
         return 1.0, 0.0
     vals = np.empty(n_paths)
     for i in range(n_paths):
-        rng = path_stream(seed, i)
-        path = sample_path(spec, t, horizon, state, rng)
-        vals[i] = np.exp(occupation_integral(path, integrand.fn, t, horizon))
+        path = sample_path(spec, t, horizon, state, path_stream(seed, i))
+        vals[i] = np.exp(log_weight(path))
     est = float(vals.mean())
     err = 0.0 if n_paths == 1 else float(vals.std(ddof=1) / np.sqrt(n_paths))
     return est, err

@@ -22,8 +22,8 @@ backward time they solve
 
 This module provides the closed forms, an independent backward RK4
 integrator over piecewise-constant coefficients, the backward
-composition across a regime path, and the factor exponent D = vt B of
-the separable variants.  All of them evaluate the closed form on the
+composition across a regime path, and the separable variants' factor
+exponent D = vt B and its integral.  All evaluate the closed form on the
 tilted parameters of ``models.exponent_params``.
 """
 
@@ -46,6 +46,7 @@ __all__ = [
     "riccati_numeric",
     "compose_piecewise",
     "D_leverage",
+    "D_leverage_integral",
     "d_leverage_fn",
 ]
 
@@ -211,7 +212,6 @@ def riccati_numeric(
 class _Segment:
     t_lo: float
     t_hi: float
-    state: int
     alpha_end: float  # B value carried in from the later segment
     beta: float
     kappa_t: float
@@ -235,16 +235,12 @@ class PiecewiseAB:
     horizon: float
     vartheta: float
 
-    def _locate(self, t: np.ndarray) -> np.ndarray:
-        edges = np.array([s.t_lo for s in self.segments] + [self.horizon])
-        idx = np.searchsorted(edges, t, side="right") - 1
-        return np.clip(idx, 0, len(self.segments) - 1)
-
     def _eval(self, t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         if np.any(t_arr < self.start - 1e-12) or np.any(t_arr > self.horizon + 1e-12):
             raise DomainViolation("query time outside the path interval")
-        idx = self._locate(t_arr)
+        edges = np.array([s.t_lo for s in self.segments] + [self.horizon])
+        idx = np.clip(np.searchsorted(edges, t_arr, side="right") - 1, 0, len(self.segments) - 1)
         a_out = np.empty_like(t_arr)
         b_out = np.empty_like(t_arr)
         for j, seg in enumerate(self.segments):
@@ -289,7 +285,6 @@ def compose_piecewise(path: RegimePath, p: HestonRegimeParams) -> PiecewiseAB:
         seg = _Segment(
             t_lo=float(edges[j]),
             t_hi=float(edges[j + 1]),
-            state=e + 1,
             alpha_end=alpha,
             beta=float(beta[e]),
             kappa_t=float(kt[e]),
@@ -306,6 +301,18 @@ def compose_piecewise(path: RegimePath, p: HestonRegimeParams) -> PiecewiseAB:
     )
 
 
+def _tilted_ab(p: HestonRegimeParams, t):
+    """Closed-form (A, B)(T - t) with alpha = 0 on the tilted state-1 parameters."""
+    if p.variant is Variant.MMH:
+        raise DomainViolation("D_leverage applies to the separable variants only")
+    t_arr = np.asarray(t, dtype=float)
+    if ((t_arr < -1e-12) | (t_arr > p.horizon + 1e-12)).any():
+        raise DomainViolation(f"t must lie in [0, {p.horizon}]")
+    ep = exponent_params(p)
+    tau = np.maximum(p.horizon - t_arr, 0.0)
+    return ep, *_closed_ab(float(ep.kappa[0]), float(ep.theta[0]), float(p.chi[0]), 0.0, float(ep.beta[0]), tau)
+
+
 def D_leverage(p: HestonRegimeParams, t):
     """Factor exponent D(t) = vt B(T - t) of the separable variants.
 
@@ -313,23 +320,23 @@ def D_leverage(p: HestonRegimeParams, t):
     ``exponent_params`` with alpha = 0, so D(T) = 0.  Serves SMMH and
     SMMH_RHO alike (at rho = 0, vt = 1 and the tilt vanishes).
     """
-    if p.variant is Variant.MMH:
-        raise DomainViolation("D_leverage applies to the separable variants only")
-    t_arr = np.asarray(t, dtype=float)
-    if ((t_arr < -1e-12) | (t_arr > p.horizon + 1e-12)).any():
-        raise DomainViolation(f"t must lie in [0, {p.horizon}]")
-    kt, tt, beta, vt = exponent_params(p)
-    tau = np.maximum(p.horizon - t_arr, 0.0)
-    _, b = _closed_ab(float(kt[0]), float(tt[0]), float(p.chi[0]), 0.0, float(beta[0]), tau)
-    out = vt * b
-    return float(out) if t_arr.ndim == 0 else out
+    ep, _, b = _tilted_ab(p, t)
+    out = ep.vartheta * b
+    return float(out) if np.ndim(t) == 0 else out
+
+
+def D_leverage_integral(p: HestonRegimeParams, t):
+    """int_t^T D(s) ds = vt A(T - t) / (kappa theta), since dA/dtau = kappa theta B."""
+    ep, big_a, _ = _tilted_ab(p, t)
+    out = ep.vartheta / (ep.kappa[0] * ep.theta[0]) * big_a
+    return float(out) if np.ndim(t) == 0 else out
 
 
 def d_leverage_fn(p: HestonRegimeParams):
     """Scalar fast path of D_leverage: validates once, then pure math.
 
-    Intended for hot loops (quadrature, ODE right-hand sides); returns
-    the same values as D_leverage.
+    Intended for hot loops such as the ``xi_ode`` right-hand side;
+    returns the same values as D_leverage.
     """
     D_leverage(p, 0.0)  # run the full validation once
     ep = exponent_params(p)

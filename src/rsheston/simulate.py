@@ -289,7 +289,6 @@ class HistogramTable:
     bin_edges: np.ndarray
     counts: np.ndarray
     overflow: int
-    underflow: int
     q05: float
     q95: float
 
@@ -307,7 +306,6 @@ def terminal_wealth_histogram(bundle: PathBundle, bin_edges) -> HistogramTable:
         bin_edges=edges,
         counts=counts,
         overflow=int(np.count_nonzero(w >= edges[-1])),
-        underflow=int(np.count_nonzero(w < edges[0])),
         q05=float(np.quantile(w, 0.05)),
         q95=float(np.quantile(w, 0.95)),
     )

@@ -23,9 +23,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainViolation
-from .markov_chain import MarkovChainSpec, RegimePath, occupation_integral, path_stream, sample_path
+from .markov_chain import MarkovChainSpec, RegimePath
 from .models import HestonRegimeParams, Variant
-from .regime_expectation import XiTable
+from .regime_expectation import XiTable, _chain_mc
 from .riccati import D_leverage, PiecewiseAB, compose_piecewise
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "value_timedep_heston",
     "value_mmh_general",
     "value_smmh_rho",
-    "strategy_rows",
 ]
 
 
@@ -118,6 +117,14 @@ def timedep_strategy(p: HestonRegimeParams, coeffs: PiecewiseAB) -> Callable[[fl
     return weight
 
 
+def _log_path_value(p: HestonRegimeParams, path: RegimePath, q: ValueQuery) -> float:
+    """int_t^T delta r(m(s)) ds + vt A(t) + vt B(t) x along one regime path."""
+    coeffs = compose_piecewise(path, p)
+    lo, hi, state = path.segments(q.t)
+    vt = coeffs.vartheta
+    return (p.delta * p.r)[state - 1] @ (hi - lo) + vt * coeffs.A(q.t) + vt * coeffs.B(q.t) * q.x
+
+
 def value_timedep_heston(p: HestonRegimeParams, path: RegimePath, q: ValueQuery) -> float:
     """Value along a frozen regime trajectory.
 
@@ -126,16 +133,7 @@ def value_timedep_heston(p: HestonRegimeParams, path: RegimePath, q: ValueQuery)
     with (A, B) composed backward over the trajectory's segments.
     """
     q.check(p)
-    coeffs = compose_piecewise(path, p)
-    rate = p.delta * p.r
-
-    def g(s: float, state: int) -> float:
-        return rate[state - 1]
-
-    growth = occupation_integral(path, g, q.t, path.horizon)
-    vt = coeffs.vartheta
-    util = q.v**p.delta / p.delta
-    return float(util * np.exp(growth + vt * coeffs.A(q.t) + vt * coeffs.B(q.t) * q.x))
+    return float(q.v**p.delta / p.delta * np.exp(_log_path_value(p, path, q)))
 
 
 def value_mmh_general(
@@ -148,34 +146,17 @@ def value_mmh_general(
     """Partial Monte Carlo value for the general regime-switching model, rho = 0.
 
     Only the chain is simulated: each sampled trajectory contributes
-    exp{ int delta r } * exp{ A(t) + B(t) x } with the trajectory's own
-    composed coefficients, and the average is scaled by v**delta/delta.
+    exp{ int delta r } * exp{ A(t) + B(t) x } with its own composed
+    coefficients (the value_timedep_heston weight; vt = 1 at rho = 0), and
+    the average is scaled by v**delta/delta.
     Fresh paths are drawn per query.  Returns (estimate, std_err).
     """
     if p.rho != 0.0:
         raise DomainViolation("the regime-switching value requires rho = 0")
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
     q.check(p)
-    rate = p.delta * p.r
-
-    def g(s: float, state: int) -> float:
-        return rate[state - 1]
-
-    vals = np.empty(n_paths)
-    for i in range(n_paths):
-        rng = path_stream(seed, i)
-        if q.t >= p.horizon:
-            vals[i] = 1.0
-            continue
-        path = sample_path(chain, q.t, p.horizon, q.state, rng)
-        coeffs = compose_piecewise(path, p)
-        growth = occupation_integral(path, g, q.t, p.horizon)
-        vals[i] = np.exp(growth + coeffs.A(q.t) + coeffs.B(q.t) * q.x)
+    mean, err = _chain_mc(chain, q.t, p.horizon, q.state, n_paths, seed, lambda path: _log_path_value(p, path, q))
     util = q.v**p.delta / p.delta
-    est = util * float(vals.mean())
-    err = 0.0 if n_paths == 1 else abs(util) * float(vals.std(ddof=1) / np.sqrt(n_paths))
-    return est, err
+    return util * mean, abs(util) * err
 
 
 def value_smmh_rho(p: HestonRegimeParams, q: ValueQuery, xi: XiTable) -> float:
@@ -185,13 +166,3 @@ def value_smmh_rho(p: HestonRegimeParams, q: ValueQuery, xi: XiTable) -> float:
     q.check(p)
     util = q.v**p.delta / p.delta
     return float(util * xi.at(q.t, q.state) * np.exp(D_leverage(p, q.t) * q.x))
-
-
-def strategy_rows(p: HestonRegimeParams, times) -> list[tuple[float, int, float, float, float]]:
-    """(t, state, pi_mv, pi_h, pi_total) rows for CSV serialization."""
-    rows = []
-    for t in np.atleast_1d(np.asarray(times, dtype=float)):
-        for e in range(1, p.n_states + 1):
-            sp = optimal_strategy(p, float(t), e)
-            rows.append((float(t), e, sp.pi_mv, sp.pi_h, sp.pi_total))
-    return rows

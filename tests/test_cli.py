@@ -84,6 +84,30 @@ class TestConfigParsing:
         assert cli.main(["validate", str(bad)]) == 1
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "anchor, line, key",
+        [
+            ("state0 = 1", "v00 = 3", "v00"),
+            ("seed = 20240211", "sed = 3", "sed"),
+            ("steps_per_year = 250", "n_path = 5", "n_path"),
+        ],
+    )
+    def test_misspelt_run_key_rejected(self, anchor, line, key, tmp_path, set1_path, capsys):
+        bad = tmp_path / "typo.cfg"
+        bad.write_text(set1_path.read_text().replace(anchor, f"{anchor}\n{line}"))
+        with pytest.raises(cli.ConfigError, match=f"'{key}'"):
+            cli.load_config(bad)
+        assert cli.main(["validate", str(bad)]) == 1
+        assert key in capsys.readouterr().err
+
+    def test_unknown_section_rejected(self, tmp_path, set1_path, capsys):
+        bad = tmp_path / "section.cfg"
+        bad.write_text(set1_path.read_text() + "\n[smi]\nn_paths = 5\n")
+        with pytest.raises(cli.ConfigError, match=r"\[smi\]"):
+            cli.load_config(bad)
+        assert cli.main(["validate", str(bad)]) == 1
+        assert "[smi]" in capsys.readouterr().err
+
     def test_slope_d_rejected_under_mmh(self, tmp_path, set1_path):
         text = set1_path.read_text().replace("variant = smmh_rho", "variant = mmh").replace("rho = -0.8", "rho = 0.0")
         text = text.replace("d = 1.7", "d = 1.7\nlambda_hat.1 = 1.7\nlambda_hat.2 = 2.21")

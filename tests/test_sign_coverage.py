@@ -1,15 +1,18 @@
 """The separable closed form agrees with the regime-path composition for
 both signs of d, rho and delta.
 
-Every draw has one state, so the chain never jumps and three routes must
-coincide: D_leverage against vt * B of compose_piecewise on the frozen
-one-segment path, value_smmh_rho against value_timedep_heston, and the
-solvability report's tilted rate against HestonRegimeParams.tilted_kappa.
-Draws are seeded and kept only where validate_solution_assumptions
-accepts them; each sign combination of (d, rho, delta) is drawn once,
-plus SMMH (rho = 0) with either sign of d.  The d < 0 probe is also
-simulated under its optimal weight, where the value process must stay
-flat.
+The single-state draws never jump, so three routes must coincide:
+D_leverage against vt * B of compose_piecewise on the frozen one-segment
+path, value_smmh_rho against value_timedep_heston, and the solvability
+report's tilted rate against HestonRegimeParams.tilted_kappa.  Draws are
+seeded and kept only where validate_solution_assumptions accepts them;
+each sign combination of (d, rho, delta) is drawn once, plus SMMH
+(rho = 0) with either sign of d.  The d < 0 probe is also simulated
+under its optimal weight, where the value process must stay flat.
+
+Draws on 1-3 states check the closed-form path integral of
+upsilon_heston against quadrature for every sign combination, and
+draws on 2-3 states with d < 0 check xi_mc against xi_ode.
 """
 
 import itertools
@@ -18,6 +21,7 @@ import numpy as np
 import pytest
 
 import rsheston as rs
+from conftest import random_intensity
 
 # set1's first state with the slope flipped: the case that exposed a sign bug
 PROBE = dict(
@@ -26,21 +30,21 @@ PROBE = dict(
 )
 
 
-def _draw(rng, variant, d_sign, rho_sign, delta_sign) -> rs.HestonRegimeParams:
+def _draw(rng, variant, d_sign, rho_sign, delta_sign, l=1) -> rs.HestonRegimeParams:
     while True:
         kappa = float(rng.uniform(1.0, 6.0))
-        theta = float(rng.uniform(0.01, 0.09))
+        theta = rng.uniform(0.01, 0.09, size=l)
         delta = delta_sign * float(rng.uniform(0.05, 0.7 if delta_sign > 0 else 2.0))
         p = rs.HestonRegimeParams(
             variant=variant,
             horizon=float(rng.uniform(1.0, 3.0)),
             delta=delta,
             rho=rho_sign * float(rng.uniform(0.1, 0.9)),
-            r=float(rng.uniform(0.0, 0.05)),
-            nu=float(rng.uniform(0.5, 2.0)),
+            r=rng.uniform(0.0, 0.05, size=l),
+            nu=rng.uniform(0.5, 2.0, size=l),
             kappa=kappa,
             theta=theta,
-            chi=float(np.sqrt(2 * kappa * theta) * rng.uniform(0.3, 0.95)),
+            chi=float(np.sqrt(2 * kappa * theta.min()) * rng.uniform(0.3, 0.95)),
             d=d_sign * float(rng.uniform(0.2, 2.5)),
         )
         if rs.validate_solution_assumptions(p).ok:
@@ -58,6 +62,16 @@ def _cases() -> list[rs.HestonRegimeParams]:
 
 
 CASES = _cases()
+
+
+def _path_cases() -> list[rs.HestonRegimeParams]:
+    # one draw per sign combination of (d, rho, delta), on 1, 2, 3, 1, ... states
+    rng = np.random.default_rng(20261018)
+    signs = itertools.product((-1.0, 1.0), repeat=3)
+    return [_draw(rng, "smmh_rho", *s, l=1 + i % 3) for i, s in enumerate(signs)]
+
+
+PATH_CASES = _path_cases()
 
 
 def _single_path(p: rs.HestonRegimeParams) -> rs.RegimePath:
@@ -107,3 +121,40 @@ def test_negative_slope_value_process_is_flat(chain1):
     cfg = rs.SimConfig(n_paths=50_000, steps_per_year=20, seed=20260411, v0=10.0, x0=0.02, state0=1)
     rows = rs.martingale_diagnostic(p, chain1, cfg, [0.0, 1.0, 2.5, 5.0])
     assert all(abs(z) <= 3.0 for _, _, _, z in rows), rows
+
+
+@pytest.mark.parametrize("p", PATH_CASES, ids=range(len(PATH_CASES)))
+def test_closed_form_path_integral_matches_quadrature(p):
+    integrand = rs.upsilon_heston(p, rs.d_leverage_fn(p))
+    T = p.horizon
+    if p.n_states == 1:
+        path, times = _single_path(p), [0.0, 0.41 * T, T]
+    else:
+        jumps = np.array([0.3, 0.55, 1.0]) * T  # the last jump lands on the horizon
+        states = {2: [1, 2, 1, 2], 3: [3, 1, 2, 3]}[p.n_states]
+        path = rs.RegimePath(start=0.0, horizon=T, jump_times=jumps, states=np.array(states))
+        times = [0.0, jumps[0], 0.41 * T, jumps[1], T]
+    for t in times:
+        closed = integrand.path_integral(path, t)
+        quad = rs.occupation_integral(path, lambda s, e: integrand.fn_all(s)[e - 1], t, T)
+        assert abs(closed - quad) <= 1e-12 * max(1.0, abs(quad)), (t, closed, quad)
+
+
+def _chain_cases():
+    # d < 0 on 2-3 states, one draw per sign of (rho, delta), each on its own random chain
+    rng = np.random.default_rng(20261019)
+    cases = []
+    for rho_sign, delta_sign in itertools.product((-1.0, 1.0), repeat=2):
+        l = int(rng.integers(2, 4))
+        p = _draw(rng, "smmh_rho", -1.0, rho_sign, delta_sign, l=l)
+        cases.append((p, rs.validate_intensity(random_intensity(rng, l, max_rate=1.5))))
+    return cases
+
+
+@pytest.mark.parametrize("p, chain", _chain_cases(), ids=range(4))
+def test_xi_mc_matches_xi_ode_at_negative_slope(p, chain):
+    integrand = rs.upsilon_heston(p, rs.d_leverage_fn(p))
+    table = rs.xi_ode(chain, integrand)
+    for e in range(1, p.n_states + 1):
+        est, err = rs.xi_mc(chain, integrand, 0.0, e, 2000, seed=31 + e)
+        assert abs(est - table.at(0.0, e)) <= 3 * err, (e, est, err, table.at(0.0, e))

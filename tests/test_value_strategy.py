@@ -214,10 +214,3 @@ class TestValueSmmhRho:
         with pytest.raises(rs.DomainViolation):
             rs.value_smmh_rho(p, rs.ValueQuery(t=0.0, v=1.0, x=0.0, state=1), xi)
 
-
-class TestStrategyRows:
-    def test_rows_cover_grid_and_states(self, set1):
-        rows = rs.strategy_rows(set1, [0.0, 2.5, 5.0])
-        assert len(rows) == 6
-        t_last_rows = [r for r in rows if r[0] == 5.0]
-        assert all(r[3] == 0.0 for r in t_last_rows)  # pi_h at horizon
