@@ -12,6 +12,8 @@ q_ii = 0 is absorbing and never jumps.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -51,6 +53,23 @@ class MarkovChainSpec:
     n_states: int
     intensity: np.ndarray
 
+    @functools.cached_property
+    def _jump_table(self) -> tuple[tuple[float, list[int], list[float]], ...]:
+        """Per state: outflow rate, 1-based jump targets, cumulative target probabilities.
+
+        Built once, with the same arithmetic ``sample_path`` would use per
+        jump, so paths drawn from the table are bitwise those of the
+        per-jump construction.
+        """
+        table = []
+        for i, row in enumerate(self.intensity):
+            targets = np.flatnonzero(row > 0.0)
+            cum = np.cumsum(row[targets])
+            if len(cum):  # an absorbing state has no targets
+                cum /= cum[-1]
+            table.append((float(-row[i]), (targets + 1).tolist(), cum.tolist()))
+        return tuple(table)
+
 
 @dataclass(frozen=True, eq=False)
 class RegimePath:
@@ -74,9 +93,9 @@ class RegimePath:
             raise ValueError("states must have exactly one more entry than jump_times")
         if len(jt) and (jt[0] <= self.start or jt[-1] > self.horizon + 1e-15):
             raise ValueError("jump times must lie in (start, horizon]")
-        if len(jt) > 1 and np.any(np.diff(jt) <= 0):
+        if (jt[1:] <= jt[:-1]).any():
             raise ValueError("jump times must be strictly increasing")
-        if np.any(st[1:] == st[:-1]):
+        if (st[1:] == st[:-1]).any():
             raise ValueError("consecutive states must differ across a jump")
         object.__setattr__(self, "jump_times", jt)
         object.__setattr__(self, "states", st)
@@ -152,31 +171,30 @@ def sample_path(
     """Draw one chain trajectory on [t0, horizon] started in state0.
 
     Holding times use inverse-CDF exponential sampling on uniforms from
-    ``rng``; the successor state uses one more uniform.  Absorbing
-    states (zero outflow rate) simply hold forever.
+    ``rng``; the successor state uses one more uniform against the
+    state's cumulative target probabilities (``spec._jump_table``).
+    Absorbing states (zero outflow rate) simply hold forever.
     """
     if not t0 < horizon:
         raise ValueError("t0 must be strictly before the horizon")
     if not 1 <= state0 <= spec.n_states:
         raise ValueError(f"state0 must be in 1..{spec.n_states}")
-    q = spec.intensity
+    table = spec._jump_table
+    random = rng.random
     jump_times: list[float] = []
     states = [state0]
     t, state = t0, state0
     while True:
-        rate = -q[state - 1, state - 1]
+        rate, targets, cum = table[state - 1]
         if rate <= 0.0:
             break
-        u = rng.random()
+        u = random()
         while u == 0.0:  # zero holding time would repeat a jump instant
-            u = rng.random()
+            u = random()
         t = t - math.log1p(-u) / rate
         if t > horizon:
             break
-        targets = np.flatnonzero(q[state - 1] > 0.0)
-        cum = np.cumsum(q[state - 1, targets])
-        cum /= cum[-1]
-        state = int(targets[np.searchsorted(cum, rng.random(), side="right")]) + 1
+        state = targets[bisect.bisect_right(cum, random())]
         jump_times.append(t)
         states.append(state)
         if t == horizon:  # jump exactly at the closed right endpoint

@@ -235,7 +235,8 @@ class PiecewiseAB:
     horizon: float
     vartheta: float
 
-    def _eval(self, t):
+    def ab(self, t):
+        """(A(t), B(t)) from one evaluation: floats for scalar t, else arrays."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         if np.any(t_arr < self.start - 1e-12) or np.any(t_arr > self.horizon + 1e-12):
             raise DomainViolation("query time outside the path interval")
@@ -251,15 +252,15 @@ class PiecewiseAB:
             big_a, b = _closed_ab(seg.kappa_t, seg.theta_t, seg.chi, seg.alpha_end, seg.beta, tau)
             a_out[mask] = big_a + seg.a_tail
             b_out[mask] = b
+        if np.ndim(t) == 0:
+            return float(a_out[0]), float(b_out[0])
         return a_out, b_out
 
     def A(self, t):
-        out = self._eval(t)[0]
-        return float(out[0]) if np.ndim(t) == 0 else out
+        return self.ab(t)[0]
 
     def B(self, t):
-        out = self._eval(t)[1]
-        return float(out[0]) if np.ndim(t) == 0 else out
+        return self.ab(t)[1]
 
 
 def compose_piecewise(path: RegimePath, p: HestonRegimeParams) -> PiecewiseAB:

@@ -14,6 +14,13 @@ frozen at the step start):
                      + pi nu sqrt(xp) dW_P
 * dW_P = rho dW_X + sqrt(1 - rho^2) dW_perp.
 
+What depends only on (step, state) is tabulated once per run, per step
+k and state e: r, pi lam_hat, (pi nu)^2 / 2, pi nu, kappa, theta and
+chi, with pi = strategy(t_k, e).  Each entry is the product the wealth
+and factor updates would form left to right, so a step gathers one row
+per path and updates X and ln V in place without changing a bit of the
+result.
+
 Each path owns one RNG stream derived from (seed, path index) and draws
 the chain trajectory first and then its normal increments, so results
 are bitwise reproducible regardless of how paths are batched.  Setting
@@ -198,12 +205,16 @@ def simulate_paths(
     rec_slot = {int(j): s for s, j in enumerate(rec_idx)}
 
     l = p.n_states
-    # coef[k, :, e]: pi, r, lam_hat, nu, kappa, theta, chi at step k in state e
+    pi = np.array([[strategy(float(t), e + 1) for e in range(l)] for t in grid[:-1]], dtype=float)
+    # coef[k, :, e]: r, pi lam_hat, (pi nu)^2 / 2, pi nu, kappa, theta, chi
+    # at step k in state e (see the module docstring)
+    pi_nu = pi * p.nu
     coef = np.empty((n_steps, 7, l))
-    for k in range(n_steps):
-        for e in range(l):
-            coef[k, 0, e] = strategy(float(grid[k]), e + 1)
-    coef[:, 1:] = np.stack([p.r, p.excess_slope, p.nu, p.kappa, p.theta, p.chi])
+    coef[:, 0] = p.r
+    coef[:, 1] = pi * p.excess_slope
+    coef[:, 2] = 0.5 * pi_nu**2
+    coef[:, 3] = pi_nu
+    coef[:, 4:] = np.stack([p.kappa, p.theta, p.chi])
     rho, sq1mr = p.rho, math.sqrt(max(0.0, 1.0 - p.rho**2))
 
     n_paths = cfg.n_paths
@@ -241,22 +252,45 @@ def simulate_paths(
             s = rec_slot[0]
             out_x[i0:i1, s] = np.maximum(x, 0.0)
             out_v[i0:i1, s] = np.exp(lnv)
+        g = np.empty((7, b))
+        rr, pl, h, pn, kap, th, ch = g
+        xp, sq, acc, tmp = np.empty((4, b))
+        lo_xp = np.full(b, math.inf)
+        lo_lnv = np.full(b, math.inf)
         for k in range(n_steps):
-            pi, rr, lh, nn, kap, th, ch = coef[k][:, e_steps[k]]
-            xp = np.maximum(x, 0.0)
-            sq = np.sqrt(xp)
-            pn = pi * nn
-            lnv += (rr + pi * lh * xp - 0.5 * pn**2 * xp) * dt + pn * sq * dwp[k]
-            x += kap * (th - xp) * dt  # drift, then diffusion: fixed-seed outputs depend on the order
-            x += ch * sq * dwx[k]
-            min_xeff = min(min_xeff, float(xp.min()))
-            min_lnv = min(min_lnv, float(lnv.min()))
+            # the labels are valid indices; mode="clip" lets take write into g unbuffered
+            np.take(coef[k], e_steps[k], axis=1, out=g, mode="clip")
+            np.maximum(x, 0.0, out=xp)
+            np.sqrt(xp, out=sq)
+            # lnv += (rr + pl * xp - h * xp) * dt + pn * sq * dwp[k]
+            np.multiply(pl, xp, out=acc)
+            acc += rr
+            np.multiply(h, xp, out=tmp)
+            acc -= tmp
+            acc *= dt
+            np.multiply(pn, sq, out=tmp)
+            tmp *= dwp[k]
+            acc += tmp
+            lnv += acc
+            # x += kap * (th - xp) * dt, then x += ch * sq * dwx[k]: drift first,
+            # since fixed-seed outputs depend on the order
+            np.subtract(th, xp, out=acc)
+            acc *= kap
+            acc *= dt
+            x += acc
+            np.multiply(ch, sq, out=acc)
+            acc *= dwx[k]
+            x += acc
+            np.minimum(lo_xp, xp, out=lo_xp)
+            np.minimum(lo_lnv, lnv, out=lo_lnv)
             if k + 1 in rec_slot:
                 s = rec_slot[k + 1]
                 out_x[i0:i1, s] = np.maximum(x, 0.0)
                 out_v[i0:i1, s] = np.exp(lnv)
         if not np.all(np.isfinite(lnv)):
             raise FloatingPointError("wealth overflowed; check the strategy and parameters")
+        min_xeff = min(min_xeff, float(lo_xp.min()))
+        min_lnv = min(min_lnv, float(lo_lnv.min()))
 
     return PathBundle(
         grid=grid,

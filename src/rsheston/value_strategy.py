@@ -122,7 +122,8 @@ def _log_path_value(p: HestonRegimeParams, path: RegimePath, q: ValueQuery) -> f
     coeffs = compose_piecewise(path, p)
     lo, hi, state = path.segments(q.t)
     vt = coeffs.vartheta
-    return (p.delta * p.r)[state - 1] @ (hi - lo) + vt * coeffs.A(q.t) + vt * coeffs.B(q.t) * q.x
+    a, b = coeffs.ab(q.t)
+    return (p.delta * p.r)[state - 1] @ (hi - lo) + vt * a + vt * b * q.x
 
 
 def value_timedep_heston(p: HestonRegimeParams, path: RegimePath, q: ValueQuery) -> float:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,6 +77,55 @@ class TestSamplePath:
         p11 = rs.transition_probabilities(chain2, t)[0, 0]
         se = np.sqrt(p11 * (1 - p11) / n)
         assert abs(hits / n - p11) < 3 * se
+
+
+def _per_jump_sample_path(spec, t0, horizon, state0, rng):
+    """Reference sampler that rebuilds the targets and cumulative probabilities at every jump."""
+    q = spec.intensity
+    jump_times, states = [], [state0]
+    t, state = t0, state0
+    while True:
+        rate = -q[state - 1, state - 1]
+        if rate <= 0.0:
+            break
+        u = rng.random()
+        while u == 0.0:
+            u = rng.random()
+        t = t - math.log1p(-u) / rate
+        if t > horizon:
+            break
+        targets = np.flatnonzero(q[state - 1] > 0.0)
+        cum = np.cumsum(q[state - 1, targets])
+        cum /= cum[-1]
+        state = int(targets[np.searchsorted(cum, rng.random(), side="right")]) + 1
+        jump_times.append(t)
+        states.append(state)
+        if t == horizon:
+            break
+    return np.asarray(jump_times), np.asarray(states, dtype=np.int64)
+
+
+SAMPLER_CHAINS = {
+    "one_state": [[0.0]],
+    "set1": Q_TWO_STATE,
+    "uneven_with_zero_rate": [[-0.7, 0.0, 0.7], [2.5, -9.0, 6.5], [0.05, 1.2, -1.25]],
+    "absorbing_state": [[-1.5, 1.0, 0.5], [0.0, 0.0, 0.0], [2.0, 1.0, -3.0]],
+}
+
+
+@pytest.mark.parametrize("name", SAMPLER_CHAINS)
+def test_sample_path_matches_per_jump_reference(name):
+    # bitwise: same jumps, same states, and the stream left at the same position
+    spec = rs.validate_intensity(SAMPLER_CHAINS[name])
+    for i in range(2000):
+        state0 = 1 + i % spec.n_states
+        t0 = 0.37 * (i // spec.n_states % 2)
+        rng_a, rng_b = rs.path_stream(41, i), rs.path_stream(41, i)
+        path = rs.sample_path(spec, t0, 5.0, state0, rng_a)
+        jump_times, states = _per_jump_sample_path(spec, t0, 5.0, state0, rng_b)
+        assert path.jump_times.tobytes() == jump_times.tobytes(), i
+        assert path.states.tobytes() == states.tobytes(), i
+        assert rng_a.random() == rng_b.random(), i
 
 
 class TestTransitionProbabilities:

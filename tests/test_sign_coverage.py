@@ -10,12 +10,22 @@ each sign combination of (d, rho, delta) is drawn once, plus SMMH
 (rho = 0) with either sign of d.  The d < 0 probe is also simulated
 under its optimal weight, where the value process must stay flat.
 
+The same two equalities are checked next to the solvability bounds,
+with d solved for a relative slack in (1e-3, 2e-2).  For delta > 0 the
+slack is that of excess_slope_bound, drawn for every sign of (d, rho).
+For delta < 0 the excess-slope side is negative, so that bound never
+binds; there the slack is that of the tilted rate kt > 0, which only
+rho * d < 0 can approach.  The two draws with delta < 0 and rho * d > 0
+have no bound within reach and are left out.
+
 Draws on 1-3 states check the closed-form path integral of
 upsilon_heston against quadrature for every sign combination, and
 draws on 2-3 states with d < 0 check xi_mc against xi_ode.
 """
 
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -74,6 +84,45 @@ def _path_cases() -> list[rs.HestonRegimeParams]:
 PATH_CASES = _path_cases()
 
 
+def _near_bound(rng, d_sign, rho_sign, delta_sign) -> rs.HestonRegimeParams:
+    # a regular draw with d solved for a relative slack in (2e-3, 1.5e-2)
+    while True:
+        p = _draw(rng, "smmh_rho", d_sign, rho_sign, delta_sign)
+        kappa, chi, ratio = p.kappa[0], p.chi[0], p.delta_ratio
+        slack = float(rng.uniform(2e-3, 1.5e-2))
+        if p.delta > 0:
+            # ratio d^2 = (1 - slack) vt kt^2 / chi^2 with kt = kappa - ratio rho chi d
+            g = math.sqrt((1.0 - slack) * p.vartheta) / chi
+            size = g * kappa / (math.sqrt(ratio) + g * ratio * p.rho * d_sign * chi)
+        else:
+            # kt = slack * kappa
+            size = (1.0 - slack) * kappa / (-ratio * abs(p.rho) * chi)
+        p = dataclasses.replace(p, d=float(d_sign * size))
+        if rs.validate_solution_assumptions(p).ok:
+            return p
+
+
+def _near_bound_cases() -> list[rs.HestonRegimeParams]:
+    rng = np.random.default_rng(20261020)
+    signs = itertools.product((-1.0, 1.0), repeat=3)
+    return [_near_bound(rng, *s) for s in signs if s[2] > 0 or s[0] * s[1] < 0]
+
+
+NEAR_BOUND = _near_bound_cases()
+SEPARABLE_CASES = [
+    *(pytest.param(p, id=str(i)) for i, p in enumerate(CASES)),
+    *(pytest.param(p, id=f"near_bound{i}") for i, p in enumerate(NEAR_BOUND)),
+]
+
+
+def _bound_slack(p: rs.HestonRegimeParams) -> float:
+    checks = {c.name: c for c in rs.validate_solution_assumptions(p).checks}
+    if p.delta > 0:
+        bound = checks["excess_slope_bound"]
+        return (bound.rhs - bound.lhs) / bound.rhs
+    return checks["tilted_rate_positive"].rhs / p.kappa[0]
+
+
 def _single_path(p: rs.HestonRegimeParams) -> rs.RegimePath:
     return rs.RegimePath(start=0.0, horizon=p.horizon, jump_times=np.array([]), states=np.array([1]))
 
@@ -84,7 +133,14 @@ def test_draws_cover_every_sign():
     assert (-1.0, 0.0, 1.0) in signs and (1.0, 0.0, 1.0) in signs
 
 
-@pytest.mark.parametrize("p", CASES, ids=range(len(CASES)))
+def test_near_bound_draws_sit_at_the_bound():
+    signs = [(np.sign(p.d), np.sign(p.rho), np.sign(p.delta)) for p in NEAR_BOUND]
+    assert len(set(signs)) == len(signs) == 6
+    for p in NEAR_BOUND:
+        assert 1e-3 < _bound_slack(p) < 2e-2, p
+
+
+@pytest.mark.parametrize("p", SEPARABLE_CASES)
 def test_separable_exponent_matches_composition(p):
     ts = np.linspace(0.0, p.horizon, 41)
     d_closed = rs.D_leverage(p, ts)
@@ -92,7 +148,7 @@ def test_separable_exponent_matches_composition(p):
     assert np.abs(d_closed - d_composed).max() <= 1e-10
 
 
-@pytest.mark.parametrize("p", CASES, ids=range(len(CASES)))
+@pytest.mark.parametrize("p", SEPARABLE_CASES)
 def test_separable_value_matches_timedep_value(p, chain1):
     # one state: every chain path is the same, so one path gives xi up to
     # quadrature error (xi_ode's RK4 error would exceed 1e-10 on stiff draws)

@@ -1,3 +1,6 @@
+import bisect
+import math
+
 import numpy as np
 import pytest
 
@@ -98,6 +101,95 @@ class TestScheme:
             rs.simulate_paths(set1, chain2, strat, fine_cfg, record="terminal"), set1.delta
         )
         assert abs(coarse[0] - fine[0]) < coarse[1]
+
+
+def _scalar_reference(p, chain, strategy, cfg, frozen_path=None):
+    """The module docstring's scheme, one path and one step at a time on Python floats.
+
+    Draws exactly what ``simulate_paths`` draws from each path's stream and
+    keeps its operation order; returns (X, ln V, states) at every grid
+    time plus the running minima of ln V and of the truncated factor.
+    """
+    horizon = p.horizon
+    n_steps = max(1, int(round(horizon * cfg.steps_per_year)))
+    dt = horizon / n_steps
+    grid = (np.arange(n_steps + 1) * dt).tolist()
+    grid[-1] = horizon
+    refine = (cfg.driver_steps_per_year or cfg.steps_per_year) // cfg.steps_per_year
+    sq_dtd = math.sqrt(dt / refine)
+    rho, sq1mr = p.rho, math.sqrt(max(0.0, 1.0 - p.rho**2))
+    r, lam, nu = p.r.tolist(), p.excess_slope.tolist(), p.nu.tolist()
+    kappa, theta, chi = p.kappa.tolist(), p.theta.tolist(), p.chi.tolist()
+    xs = np.empty((cfg.n_paths, n_steps + 1))
+    lnvs = np.empty((cfg.n_paths, n_steps + 1))
+    states = np.empty((cfg.n_paths, n_steps + 1), dtype=np.int64)
+    min_lnv = min_xp = math.inf
+    for i in range(cfg.n_paths):
+        rng = rs.path_stream(cfg.seed, i)
+        path = frozen_path or rs.sample_path(chain, 0.0, horizon, cfg.state0, rng)
+        z = rng.standard_normal((n_steps * refine, 2)).tolist()
+        jumps, labels = path.jump_times.tolist(), path.states.tolist()
+        states[i] = [labels[bisect.bisect_right(jumps, t)] for t in grid]
+        x, lnv = cfg.x0, math.log(cfg.v0)
+        xs[i, 0], lnvs[i, 0] = max(x, 0.0), lnv
+        for k in range(n_steps):
+            zx = sum(row[0] for row in z[k * refine:(k + 1) * refine]) * sq_dtd
+            zp = sum(row[1] for row in z[k * refine:(k + 1) * refine]) * sq_dtd
+            dwx, dwp = zx, rho * zx + sq1mr * zp
+            e = states[i, k] - 1
+            pi = strategy(grid[k], e + 1)
+            xp = max(x, 0.0)
+            sq = math.sqrt(xp)
+            pn = pi * nu[e]
+            lnv += (r[e] + pi * lam[e] * xp - 0.5 * (pn * pn) * xp) * dt + pn * sq * dwp
+            x += kappa[e] * (theta[e] - xp) * dt
+            x += chi[e] * sq * dwx
+            min_xp, min_lnv = min(min_xp, xp), min(min_lnv, lnv)
+            xs[i, k + 1], lnvs[i, k + 1] = max(x, 0.0), lnv
+    return xs, lnvs, states, min_lnv, min_xp
+
+
+def _three_state_market():
+    p = rs.HestonRegimeParams(
+        variant="smmh_rho", horizon=2.0, delta=-0.5, rho=0.4, r=[0.03, 0.01, 0.02],
+        nu=[1.0, 1.3, 0.8], kappa=3.0, theta=[0.02, 0.04, 0.03], chi=0.3, d=-0.7,
+    )
+    chain = rs.validate_intensity([[-1.5, 1.5, 0.0], [0.2, -2.7, 2.5], [4.0, 0.3, -4.3]])
+    return p, chain, lambda t, state: 0.4 * state - 0.15 * t
+
+
+@pytest.mark.parametrize(
+    "three_states, frozen, driver_steps_per_year, block_size",
+    [
+        pytest.param(False, False, None, None, id="refine1"),
+        pytest.param(False, False, 60, None, id="refine3"),
+        pytest.param(False, False, 60, 7, id="refine3_block7"),
+        pytest.param(False, True, None, 7, id="frozen_block7"),
+        pytest.param(True, False, 60, 7, id="three_states"),
+    ],
+)
+def test_simulate_paths_matches_scalar_reference(
+    three_states, frozen, driver_steps_per_year, block_size, chain2, set1
+):
+    p, chain, strategy = set1, chain2, rs.optimal_weight_fn(set1)
+    if three_states:
+        p, chain, strategy = _three_state_market()
+    path = None
+    if frozen:
+        path = rs.RegimePath(
+            start=0.0, horizon=p.horizon, jump_times=np.array([0.9, 2.05, 3.3]), states=np.array([2, 1, 2, 1])
+        )
+    cfg = rs.SimConfig(
+        n_paths=23, steps_per_year=20, seed=17, v0=10.0, x0=0.01, state0=2,
+        driver_steps_per_year=driver_steps_per_year,
+    )
+    bundle = rs.simulate_paths(p, chain, strategy, cfg, record="all", frozen_path=path, block_size=block_size)
+    xs, lnvs, states, min_lnv, min_xp = _scalar_reference(p, chain, strategy, cfg, path)
+    assert bundle.X.tobytes() == xs.tobytes()
+    assert bundle.V.tobytes() == np.exp(lnvs).tobytes()
+    np.testing.assert_array_equal(bundle.states, states)
+    assert bundle.min_v == math.exp(min_lnv)
+    assert bundle.min_x_effective == min_xp
 
 
 class TestHistogram:
