@@ -20,6 +20,7 @@ from .errors import (
 from .markov_chain import (
     MarkovChainSpec,
     RegimePath,
+    Segments,
     occupation_integral,
     path_stream,
     sample_path,
@@ -44,6 +45,7 @@ from .riccati import (
     PiecewiseAB,
     char_fn_coeffs,
     compose_piecewise,
+    compose_segments,
     d_leverage_fn,
     riccati_numeric,
 )
@@ -65,6 +67,7 @@ from .value_strategy import (
     optimal_strategy,
     timedep_strategy,
     value_mmh_general,
+    value_mmh_table,
     value_smmh_rho,
     value_timedep_heston,
 )

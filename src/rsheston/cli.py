@@ -59,7 +59,7 @@ from .simulate import (
     simulate_paths,
     terminal_wealth_histogram,
 )
-from .value_strategy import ValueQuery, optimal_strategy, value_mmh_general, value_smmh_rho
+from .value_strategy import ValueQuery, optimal_strategy, value_mmh_table, value_smmh_rho
 
 __all__ = ["RunConfig", "load_config", "shipped_config", "main", "entry"]
 
@@ -267,7 +267,9 @@ def cmd_solve(args) -> int:
     validate_solution_assumptions(p).raise_if_failed()
     times = np.linspace(0.0, p.horizon, args.t_grid)
     xi = None
-    if p.variant is not Variant.MMH:
+    if p.variant is Variant.MMH:
+        phi_mmh, _ = value_mmh_table(p, cfg.chain, times, cfg.v0, cfg.x0, cfg.n_paths_xi, cfg.seed)
+    else:
         integrand = upsilon_heston(p, d_leverage_fn(p))
         if args.xi_method == "mc":
             xi = xi_mc_table(cfg.chain, integrand, times, cfg.n_paths_xi, cfg.seed)
@@ -276,16 +278,15 @@ def cmd_solve(args) -> int:
     util = cfg.v0**p.delta / p.delta
     with open(args.out, "w", encoding="utf-8") as fh:
         writer = _csv_writer(fh, cfg, ["t", "state", "phi", "xi", "D_or_B", "pi_mv", "pi_h", "pi_total"])
-        for t in times:
+        for k, t in enumerate(times):
             t = float(t)
             for state in range(1, p.n_states + 1):
-                q = ValueQuery(t=t, v=cfg.v0, x=cfg.x0, state=state)
                 if p.variant is Variant.MMH:
-                    phi, _ = value_mmh_general(p, cfg.chain, q, cfg.n_paths_xi, cfg.seed)
+                    phi = phi_mmh[k, state - 1]
                     coeff_val = float("nan")
                     xi_val = phi / util
                 else:
-                    phi = value_smmh_rho(p, q, xi)
+                    phi = value_smmh_rho(p, ValueQuery(t=t, v=cfg.v0, x=cfg.x0, state=state), xi)
                     coeff_val = D_leverage(p, t)
                     xi_val = xi.at(t, state)
                 sp = optimal_strategy(p, t, state)

@@ -7,7 +7,8 @@ state i to state j and every row sums to zero.  States are labeled
 
 Holding times in state i are Exponential(-q_ii); on a jump the next
 state j is drawn with probability q_ij / (-q_ii).  A state with
-q_ii = 0 is absorbing and never jumps.
+q_ii = 0 is absorbing and never jumps.  ``PathTable`` keeps many paths
+as flat arrays and restarts them at any later time by truncation.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ from .errors import NegativeRate, RowSumNonZero
 
 __all__ = [
     "MarkovChainSpec",
+    "PathTable",
     "RegimePath",
+    "Segments",
     "validate_intensity",
     "sample_path",
     "transition_probabilities",
@@ -205,6 +208,79 @@ def sample_path(
         jump_times=np.asarray(jump_times),
         states=np.asarray(states, dtype=np.int64),
     )
+
+
+@dataclass(frozen=True, eq=False)
+class Segments:
+    """Flat segments of many truncated paths ("cells").
+
+    Cell c occupies ``states[first[c]:first[c + 1]]`` on the consecutive
+    intervals ``[lo, hi)`` at the same indices, in time order; ``first``
+    has one entry more than there are cells.
+    """
+
+    first: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    states: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class PathTable:
+    """Chain paths drawn once from time 0 and stored as flat arrays.
+
+    For each start state ``starts[k]`` and each i < ``n_paths``, path
+    ``k * n_paths + i`` is ``sample_path`` on [0, length] from that state
+    on stream ``path_stream(seed, i)``.  Its segments are ``lo`` (0, then
+    the jump times) and ``states`` at ``first[p]:first[p + 1]``.
+    """
+
+    length: float
+    first: np.ndarray
+    lo: np.ndarray
+    states: np.ndarray
+
+    @classmethod
+    def sample(cls, spec: MarkovChainSpec, length: float, starts, n_paths: int, seed) -> "PathTable":
+        jumps, states = [], []  # only the arrays are kept, not a RegimePath per path
+        for e in starts:
+            for i in range(n_paths):
+                path = sample_path(spec, 0.0, length, int(e), path_stream(seed, i))
+                jumps.append(path.jump_times)
+                states.append(path.states)
+        first = np.concatenate(([0], np.cumsum([len(s) for s in states])))
+        jumps_before = first[:-1] - np.arange(len(states))  # each path's offset among all jumps
+        return cls(
+            length=length,
+            first=first,
+            lo=np.insert(np.concatenate(jumps), jumps_before, 0.0),
+            states=np.concatenate(states),
+        )
+
+    def truncate(self, times, horizon: float) -> Segments:
+        """Every path restarted at each time t and run to ``horizon``, as cells.
+
+        The chain is time-homogeneous, so a path from (t, e) on [t, horizon]
+        is the table's path from (0, e) cut at horizon - t and shifted by t.
+        Cell ``k * n_table_paths + p`` is path p at ``times[k]``; a jump
+        landing exactly on the cut is kept, as ``sample_path`` keeps one on
+        the horizon.  Needs t < horizon <= t + length for every t.
+        """
+        times = np.asarray(times, dtype=float)
+        cut = horizon - times
+        if (cut <= 0.0).any() or (cut > self.length).any():
+            raise ValueError("need t < horizon <= t + length for every time")
+        # segments per cell: those whose lower edge lies at or before the cut
+        counts = np.add.reduceat(self.lo <= cut[:, None], self.first[:-1], axis=1).ravel()
+        first = np.concatenate(([0], np.cumsum(counts)))
+        total = int(first[-1])
+        # table index of every cell segment: its path's first segment plus its rank in the cell
+        src = np.arange(total) + np.repeat(np.tile(self.first[:-1], len(times)) - first[:-1], counts)
+        lo = self.lo[src] + np.repeat(np.repeat(times, len(self.first) - 1), counts)
+        hi = np.empty(total)
+        hi[:-1] = lo[1:]
+        hi[first[1:] - 1] = horizon
+        return Segments(first=first, lo=lo, hi=hi, states=self.states[src])
 
 
 def transition_probabilities(spec: MarkovChainSpec, t: float) -> np.ndarray:

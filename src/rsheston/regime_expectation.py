@@ -2,9 +2,10 @@
 
 Two independent routes are provided and cross-checked in the tests:
 
-* ``xi_mc``  - Monte Carlo over chain trajectories, using the
-  integrand's path integral (closed form for ``upsilon_heston``,
-  ``occupation_integral`` for ``RegimeIntegrand.from_scalar``).
+* ``xi_mc``  - Monte Carlo over chain trajectories, summing the
+  integrand's segment integrals along each path (closed form for
+  ``upsilon_heston``, adaptive quadrature for
+  ``RegimeIntegrand.from_scalar``).
 * ``xi_ode`` - backward RK4 integration of the equivalent coupled
   linear ODE system
 
@@ -23,9 +24,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.integrate import quad
 
 from .errors import StepFailure
-from .markov_chain import MarkovChainSpec, RegimePath, occupation_integral, path_stream, sample_path
+from .markov_chain import MarkovChainSpec, PathTable, Segments
 from .models import HestonRegimeParams
 from .riccati import D_leverage, D_leverage_integral
 
@@ -39,6 +41,7 @@ __all__ = [
 ]
 
 _MIN_STEP = 1e-10
+_CHUNK_SEGMENTS = 1 << 18  # table segments times grid times per truncation chunk: bounds its memory
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,24 +49,31 @@ class RegimeIntegrand:
     """Per-state time functions u(t, e), continuous and C^1 in t.
 
     ``fn_all(t)`` evaluates all states at once as an array of length
-    n_states; ``path_integral(path, t)`` is int_t^T u(s, path(s)) ds,
-    by ``occupation_integral`` for ``from_scalar`` integrands.
+    n_states; ``segment_integral(lo, hi, states)`` is the array of
+    int_lo^hi u(s, state) ds over flat arrays of segments, by adaptive
+    quadrature (absolute and relative tolerance 1e-12) for ``from_scalar``
+    integrands.
     """
 
     horizon: float
     n_states: int
     fn_all: Callable[[float], np.ndarray]
-    path_integral: Callable[[RegimePath, float], float]
+    segment_integral: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
     @classmethod
     def from_scalar(cls, fn: Callable[[float, int], float], horizon: float, n_states: int):
         def fn_all(t: float) -> np.ndarray:
             return np.array([fn(t, e) for e in range(1, n_states + 1)])
 
-        def path_integral(path: RegimePath, t: float) -> float:
-            return occupation_integral(path, fn, t, horizon)
+        def segment_integral(lo: np.ndarray, hi: np.ndarray, states: np.ndarray) -> np.ndarray:
+            return np.array(
+                [
+                    quad(fn, a, b, args=(int(e),), epsabs=1e-12, epsrel=1e-12, limit=200)[0]
+                    for a, b, e in zip(lo.tolist(), hi.tolist(), states)
+                ]
+            )
 
-        return cls(horizon=horizon, n_states=n_states, fn_all=fn_all, path_integral=path_integral)
+        return cls(horizon=horizon, n_states=n_states, fn_all=fn_all, segment_integral=segment_integral)
 
 
 def upsilon_heston(p: HestonRegimeParams, coeff_fn: Callable[[float], float]) -> RegimeIntegrand:
@@ -71,8 +81,8 @@ def upsilon_heston(p: HestonRegimeParams, coeff_fn: Callable[[float], float]) ->
 
     ``fn_all`` (the ``xi_ode`` hot loop) evaluates D by ``coeff_fn``,
     normally ``d_leverage_fn``; one that disagrees with ``D_leverage`` at
-    t = 0 raises ValueError.  Path integrals are exact, by segment sums
-    and ``D_leverage_integral``.
+    t = 0 raises ValueError.  Segment integrals are exact, from one
+    ``D_leverage_integral`` call on all segment edges.
     """
     d0 = D_leverage(p, 0.0)
     if abs(coeff_fn(0.0) - d0) > 1e-12 * max(1.0, abs(d0)):
@@ -83,12 +93,14 @@ def upsilon_heston(p: HestonRegimeParams, coeff_fn: Callable[[float], float]) ->
     def fn_all(t: float) -> np.ndarray:
         return delta_r + coeff_fn(t) * kap_th
 
-    def path_integral(path: RegimePath, t: float) -> float:
-        lo, hi, state = path.segments(t)
-        big_d = D_leverage_integral(p, np.append(lo, hi[-1:]))  # int_s^T D at every segment edge s
-        return float(delta_r[state - 1] @ (hi - lo) + kap_th[state - 1] @ (big_d[:-1] - big_d[1:]))
+    def segment_integral(lo: np.ndarray, hi: np.ndarray, states: np.ndarray) -> np.ndarray:
+        big_d = D_leverage_integral(p, np.concatenate((lo, hi)))  # int_s^T D at every edge s
+        e = states - 1
+        return delta_r[e] * (hi - lo) + kap_th[e] * (big_d[: len(lo)] - big_d[len(lo) :])
 
-    return RegimeIntegrand(horizon=p.horizon, n_states=p.n_states, fn_all=fn_all, path_integral=path_integral)
+    return RegimeIntegrand(
+        horizon=p.horizon, n_states=p.n_states, fn_all=fn_all, segment_integral=segment_integral
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,25 +154,12 @@ def xi_mc(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of xi(t, state) with its standard error.
 
-    One dedicated RNG stream per chain path, derived from (seed, path
-    index), so the estimate is reproducible for a fixed seed.
+    Path i is drawn on its own RNG stream (seed, i), so the estimate is
+    reproducible for a fixed seed; it is the (t, state) cell of
+    ``xi_mc_table``.
     """
-    return _chain_mc(spec, t, integrand.horizon, state, n_paths, seed, lambda path: integrand.path_integral(path, t))
-
-
-def _chain_mc(spec, t: float, horizon: float, state: int, n_paths: int, seed, log_weight) -> tuple[float, float]:
-    """Mean and standard error of exp(log_weight(path)) over paths i from (t, state), each on stream (seed, i)."""
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    if t >= horizon:
-        return 1.0, 0.0
-    vals = np.empty(n_paths)
-    for i in range(n_paths):
-        path = sample_path(spec, t, horizon, state, path_stream(seed, i))
-        vals[i] = np.exp(log_weight(path))
-    est = float(vals.mean())
-    err = 0.0 if n_paths == 1 else float(vals.std(ddof=1) / np.sqrt(n_paths))
-    return est, err
+    mean, err = _xi_cells(spec, integrand, [t], [state], n_paths, seed)
+    return float(mean[0, 0]), float(err[0, 0])
 
 
 def xi_mc_table(
@@ -172,20 +171,51 @@ def xi_mc_table(
 ) -> XiTable:
     """Tabulate xi_mc at the given times for every state.
 
-    Streams are derived from (seed, time index, state, path index) so
-    entries are independent and the table is reproducible.
+    One truncation pass: for each state, ``n_paths`` paths are drawn once
+    from time 0 (path i on stream (seed, i)); each grid time t reads every
+    path cut at T - t and shifted by t.  Every cell therefore uses the
+    same streams as ``xi_mc`` (common random numbers across cells).
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    l = spec.n_states
-    values = np.ones((len(times), l))
-    errs = np.zeros((len(times), l))
-    for k, t in enumerate(times):
-        for e in range(1, l + 1):
-            if t >= integrand.horizon:
-                continue  # xi(T, e) = 1 exactly
-            sub_seed = np.random.SeedSequence((int(seed), k, e)).generate_state(1)[0]
-            values[k, e - 1], errs[k, e - 1] = xi_mc(spec, integrand, float(t), e, n_paths, sub_seed)
+    values, errs = _xi_cells(spec, integrand, times, range(1, spec.n_states + 1), n_paths, seed)
     return XiTable(times=times, values=values, method="MC", std_err=errs)
+
+
+def _xi_cells(spec, integrand: RegimeIntegrand, times, starts, n_paths: int, seed):
+    def log_weight(segs: Segments) -> np.ndarray:
+        return np.add.reduceat(integrand.segment_integral(segs.lo, segs.hi, segs.states), segs.first[:-1])
+
+    return _truncation_mc(spec, integrand.horizon, times, starts, n_paths, seed, log_weight)
+
+
+def _truncation_mc(
+    spec: MarkovChainSpec, horizon: float, times, starts, n_paths: int, seed, log_weight
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error of exp(log_weight) per (time, start state) cell.
+
+    Draws ``PathTable.sample`` once on [0, T - min(times)] and truncates
+    it for every time, in chunks of bounded memory.  ``log_weight(segs)``
+    returns one value per cell of ``segs``.  Times at or after the horizon
+    give exactly (1, 0); one path gives a standard error of 0.
+    """
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    starts = list(starts)
+    mean = np.ones((len(times), len(starts)))
+    err = np.zeros_like(mean)
+    live = np.flatnonzero(times < horizon)
+    if not len(live):
+        return mean, err
+    table = PathTable.sample(spec, horizon - times[live].min(), starts, n_paths, seed)
+    step = max(1, _CHUNK_SEGMENTS // len(table.lo))
+    for k in range(0, len(live), step):
+        rows = live[k : k + step]
+        w = np.exp(log_weight(table.truncate(times[rows], horizon))).reshape(len(rows), len(starts), n_paths)
+        mean[rows] = w.mean(axis=2)
+        if n_paths > 1:
+            err[rows] = w.std(axis=2, ddof=1) / np.sqrt(n_paths)
+    return mean, err
 
 
 def _rk4_step(y: np.ndarray, t: float, h: float, rhs) -> np.ndarray:

@@ -22,8 +22,8 @@ backward time they solve
 
 This module provides the closed forms, an independent backward RK4
 integrator over piecewise-constant coefficients, the backward
-composition across a regime path, and the separable variants' factor
-exponent D = vt B and its integral.  All evaluate the closed form on the
+composition across one regime path or across many at once, and the
+separable variants' factor exponent D = vt B and its integral.  All evaluate the closed form on the
 tilted parameters of ``models.exponent_params``.
 """
 
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUp, DomainViolation
-from .markov_chain import RegimePath
+from .markov_chain import RegimePath, Segments
 from .models import HestonRegimeParams, Variant, exponent_params
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
     "char_fn_coeffs",
     "riccati_numeric",
     "compose_piecewise",
+    "compose_segments",
     "D_leverage",
     "D_leverage_integral",
     "d_leverage_fn",
@@ -94,6 +95,11 @@ def _closed_ab(kappa, theta, chi, alpha, beta, tau):
         )
     if alpha > bound:
         raise DomainViolation(f"alpha = {alpha} exceeds (kappa + a)/chi^2 = {bound}")
+    return _interior_ab(kappa, theta, chi2, a, alpha, tau)
+
+
+def _interior_ab(kappa, theta, chi2, a, alpha, tau):
+    """(A(tau), B(tau)) for a > 0 and alpha below its bound, elementwise over arrays."""
     c = (kappa - a - alpha * chi2) / (kappa + a - alpha * chi2)
     decay = np.exp(-a * tau)
     den = 1.0 - c * decay
@@ -300,6 +306,53 @@ def compose_piecewise(path: RegimePath, p: HestonRegimeParams) -> PiecewiseAB:
     return PiecewiseAB(
         segments=tuple(reversed(segs)), start=path.start, horizon=path.horizon, vartheta=vt
     )
+
+
+def compose_segments(p: HestonRegimeParams, segs: Segments) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) at the start of every cell: ``compose_piecewise`` on all cells at once.
+
+    Step j applies the closed form over the j-th segment from the end of
+    every cell that has one, with B carried in from step j - 1.  The
+    domain checks of ``_closed_ab`` run elementwise, and every state's
+    exponent is validated whether or not a cell visits it.  Unscaled, as
+    ``compose_piecewise``.
+    """
+    if np.any(segs.states > p.n_states):
+        raise ValueError("path states exceed the model's state count")
+    kt, tt, beta, _ = exponent_params(p)
+    if np.any(kt <= 0.0):
+        raise DomainViolation("drift-adjusted reversion speed must stay positive")
+    if np.any(p.chi <= 0.0):
+        raise DomainViolation("closed forms need kappa, theta, chi > 0")
+    a = np.array([_discriminant_root(k, c, b) for k, c, b in zip(kt, p.chi, beta)])
+    chi2 = p.chi * p.chi
+    per_state = np.stack((kt, tt, chi2, a, (kt + a) / chi2))
+    dur = segs.hi - segs.lo
+    n_seg = np.diff(segs.first)
+    order = np.argsort(-n_seg, kind="stable")  # cells still composing at step j are a prefix
+    last = segs.first[1:][order] - 1
+    n_active = len(n_seg) - np.cumsum(np.bincount(n_seg))[:-1]
+    big_a = np.zeros(len(n_seg))
+    alpha = np.zeros(len(n_seg))
+    for j, n in enumerate(n_active):
+        s = last[:n] - j
+        kj, tj, c2j, aj, bound = per_state[:, segs.states[s] - 1]
+        alpha_j, tau = alpha[:n], dur[s]
+        if (alpha_j > bound).any():
+            raise DomainViolation("B carried into a segment exceeds its state's (kappa + a)/chi^2")
+        live = alpha_j < bound  # at the bound, B is frozen at its terminal value
+        if ((aj == 0.0) & live).any():
+            raise DomainViolation("beta = kappa^2/(2 chi^2) is only admissible with alpha = kappa/chi^2")
+        if live.all():
+            a_j, b_j = _interior_ab(kj, tj, c2j, aj, alpha_j, tau)
+        else:
+            a_j, b_j = kj * tj * bound * tau, bound.copy()
+            a_j[live], b_j[live] = _interior_ab(kj[live], tj[live], c2j[live], aj[live], alpha_j[live], tau[live])
+        big_a[:n] += a_j
+        alpha[:n] = b_j
+    out_a, out_b = np.empty_like(big_a), np.empty_like(alpha)
+    out_a[order], out_b[order] = big_a, alpha
+    return out_a, out_b
 
 
 def _tilted_ab(p: HestonRegimeParams, t):

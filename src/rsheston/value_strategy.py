@@ -23,10 +23,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainViolation
-from .markov_chain import MarkovChainSpec, RegimePath
+from .markov_chain import MarkovChainSpec, RegimePath, Segments
 from .models import HestonRegimeParams, Variant
-from .regime_expectation import XiTable, _chain_mc
-from .riccati import D_leverage, PiecewiseAB, compose_piecewise
+from .regime_expectation import XiTable, _truncation_mc
+from .riccati import D_leverage, PiecewiseAB, compose_piecewise, compose_segments
 
 __all__ = [
     "ValueQuery",
@@ -35,6 +35,7 @@ __all__ = [
     "timedep_strategy",
     "value_timedep_heston",
     "value_mmh_general",
+    "value_mmh_table",
     "value_smmh_rho",
 ]
 
@@ -117,15 +118,6 @@ def timedep_strategy(p: HestonRegimeParams, coeffs: PiecewiseAB) -> Callable[[fl
     return weight
 
 
-def _log_path_value(p: HestonRegimeParams, path: RegimePath, q: ValueQuery) -> float:
-    """int_t^T delta r(m(s)) ds + vt A(t) + vt B(t) x along one regime path."""
-    coeffs = compose_piecewise(path, p)
-    lo, hi, state = path.segments(q.t)
-    vt = coeffs.vartheta
-    a, b = coeffs.ab(q.t)
-    return (p.delta * p.r)[state - 1] @ (hi - lo) + vt * a + vt * b * q.x
-
-
 def value_timedep_heston(p: HestonRegimeParams, path: RegimePath, q: ValueQuery) -> float:
     """Value along a frozen regime trajectory.
 
@@ -134,7 +126,12 @@ def value_timedep_heston(p: HestonRegimeParams, path: RegimePath, q: ValueQuery)
     with (A, B) composed backward over the trajectory's segments.
     """
     q.check(p)
-    return float(q.v**p.delta / p.delta * np.exp(_log_path_value(p, path, q)))
+    coeffs = compose_piecewise(path, p)
+    lo, hi, state = path.segments(q.t)
+    vt = coeffs.vartheta
+    a, b = coeffs.ab(q.t)
+    log_value = (p.delta * p.r)[state - 1] @ (hi - lo) + vt * a + vt * b * q.x
+    return float(q.v**p.delta / p.delta * np.exp(log_value))
 
 
 def value_mmh_general(
@@ -146,17 +143,53 @@ def value_mmh_general(
 ) -> tuple[float, float]:
     """Partial Monte Carlo value for the general regime-switching model, rho = 0.
 
-    Only the chain is simulated: each sampled trajectory contributes
-    exp{ int delta r } * exp{ A(t) + B(t) x } with its own composed
-    coefficients (the value_timedep_heston weight; vt = 1 at rho = 0), and
-    the average is scaled by v**delta/delta.
-    Fresh paths are drawn per query.  Returns (estimate, std_err).
+    The (q.t, q.state) cell of ``value_mmh_table`` at (q.v, q.x): path i
+    runs on stream (seed, i) from every (t, e), which gives common random
+    numbers across cells.  Returns (estimate, std_err).
     """
+    q.check(p)
+    phi, err = _mmh_cells(p, chain, [q.t], [q.state], q.v, q.x, n_paths, seed)
+    return float(phi[0, 0]), float(err[0, 0])
+
+
+def value_mmh_table(
+    p: HestonRegimeParams,
+    chain: MarkovChainSpec,
+    times,
+    v: float,
+    x: float,
+    n_paths: int,
+    seed,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Partial Monte Carlo value at every (time, state), as two (n_t, l) arrays.
+
+    Only the chain is simulated.  Each trajectory contributes
+    exp{ int delta r } * exp{ vt A(t) + vt B(t) x }, the value_timedep_heston
+    weight (vt = 1 at rho = 0), and the average is scaled by v**delta/delta.
+    For each state, n_paths paths are drawn once from time 0, path i on
+    stream (seed, i); time t reads them cut at T - t and shifted by t, and
+    (A, B) are composed backward over all of them at once.  Returns
+    (estimate, std_err).
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    for t in times:
+        ValueQuery(t=float(t), v=v, x=x, state=1).check(p)
+    return _mmh_cells(p, chain, times, range(1, p.n_states + 1), v, x, n_paths, seed)
+
+
+def _mmh_cells(p: HestonRegimeParams, chain: MarkovChainSpec, times, starts, v, x, n_paths, seed):
     if p.rho != 0.0:
         raise DomainViolation("the regime-switching value requires rho = 0")
-    q.check(p)
-    mean, err = _chain_mc(chain, q.t, p.horizon, q.state, n_paths, seed, lambda path: _log_path_value(p, path, q))
-    util = q.v**p.delta / p.delta
+    vt = p.vartheta
+    delta_r = p.delta * p.r
+
+    def log_weight(segs: Segments) -> np.ndarray:
+        big_a, b = compose_segments(p, segs)
+        rate = np.add.reduceat(delta_r[segs.states - 1] * (segs.hi - segs.lo), segs.first[:-1])
+        return rate + vt * big_a + vt * b * x
+
+    mean, err = _truncation_mc(chain, p.horizon, times, starts, n_paths, seed, log_weight)
+    util = v**p.delta / p.delta
     return util * mean, abs(util) * err
 
 

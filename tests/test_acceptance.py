@@ -138,7 +138,7 @@ def test_criterion_3_oracle_equivalence(set1):
             kap = float(rng.uniform(1.0, 6.0))
             th = float(rng.uniform(0.01, 0.09))
             chi = float(np.sqrt(2 * kap * th) * rng.uniform(0.3, 0.95))
-            d = float(rng.uniform(0.2, 2.5))
+            d = float(rng.uniform(0.2, 2.5)) * (1 if trial % 2 == 0 else -1)
             rho = float(rng.uniform(-0.9, 0.9))
             delta = float(rng.uniform(-2.0, 0.7))
             horizon = float(rng.uniform(1.0, 3.0))
