@@ -220,14 +220,21 @@ def load_config(path) -> RunConfig:
     params = HestonRegimeParams(**kwargs)
 
     initial = sections["initial"]
+    v0, x0, state0 = _number(initial, "v0"), _number(initial, "x0"), _number(initial, "state0", int)
+    if not (np.isfinite(v0) and v0 > 0.0):
+        raise ConfigError(f"[initial] v0 must be finite and positive, got {v0}")
+    if not (np.isfinite(x0) and x0 >= 0.0):
+        raise ConfigError(f"[initial] x0 must be finite and nonnegative, got {x0}")
+    if not 1 <= state0 <= l:
+        raise ConfigError(f"[initial] state0 must be a state label in 1..{l}, got {state0}")
     solver = sections.get("solver", {})
     sim = sections.get("sim", {})
     return RunConfig(
         params=params,
         chain=chain,
-        v0=_number(initial, "v0"),
-        x0=_number(initial, "x0"),
-        state0=_number(initial, "state0", int),
+        v0=v0,
+        x0=x0,
+        state0=state0,
         grid_step=_number(solver, "grid_step", default=params.horizon / 5000.0),
         n_paths_xi=_number(solver, "n_paths_xi", int, default=10000),
         seed=_number(solver, "seed", int, default=12345),
@@ -353,6 +360,16 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rsheston",
@@ -366,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="value function and strategy table as CSV")
     sp.add_argument("config")
-    sp.add_argument("--t-grid", type=int, default=51)
+    sp.add_argument("--t-grid", type=_positive_int, default=51)
     sp.add_argument("--out", default="solve.csv")
     sp.add_argument("--xi-method", choices=("ode", "mc"), default="ode")
     sp.set_defaults(fn=cmd_solve)

@@ -178,10 +178,27 @@ def sample_path(
     state's cumulative target probabilities (``spec._jump_table``).
     Absorbing states (zero outflow rate) simply hold forever.
     """
+    _check_start(spec, t0, horizon, state0)
+    jump_times, states = _draw_jumps(spec, t0, horizon, state0, rng)
+    return RegimePath(
+        start=t0,
+        horizon=horizon,
+        jump_times=np.asarray(jump_times),
+        states=np.asarray(states, dtype=np.int64),
+    )
+
+
+def _check_start(spec: MarkovChainSpec, t0: float, horizon: float, state0: int) -> None:
     if not t0 < horizon:
         raise ValueError("t0 must be strictly before the horizon")
     if not 1 <= state0 <= spec.n_states:
         raise ValueError(f"state0 must be in 1..{spec.n_states}")
+
+
+def _draw_jumps(
+    spec: MarkovChainSpec, t0: float, horizon: float, state0: int, rng: np.random.Generator
+) -> tuple[list[float], list[int]]:
+    """The jump times and visited states of ``sample_path``, as lists."""
     table = spec._jump_table
     random = rng.random
     jump_times: list[float] = []
@@ -202,12 +219,7 @@ def sample_path(
         states.append(state)
         if t == horizon:  # jump exactly at the closed right endpoint
             break
-    return RegimePath(
-        start=t0,
-        horizon=horizon,
-        jump_times=np.asarray(jump_times),
-        states=np.asarray(states, dtype=np.int64),
-    )
+    return jump_times, states
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,19 +254,21 @@ class PathTable:
 
     @classmethod
     def sample(cls, spec: MarkovChainSpec, length: float, starts, n_paths: int, seed) -> "PathTable":
-        jumps, states = [], []  # only the arrays are kept, not a RegimePath per path
+        lo, states, counts = [], [], []
         for e in starts:
+            e = int(e)
+            _check_start(spec, 0.0, length, e)
             for i in range(n_paths):
-                path = sample_path(spec, 0.0, length, int(e), path_stream(seed, i))
-                jumps.append(path.jump_times)
-                states.append(path.states)
-        first = np.concatenate(([0], np.cumsum([len(s) for s in states])))
-        jumps_before = first[:-1] - np.arange(len(states))  # each path's offset among all jumps
+                jump_times, path_states = _draw_jumps(spec, 0.0, length, e, path_stream(seed, i))
+                lo.append(0.0)
+                lo.extend(jump_times)
+                states.extend(path_states)
+                counts.append(len(path_states))
         return cls(
             length=length,
-            first=first,
-            lo=np.insert(np.concatenate(jumps), jumps_before, 0.0),
-            states=np.concatenate(states),
+            first=np.concatenate(([0], np.cumsum(counts))),
+            lo=np.array(lo),
+            states=np.array(states, dtype=np.int64),
         )
 
     def truncate(self, times, horizon: float) -> Segments:

@@ -98,7 +98,8 @@ class HestonRegimeParams:
     state for MMH, or the single market-price slope ``d`` for the
     separable variants (there lam_hat(e) = d * nu(e)).
 
-    chi = 0 is allowed here (a deterministic factor, which
+    Every parameter must be finite; a non-finite one raises ValueError
+    naming it.  chi = 0 is allowed here (a deterministic factor, which
     ``simulate_paths`` handles); the closed forms need chi > 0, and
     ``validate_solution_assumptions`` fails ``factor_noise_positive``
     without it.
@@ -121,6 +122,10 @@ class HestonRegimeParams:
         l = np.atleast_1d(np.asarray(self.nu)).size
         for name in ("r", "nu", "kappa", "theta", "chi"):
             object.__setattr__(self, name, _per_state(name, getattr(self, name), l))
+        for name in ("horizon", "delta", "d", "r", "nu", "kappa", "theta", "chi", "lam_hat"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value}")
         UtilitySpec(self.delta)
         if not -1.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must lie in [-1, 1], got {self.rho}")

@@ -12,7 +12,13 @@ Two independent routes are provided and cross-checked in the tests:
       d/dt xi(t, e_i) = -u(t, e_i) xi(t, e_i) - sum_j q_ij xi(t, e_j),
       xi(T, e_i) = 1.
 
-Positivity of xi is preserved by local step halving; losing it at the
+  The system is linear, so each RK4 step is one l x l propagator; a
+  chunk of them is built at once by batched matrix products from one
+  evaluation of u at all of the chunk's stage times, then applied in
+  order.
+
+Positivity of xi is preserved by redoing a failing step from its start
+value with scalar RK4 steps, halved locally; losing positivity at the
 minimum step signals an integrand far outside the intended regime.
 """
 
@@ -42,14 +48,16 @@ __all__ = [
 
 _MIN_STEP = 1e-10
 _CHUNK_SEGMENTS = 1 << 18  # table segments times grid times per truncation chunk: bounds its memory
+_CHUNK_ENTRIES = 1 << 12  # xi_ode steps times l * l propagator entries per chunk: bounds its memory
 
 
 @dataclass(frozen=True, eq=False)
 class RegimeIntegrand:
     """Per-state time functions u(t, e), continuous and C^1 in t.
 
-    ``fn_all(t)`` evaluates all states at once as an array of length
-    n_states; ``segment_integral(lo, hi, states)`` is the array of
+    ``fn_all(t)`` evaluates all states at once: an array of length
+    n_states for a scalar t, of shape (len(t), n_states) for an array of
+    times; ``segment_integral(lo, hi, states)`` is the array of
     int_lo^hi u(s, state) ds over flat arrays of segments, by adaptive
     quadrature (absolute and relative tolerance 1e-12) for ``from_scalar``
     integrands.
@@ -57,13 +65,14 @@ class RegimeIntegrand:
 
     horizon: float
     n_states: int
-    fn_all: Callable[[float], np.ndarray]
+    fn_all: Callable[[float | np.ndarray], np.ndarray]
     segment_integral: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
     @classmethod
     def from_scalar(cls, fn: Callable[[float, int], float], horizon: float, n_states: int):
-        def fn_all(t: float) -> np.ndarray:
-            return np.array([fn(t, e) for e in range(1, n_states + 1)])
+        def fn_all(t) -> np.ndarray:
+            rows = [[fn(s, e) for e in range(1, n_states + 1)] for s in np.ravel(t).tolist()]
+            return np.array(rows).reshape(np.shape(t) + (n_states,))
 
         def segment_integral(lo: np.ndarray, hi: np.ndarray, states: np.ndarray) -> np.ndarray:
             return np.array(
@@ -79,10 +88,11 @@ class RegimeIntegrand:
 def upsilon_heston(p: HestonRegimeParams, coeff_fn: Callable[[float], float]) -> RegimeIntegrand:
     """Integrand u(t, e) = delta r(e) + D(t) kappa(e) theta(e).
 
-    ``fn_all`` (the ``xi_ode`` hot loop) evaluates D by ``coeff_fn``,
-    normally ``d_leverage_fn``; one that disagrees with ``D_leverage`` at
-    t = 0 raises ValueError.  Segment integrals are exact, from one
-    ``D_leverage_integral`` call on all segment edges.
+    ``fn_all`` evaluates D by ``coeff_fn`` (normally ``d_leverage_fn``) on
+    a scalar time or on an array of times at once; a ``coeff_fn`` that
+    disagrees with ``D_leverage`` at t = 0 raises ValueError.  Segment
+    integrals are exact, from one ``D_leverage_integral`` call on all
+    segment edges.
     """
     d0 = D_leverage(p, 0.0)
     if abs(coeff_fn(0.0) - d0) > 1e-12 * max(1.0, abs(d0)):
@@ -90,8 +100,8 @@ def upsilon_heston(p: HestonRegimeParams, coeff_fn: Callable[[float], float]) ->
     delta_r = p.delta * p.r
     kap_th = p.kappa * p.theta
 
-    def fn_all(t: float) -> np.ndarray:
-        return delta_r + coeff_fn(t) * kap_th
+    def fn_all(t) -> np.ndarray:
+        return delta_r + np.multiply.outer(np.broadcast_to(coeff_fn(t), np.shape(t)), kap_th)
 
     def segment_integral(lo: np.ndarray, hi: np.ndarray, states: np.ndarray) -> np.ndarray:
         big_d = D_leverage_integral(p, np.concatenate((lo, hi)))  # int_s^T D at every edge s
@@ -229,15 +239,27 @@ def _rk4_step(y: np.ndarray, t: float, h: float, rhs) -> np.ndarray:
 def xi_ode(spec: MarkovChainSpec, integrand: RegimeIntegrand, grid_step: float | None = None) -> XiTable:
     """Backward RK4 solution of the coupled linear system for xi.
 
-    The default grid step is horizon/5000.  If a step loses positivity
-    or finiteness it is halved locally; below a step of 1e-10 the
+    The system is linear, y' = M(t) y with M = -diag(u(t)) - Q, so one
+    classic RK4 step from t_k to t_{k+1} = t_k - h is an l x l matrix
+    P_k with y_{k+1} = P_k y_k.  Steps are taken in chunks of bounded
+    memory: one ``fn_all`` call gives u at every stage time of the chunk
+    (t_k, t_k - h/2, t_{k+1}), the chunk's propagators are formed by
+    batched matmuls, and they are applied in order.
+
+    The default grid step is horizon/5000, and every step is shortened so
+    that whole steps span the horizon; a step that is not finite, not
+    positive or longer than the horizon raises ValueError.  A step whose
+    result is not finite and positive is redone from the previous value
+    by local halving (``_advance``); below a step of 1e-10 the
     integration aborts with StepFailure.
     """
     horizon = integrand.horizon
     if grid_step is None:
         grid_step = horizon / 5000.0
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
+    if not 0.0 < grid_step <= horizon:  # also rejects nan and inf
+        raise ValueError(
+            f"grid_step must be finite, positive and at most the horizon {horizon}, got {grid_step}"
+        )
     if integrand.n_states != spec.n_states:
         raise ValueError("integrand and chain disagree on the state count")
     q = spec.intensity
@@ -245,18 +267,48 @@ def xi_ode(spec: MarkovChainSpec, integrand: RegimeIntegrand, grid_step: float |
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         return -integrand.fn_all(t) * y - q @ y
 
+    l = spec.n_states
     n = max(1, int(np.ceil(horizon / grid_step - 1e-12)))
     h = horizon / n
     times = horizon - h * np.arange(n + 1)
     times[-1] = 0.0
-    values = np.empty((n + 1, spec.n_states))
+    stage_times = np.empty(2 * n + 1)  # t_0, t_0 - h/2, t_1, t_1 - h/2, ..., t_n
+    stage_times[::2] = times
+    stage_times[1::2] = times[:-1] - 0.5 * h
+    eye = np.eye(l)
+    values = np.empty((n + 1, l))
     values[0] = 1.0
-    y = values[0].copy()
-    for k in range(n):
-        t = times[k]
-        y = _advance(y, t, -h, rhs)
-        values[k + 1] = y
+    chunk = max(1, _CHUNK_ENTRIES // (l * l))
+    with np.errstate(over="ignore", invalid="ignore"):  # a lost step is caught and redone below
+        for k0 in range(0, n, chunk):
+            k1 = min(n, k0 + chunk)
+            u = integrand.fn_all(stage_times[2 * k0 : 2 * k1 + 1])
+            m = -q - u[:, :, None] * eye  # M at the chunk's stage times
+            a1, a2, a4 = m[:-1:2], m[1::2], m[2::2]
+            s2 = a2 @ (eye - 0.5 * h * a1)
+            s3 = a2 @ (eye - 0.5 * h * s2)
+            s4 = a4 @ (eye - h * s3)
+            _propagate(eye - h / 6.0 * (a1 + 2.0 * s2 + 2.0 * s3 + s4), values, k0, times, h, rhs)
     return XiTable(times=times[::-1].copy(), values=values[::-1].copy(), method="ODE")
+
+
+def _propagate(props, values, k0, times, h, rhs) -> None:
+    """Fill values[k0 + 1 : k0 + len(props) + 1] by y_{k+1} = P_k y_k.
+
+    Results are checked once per pass; the first step that is not finite
+    and positive is redone by ``_advance`` and the pass resumes after it.
+    """
+    k, stop = k0, k0 + len(props)
+    while k < stop:
+        for j in range(k, stop):
+            np.matmul(props[j - k0], values[j], out=values[j + 1])
+        new = values[k + 1 : stop + 1]
+        bad = np.flatnonzero(~((new > 0.0) & (new < np.inf)).all(axis=1))
+        if not len(bad):
+            return
+        k += int(bad[0])
+        values[k + 1] = _advance(values[k], times[k], -h, rhs)
+        k += 1
 
 
 def _advance(y: np.ndarray, t: float, h: float, rhs) -> np.ndarray:

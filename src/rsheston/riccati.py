@@ -387,10 +387,11 @@ def D_leverage_integral(p: HestonRegimeParams, t):
 
 
 def d_leverage_fn(p: HestonRegimeParams):
-    """Scalar fast path of D_leverage: validates once, then pure math.
+    """D_leverage without per-call validation: validates once, then pure math.
 
-    Intended for hot loops such as the ``xi_ode`` right-hand side;
-    returns the same values as D_leverage.
+    The returned function takes a scalar time or an array of times (as
+    ``upsilon_heston``'s ``fn_all`` passes them) and returns the same
+    values as D_leverage, without its range checks on t.
     """
     D_leverage(p, 0.0)  # run the full validation once
     ep = exponent_params(p)
@@ -399,8 +400,8 @@ def d_leverage_fn(p: HestonRegimeParams):
     c = (kt - a) / (kt + a)
     chi2 = chi * chi
 
-    def d_of(t: float) -> float:
-        decay = math.exp(-a * (horizon - t))
+    def d_of(t):
+        decay = np.exp(-a * (horizon - t))
         return vt * ((-c * (kt + a) * decay + kt - a) / (chi2 * (1.0 - c * decay)))
 
     return d_of

@@ -160,6 +160,52 @@ class TestValidateCommand:
         assert cli.main(["validate", str(tmp_path / "nope.cfg")]) == 2
 
 
+class TestRunConfigValidation:
+    @pytest.mark.parametrize(
+        "line, replacement",
+        [
+            ("v0 = 10.0", "v0 = nan"),
+            ("v0 = 10.0", "v0 = 0"),
+            ("x0 = 0.02", "x0 = inf"),
+            ("x0 = 0.02", "x0 = -0.01"),
+            ("state0 = 1", "state0 = 3"),
+            ("state0 = 1", "state0 = 0"),
+        ],
+    )
+    def test_bad_initial_value_exits_one(self, line, replacement, tmp_path, set1_path, capsys):
+        bad = tmp_path / "initial.cfg"
+        bad.write_text(set1_path.read_text().replace(line, replacement))
+        key = line.split()[0]
+        with pytest.raises(cli.ConfigError, match=key):
+            cli.load_config(bad)
+        assert cli.main(["solve", str(bad), "--t-grid", "3", "--out", str(tmp_path / "x.csv")]) == 1
+        assert f"[initial] {key}" in capsys.readouterr().err
+
+    def test_zero_initial_factor_is_accepted(self, tmp_path, set1_path):
+        cfg_file = tmp_path / "x0.cfg"
+        cfg_file.write_text(set1_path.read_text().replace("x0 = 0.02", "x0 = 0"))
+        assert cli.load_config(cfg_file).x0 == 0.0
+
+    @pytest.mark.parametrize(
+        "line, replacement, field",
+        [("T = 5.0", "T = inf", "horizon"), ("r.1 = 0.03", "r.1 = nan", "r"), ("nu.2 = 1.3", "nu.2 = inf", "nu")],
+    )
+    def test_non_finite_model_parameter_exits_one(self, line, replacement, field, tmp_path, set1_path, capsys):
+        bad = tmp_path / "model.cfg"
+        bad.write_text(set1_path.read_text().replace(line, replacement))
+        assert cli.main(["solve", str(bad), "--t-grid", "3", "--out", str(tmp_path / "x.csv")]) == 1
+        assert f"{field} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid_step", ["nan", "inf", "10"])
+    def test_bad_grid_step_exits_one(self, grid_step, tmp_path, set1_path, capsys):
+        bad = tmp_path / "grid.cfg"
+        bad.write_text(set1_path.read_text().replace("grid_step = 0.001", f"grid_step = {grid_step}"))
+        out = tmp_path / "x.csv"
+        assert cli.main(["solve", str(bad), "--t-grid", "3", "--out", str(out)]) == 1
+        assert "grid_step" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSolveCommand:
     def test_set1_solution_table(self, set1_path, tmp_path, capsys):
         out = tmp_path / "solve.csv"
@@ -177,6 +223,15 @@ class TestSolveCommand:
             assert float(row["xi"]) == 1.0
         # 17 significant digits in play
         assert len(first["phi"].replace(".", "").replace("-", "").lstrip("0")) >= 16
+
+    @pytest.mark.parametrize("t_grid", ["0", "-3"])
+    def test_empty_time_grid_is_usage_error(self, t_grid, set1_path, tmp_path, capsys):
+        out = tmp_path / "solve.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", str(set1_path), "--t-grid", t_grid, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--t-grid" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_correlation_zeroes_hedging_column(self, tmp_path, set1_path):
         text = set1_path.read_text().replace("variant = smmh_rho", "variant = smmh")

@@ -30,6 +30,24 @@ class TestParameterCatalog:
         p = make_params(variant="mmh", d=None, lam_hat=[1.7, 1.7 * 1.3], rho=0.0)
         assert p.n_states == 2
 
+    @pytest.mark.parametrize(
+        "field, overrides",
+        [
+            ("horizon", dict(horizon=np.inf)),
+            ("delta", dict(delta=-np.inf)),
+            ("d", dict(d=np.nan)),
+            ("r", dict(r=[np.nan, 0.01])),
+            ("nu", dict(nu=[1.0, np.inf])),
+            ("kappa", dict(kappa=np.inf)),
+            ("theta", dict(theta=[0.02, np.nan])),
+            ("chi", dict(chi=np.inf)),
+            ("lam_hat", dict(variant="mmh", d=None, lam_hat=[1.7, -np.inf], rho=0.0)),
+        ],
+    )
+    def test_non_finite_parameter_rejected_by_name(self, field, overrides):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            make_params(**overrides)
+
     def test_vartheta_is_exactly_one_without_correlation(self):
         p = make_params(variant="smmh", rho=0.0)
         assert p.vartheta == 1.0

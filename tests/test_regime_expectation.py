@@ -127,6 +127,16 @@ class TestXiOde:
         with pytest.raises(rs.StepFailure):
             rs.xi_ode(chain2, integrand, grid_step=1e-3)
 
+    @pytest.mark.parametrize("grid_step", [np.nan, np.inf, 10.0, 0.0, -1e-3])
+    def test_rejects_step_outside_the_horizon(self, chain2, grid_step):
+        # a step longer than T once became one RK4 step over the whole horizon
+        with pytest.raises(ValueError, match="grid_step"):
+            rs.xi_ode(chain2, flat_integrand(0.01, 5.0, 2), grid_step=grid_step)
+
+    def test_step_equal_to_the_horizon_is_one_step(self, chain2):
+        table = rs.xi_ode(chain2, flat_integrand(0.01, 5.0, 2), grid_step=5.0)
+        np.testing.assert_array_equal(table.times, [0.0, 5.0])
+
     def test_agreement_across_random_models(self):
         rng = np.random.default_rng(11)
         for trial in range(5):
