@@ -23,6 +23,7 @@ from .markov_chain import (
     Segments,
     occupation_integral,
     path_stream,
+    sample_block,
     sample_path,
     transition_probabilities,
     validate_intensity,
@@ -65,6 +66,7 @@ from .value_strategy import (
     StrategyPoint,
     ValueQuery,
     optimal_strategy,
+    optimal_weights,
     timedep_strategy,
     value_mmh_general,
     value_mmh_table,

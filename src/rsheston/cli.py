@@ -59,7 +59,7 @@ from .simulate import (
     simulate_paths,
     terminal_wealth_histogram,
 )
-from .value_strategy import ValueQuery, optimal_strategy, value_mmh_table, value_smmh_rho
+from .value_strategy import optimal_weights, value_mmh_table
 
 __all__ = ["RunConfig", "load_config", "shipped_config", "main", "entry"]
 
@@ -249,8 +249,9 @@ def shipped_config(name: str) -> Path:
     return Path(resources.files("rsheston") / "configs" / f"{name}.cfg")
 
 
-def _csv_writer(fh, cfg: RunConfig, columns):
-    fh.write(f"# config_sha256={cfg.sha256} seed={cfg.seed}\n")
+def _csv_writer(fh, cfg: RunConfig, seed: int, columns):
+    """CSV writer after the header line: config sha256 and the seed the run used."""
+    fh.write(f"# config_sha256={cfg.sha256} seed={seed}\n")
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(columns)
     return writer
@@ -273,33 +274,29 @@ def cmd_solve(args) -> int:
     validate_feller(cfg.params).raise_if_failed()
     validate_solution_assumptions(p).raise_if_failed()
     times = np.linspace(0.0, p.horizon, args.t_grid)
-    xi = None
+    util = cfg.v0**p.delta / p.delta
     if p.variant is Variant.MMH:
-        phi_mmh, _ = value_mmh_table(p, cfg.chain, times, cfg.v0, cfg.x0, cfg.n_paths_xi, cfg.seed)
+        phi, _ = value_mmh_table(p, cfg.chain, times, cfg.v0, cfg.x0, cfg.n_paths_xi, cfg.seed)
+        xi_vals = phi / util
+        d_vals = np.full(len(times), np.nan)
     else:
         integrand = upsilon_heston(p, d_leverage_fn(p))
         if args.xi_method == "mc":
             xi = xi_mc_table(cfg.chain, integrand, times, cfg.n_paths_xi, cfg.seed)
         else:
             xi = xi_ode(cfg.chain, integrand, cfg.grid_step)
-    util = cfg.v0**p.delta / p.delta
+        xi_vals = np.column_stack([np.interp(times, xi.times, xi.values[:, e]) for e in range(p.n_states)])
+        d_vals = D_leverage(p, times)
+        # the separable value (v0**delta/delta) xi(t, e) exp{D(t) x0}, as value_smmh_rho
+        phi = util * xi_vals * np.exp(d_vals * cfg.x0)[:, None]
+    pi_mv, pi_h = optimal_weights(p, times)
+    pi_total = pi_mv + pi_h
     with open(args.out, "w", encoding="utf-8") as fh:
-        writer = _csv_writer(fh, cfg, ["t", "state", "phi", "xi", "D_or_B", "pi_mv", "pi_h", "pi_total"])
+        writer = _csv_writer(fh, cfg, cfg.seed, ["t", "state", "phi", "xi", "D_or_B", "pi_mv", "pi_h", "pi_total"])
         for k, t in enumerate(times):
-            t = float(t)
-            for state in range(1, p.n_states + 1):
-                if p.variant is Variant.MMH:
-                    phi = phi_mmh[k, state - 1]
-                    coeff_val = float("nan")
-                    xi_val = phi / util
-                else:
-                    phi = value_smmh_rho(p, ValueQuery(t=t, v=cfg.v0, x=cfg.x0, state=state), xi)
-                    coeff_val = D_leverage(p, t)
-                    xi_val = xi.at(t, state)
-                sp = optimal_strategy(p, t, state)
-                writer.writerow(
-                    [_fmt(t), state, _fmt(phi), _fmt(xi_val), _fmt(coeff_val), _fmt(sp.pi_mv), _fmt(sp.pi_h), _fmt(sp.pi_total)]
-                )
+            for e in range(p.n_states):
+                cells = (phi[k, e], xi_vals[k, e], d_vals[k], pi_mv[k, e], pi_h[k, e], pi_total[k, e])
+                writer.writerow([_fmt(t), e + 1, *map(_fmt, cells)])
     print(f"wrote {args.out}")
     return 0
 
@@ -316,7 +313,7 @@ def cmd_simulate(args) -> int:
     runtime = time.perf_counter() - started
     out = Path(args.out)
     with open(out, "w", encoding="utf-8") as fh:
-        writer = _csv_writer(fh, cfg, ["n_paths", "steps_per_year", "mean", "std_err", "runtime_s"])
+        writer = _csv_writer(fh, cfg, sim_cfg.seed, ["n_paths", "steps_per_year", "mean", "std_err", "runtime_s"])
         writer.writerow(
             [sim_cfg.n_paths, sim_cfg.steps_per_year, _fmt(mean), _fmt(err), _fmt(runtime)]
         )
@@ -324,7 +321,7 @@ def cmd_simulate(args) -> int:
     hist = terminal_wealth_histogram(bundle, edges)
     hist_path = out.with_name(out.stem + "_hist" + out.suffix)
     with open(hist_path, "w", encoding="utf-8") as fh:
-        writer = _csv_writer(fh, cfg, ["bin_lo", "bin_hi", "count"])
+        writer = _csv_writer(fh, cfg, sim_cfg.seed, ["bin_lo", "bin_hi", "count"])
         for i in range(len(hist.counts)):
             writer.writerow([_fmt(hist.bin_edges[i]), _fmt(hist.bin_edges[i + 1]), hist.counts[i]])
         writer.writerow([_fmt(hist.bin_edges[-1]), "inf", hist.overflow])
@@ -353,7 +350,7 @@ def cmd_diagnose(args) -> int:
         p, cfg.chain, sim_cfg, checkpoints, strategy=_parse_strategy(args.strategy, p)
     )
     with open(args.out, "w", encoding="utf-8") as fh:
-        writer = _csv_writer(fh, cfg, ["t", "mean_phi", "std_err", "z_score"])
+        writer = _csv_writer(fh, cfg, sim_cfg.seed, ["t", "mean_phi", "std_err", "z_score"])
         for t, mean, err, z in rows:
             writer.writerow([_fmt(t), _fmt(mean), _fmt(err), _fmt(z)])
     print(f"wrote {args.out}")

@@ -8,7 +8,9 @@ state i to state j and every row sums to zero.  States are labeled
 Holding times in state i are Exponential(-q_ii); on a jump the next
 state j is drawn with probability q_ij / (-q_ii).  A state with
 q_ii = 0 is absorbing and never jumps.  ``PathTable`` keeps many paths
-as flat arrays and restarts them at any later time by truncation.
+as flat arrays and restarts them at any later time by truncation;
+``sample_block`` draws a block of paths from one RNG stream as array
+passes.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "Segments",
     "validate_intensity",
     "sample_path",
+    "sample_block",
     "transition_probabilities",
     "occupation_integral",
     "path_stream",
@@ -72,6 +75,22 @@ class MarkovChainSpec:
                 cum /= cum[-1]
             table.append((float(-row[i]), (targets + 1).tolist(), cum.tolist()))
         return tuple(table)
+
+    @functools.cached_property
+    def _jump_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``_jump_table`` as (rate, targets, cum) arrays, rows padded to one width.
+
+        ``targets`` holds 0-based labels and ``cum`` is padded with inf, so
+        ``(cum[i] <= u).sum()`` is ``bisect_right`` on state i's row.
+        """
+        l = self.n_states
+        rate = np.array([row[0] for row in self._jump_table])
+        targets = np.zeros((l, l), dtype=np.int64)
+        cum = np.full((l, l), np.inf)
+        for i, (_, tg, cm) in enumerate(self._jump_table):
+            targets[i, : len(tg)] = np.array(tg) - 1
+            cum[i, : len(cm)] = cm
+        return rate, targets, cum
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,10 +175,10 @@ def validate_intensity(matrix) -> MarkovChainSpec:
 
 
 def path_stream(seed, index: int) -> np.random.Generator:
-    """Dedicated RNG stream for one simulated path.
+    """Dedicated RNG stream for one path, or one block of paths.
 
-    Streams are derived deterministically from (seed, path index), so a
-    run is reproducible no matter how paths are batched.
+    Streams are derived deterministically from (seed, index), so a run
+    is reproducible no matter how its paths are batched.
     """
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(index))))
 
@@ -222,6 +241,54 @@ def _draw_jumps(
     return jump_times, states
 
 
+def sample_block(
+    spec: MarkovChainSpec, length: float, state0: int, n_paths: int, rng: np.random.Generator
+) -> "PathTable":
+    """Draw ``n_paths`` chain trajectories on [0, length] from state0, all from ``rng``.
+
+    The paths advance together in rounds.  Each round draws one holding
+    uniform per path still running, in path order, and then redraws the
+    zero ones in the same order until none is left.  It then draws one
+    target uniform per path whose jump lands at or before ``length``, in
+    path order, and picks the successor against the state's cumulative
+    row of ``spec._jump_table``.  As in ``sample_path``, a jump exactly
+    at ``length`` is kept and ends the path, and an absorbing state
+    never jumps.
+    """
+    _check_start(spec, 0.0, length, state0)
+    rate, targets, cum = spec._jump_arrays
+    path = np.arange(n_paths)
+    state = np.full(n_paths, state0 - 1)
+    t = np.zeros(n_paths)
+    paths, times, states = [path], [t], [state]
+    live = rate[state] > 0.0
+    while live.any():
+        path, state, t = path[live], state[live], t[live]
+        u = rng.random(len(path))
+        zero = np.flatnonzero(u == 0.0)
+        while zero.size:  # a zero holding time would repeat a jump instant
+            u[zero] = rng.random(zero.size)
+            zero = zero[u[zero] == 0.0]
+        t = t - np.log1p(-u) / rate[state]
+        jumped = t <= length
+        path, state, t = path[jumped], state[jumped], t[jumped]
+        hits = (cum[state] <= rng.random(len(path))[:, None]).sum(axis=1)
+        state = targets[state, hits]
+        paths.append(path)
+        times.append(t)
+        states.append(state)
+        live = (t < length) & (rate[state] > 0.0)
+    # round-major to path-major: a stable sort keeps each path's jumps in time order
+    path = np.concatenate(paths)
+    order = np.argsort(path, kind="stable")
+    return PathTable(
+        length=length,
+        first=np.concatenate(([0], np.cumsum(np.bincount(path, minlength=n_paths)))),
+        lo=np.concatenate(times)[order],
+        states=np.concatenate(states)[order] + 1,
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class Segments:
     """Flat segments of many truncated paths ("cells").
@@ -241,10 +308,12 @@ class Segments:
 class PathTable:
     """Chain paths drawn once from time 0 and stored as flat arrays.
 
-    For each start state ``starts[k]`` and each i < ``n_paths``, path
-    ``k * n_paths + i`` is ``sample_path`` on [0, length] from that state
-    on stream ``path_stream(seed, i)``.  Its segments are ``lo`` (0, then
-    the jump times) and ``states`` at ``first[p]:first[p + 1]``.
+    Path p's segments are ``lo`` (0, then the jump times) and ``states``
+    at ``first[p]:first[p + 1]``.  From ``sample``, for each start state
+    ``starts[k]`` and each i < ``n_paths``, path ``k * n_paths + i`` is
+    ``sample_path`` on [0, length] from that state on stream
+    ``path_stream(seed, i)``; ``sample_block`` fills a table from one
+    stream instead.
     """
 
     length: float

@@ -21,14 +21,18 @@ and factor updates would form left to right, so a step gathers one row
 per path and updates X and ln V in place without changing a bit of the
 result.
 
-Each path owns one RNG stream derived from (seed, path index) and draws
-the chain trajectory first and then its normal increments, so results
-are bitwise reproducible regardless of how paths are batched.  Setting
-``driver_steps_per_year`` draws the Brownian increments on a finer grid
-and sums them per step as they are drawn: two runs at different step
-sizes but the same driver resolution then share their Brownian paths
-exactly, which makes discretization-convergence comparisons nearly
-noise-free.
+Paths come in stream blocks of 256: block j (paths 256 j onward) owns
+the RNG stream derived from (seed, j).  It draws the chain trajectories
+of all its paths first (``sample_block``) and then their normal
+increments, step-major: driver step by driver step, the pair (dW_X,
+dW_perp) of every path in the block.  The stream layout does not depend
+on ``block_size``, which only sets how many stream blocks are stepped
+together, so results are bitwise reproducible regardless of batching.
+Setting ``driver_steps_per_year`` draws the Brownian increments on a
+finer grid and sums them per step as they are drawn: two runs at
+different step sizes but the same driver resolution then share their
+Brownian paths exactly, which makes discretization-convergence
+comparisons nearly noise-free.
 """
 
 from __future__ import annotations
@@ -40,11 +44,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .markov_chain import MarkovChainSpec, RegimePath, path_stream, sample_path
+from .markov_chain import MarkovChainSpec, RegimePath, path_stream, sample_block
 from .models import HestonRegimeParams, Variant
 from .regime_expectation import XiTable, upsilon_heston, xi_ode
 from .riccati import D_leverage, d_leverage_fn
-from .value_strategy import ValueQuery, optimal_strategy, value_smmh_rho
+from .value_strategy import ValueQuery, optimal_weights, value_smmh_rho
 
 __all__ = [
     "SimConfig",
@@ -58,6 +62,13 @@ __all__ = [
     "constant_strategy",
     "optimal_weight_fn",
 ]
+
+# A strategy maps step times to weights that broadcast to (len(times), n_states).
+Strategy = Callable[[np.ndarray], np.ndarray]
+
+_STREAM_BLOCK = 256  # paths per RNG stream: fixes the draw layout, not a memory bound
+_BLOCK = 8192  # paths stepped together when block_size is not given
+_DRIVER_CHUNK = 64  # driver steps of normals drawn per call into the reused buffer
 
 
 @dataclass(frozen=True)
@@ -81,10 +92,10 @@ class SimConfig:
             raise ConfigError("n_paths must be >= 1")
         if self.steps_per_year < 1:
             raise ConfigError("steps_per_year must be >= 1")
-        if self.v0 <= 0.0:
-            raise ConfigError("v0 must be strictly positive")
-        if self.x0 < 0.0:
-            raise ConfigError("x0 must be nonnegative")
+        if not (math.isfinite(self.v0) and self.v0 > 0.0):
+            raise ConfigError(f"v0 must be finite and strictly positive, got {self.v0}")
+        if not (math.isfinite(self.x0) and self.x0 >= 0.0):
+            raise ConfigError(f"x0 must be finite and nonnegative, got {self.x0}")
         if self.state0 < 1:
             raise ConfigError("state0 must be a 1-based state label")
         if self.driver_steps_per_year is not None and (
@@ -101,7 +112,8 @@ class PathBundle:
     value actually driving variance, hence nonnegative) and ``V``
     wealth; the asset price is not simulated.  ``min_v`` and
     ``min_x_effective`` are tracked over every step, not only recorded
-    ones.  RNG provenance: stream i belongs to path i under ``seed``.
+    ones.  RNG provenance: under ``seed``, stream j belongs to paths
+    256 j to 256 j + 255 (see the module docstring).
     """
 
     grid: np.ndarray
@@ -128,20 +140,21 @@ class PathBundle:
         return int(hits[0])
 
 
-def constant_strategy(weight: float) -> Callable[[float, int], float]:
+def constant_strategy(weight: float) -> Strategy:
     """Strategy holding a fixed fraction of wealth in the risky asset."""
 
-    def fn(t: float, state: int) -> float:
-        return weight
+    def fn(times: np.ndarray) -> np.ndarray:
+        return np.full((len(times), 1), float(weight))
 
     return fn
 
 
-def optimal_weight_fn(p: HestonRegimeParams) -> Callable[[float, int], float]:
-    """The optimal total weight as a plain (t, state) callable."""
+def optimal_weight_fn(p: HestonRegimeParams) -> Strategy:
+    """The optimal total weight pi_mv + pi_h as a strategy."""
 
-    def fn(t: float, state: int) -> float:
-        return optimal_strategy(p, t, state).pi_total
+    def fn(times: np.ndarray) -> np.ndarray:
+        pi_mv, pi_h = optimal_weights(p, times)
+        return pi_mv + pi_h
 
     return fn
 
@@ -167,7 +180,7 @@ def _record_indices(record, n_steps: int, grid: np.ndarray) -> np.ndarray:
 def simulate_paths(
     p: HestonRegimeParams,
     chain: MarkovChainSpec,
-    strategy: Callable[[float, int], float],
+    strategy: Strategy,
     cfg: SimConfig,
     record="all",
     frozen_path: RegimePath | None = None,
@@ -175,12 +188,13 @@ def simulate_paths(
 ) -> PathBundle:
     """Simulate the market under a given strategy.
 
-    ``record`` is "all", "terminal", or a sequence of times that must
-    lie on the step grid (the terminal time is always included).  With
-    ``frozen_path`` the regime trajectory is fixed instead of sampled,
-    which conditions the whole run on one chain path.  ``block_size``
-    only bounds memory; results are bitwise identical for any batching
-    because every path owns its own stream.
+    ``strategy`` is called once, on the step start times.  ``record`` is
+    "all", "terminal", or a sequence of times that must lie on the step
+    grid (the terminal time is always included).  With ``frozen_path``
+    the regime trajectory is fixed instead of sampled, which conditions
+    the whole run on one chain path.  ``block_size`` only bounds memory:
+    it is rounded up to whole stream blocks, and results are bitwise
+    identical for any batching.
     """
     if chain.n_states != p.n_states:
         raise ConfigError("chain and model disagree on the state count")
@@ -197,7 +211,6 @@ def simulate_paths(
     refine = 1
     if cfg.driver_steps_per_year is not None:
         refine = cfg.driver_steps_per_year // cfg.steps_per_year
-    n_driver = n_steps * refine
     sq_dtd = math.sqrt(dt / refine)
 
     rec_idx = _record_indices(record, n_steps, grid)
@@ -205,7 +218,7 @@ def simulate_paths(
     rec_slot = {int(j): s for s, j in enumerate(rec_idx)}
 
     l = p.n_states
-    pi = np.array([[strategy(float(t), e + 1) for e in range(l)] for t in grid[:-1]], dtype=float)
+    pi = np.broadcast_to(np.asarray(strategy(grid[:-1]), dtype=float), (n_steps, l))
     # coef[k, :, e]: r, pi lam_hat, (pi nu)^2 / 2, pi nu, kappa, theta, chi
     # at step k in state e (see the module docstring)
     pi_nu = pi * p.nu
@@ -225,68 +238,66 @@ def simulate_paths(
     min_lnv = math.inf
     min_xeff = math.inf
 
-    block = block_size or max(128, min(n_paths, int(4_200_000 // max(n_driver, 1)) + 1))
+    sb = _STREAM_BLOCK
+    block = -(-(block_size or _BLOCK) // sb) * sb
+    chunk = max(1, _DRIVER_CHUNK // refine)  # steps per normal draw
+    buf = np.empty(chunk * refine * 2 * sb)
+    state0 = cfg.state0 if frozen_path is None else int(frozen_path.state_at(grid[0]))
     for i0 in range(0, n_paths, block):
         i1 = min(i0 + block, n_paths)
         b = i1 - i0
-        # step-major, so each step reads contiguous rows
-        dwx = np.empty((n_steps, b))
-        dwp = np.empty((n_steps, b))
-        e_steps = np.empty((n_steps, b), dtype=np.int16)
-        for ib in range(b):
-            rng = path_stream(cfg.seed, i0 + ib)
-            # draw order per path: chain first, then the normal block
-            path = frozen_path
-            if path is None:
-                path = sample_path(chain, 0.0, horizon, cfg.state0, rng)
-            z = rng.standard_normal((n_driver, 2)).reshape(n_steps, refine, 2).sum(axis=1) * sq_dtd
-            dwx[:, ib] = z[:, 0]
-            dwp[:, ib] = rho * z[:, 0] + sq1mr * z[:, 1]
-            states = path.state_at(grid)
-            e_steps[:, ib] = states[:-1] - 1
-            out_states[i0 + ib] = states[rec_idx]
+        streams = [(j0 - i0, min(sb, i1 - j0), path_stream(cfg.seed, j0 // sb)) for j0 in range(i0, i1, sb)]
+        changes = _state_changes(chain, frozen_path, grid, state0, b, streams)
+        dwx = np.empty((chunk, b))
+        dwp = np.empty((chunk, b))
 
+        e = np.full(b, state0 - 1, dtype=np.int16)
         x = np.full(b, cfg.x0)
         lnv = np.full(b, math.log(cfg.v0))
-        if 0 in rec_slot:
-            s = rec_slot[0]
-            out_x[i0:i1, s] = np.maximum(x, 0.0)
-            out_v[i0:i1, s] = np.exp(lnv)
         g = np.empty((7, b))
         rr, pl, h, pn, kap, th, ch = g
         xp, sq, acc, tmp = np.empty((4, b))
         lo_xp = np.full(b, math.inf)
         lo_lnv = np.full(b, math.inf)
-        for k in range(n_steps):
+        for k in range(n_steps + 1):
+            if k in changes:
+                idx, labels = changes[k]
+                e[idx] = labels
+            if k in rec_slot:
+                s = rec_slot[k]
+                out_states[i0:i1, s] = e + 1
+                out_x[i0:i1, s] = np.maximum(x, 0.0)
+                out_v[i0:i1, s] = np.exp(lnv)
+            if k == n_steps:
+                break
+            c = k % chunk
+            if c == 0:
+                _draw_increments(streams, min(chunk, n_steps - k), refine, buf, sq_dtd, rho, sq1mr, dwx, dwp)
             # the labels are valid indices; mode="clip" lets take write into g unbuffered
-            np.take(coef[k], e_steps[k], axis=1, out=g, mode="clip")
+            np.take(coef[k], e, axis=1, out=g, mode="clip")
             np.maximum(x, 0.0, out=xp)
             np.sqrt(xp, out=sq)
-            # lnv += (rr + pl * xp - h * xp) * dt + pn * sq * dwp[k]
+            # lnv += (rr + pl * xp - h * xp) * dt + pn * sq * dwp[c]
             np.multiply(pl, xp, out=acc)
             acc += rr
             np.multiply(h, xp, out=tmp)
             acc -= tmp
             acc *= dt
             np.multiply(pn, sq, out=tmp)
-            tmp *= dwp[k]
+            tmp *= dwp[c]
             acc += tmp
             lnv += acc
-            # x += kap * (th - xp) * dt, then x += ch * sq * dwx[k]: drift first,
+            # x += kap * (th - xp) * dt, then x += ch * sq * dwx[c]: drift first,
             # since fixed-seed outputs depend on the order
             np.subtract(th, xp, out=acc)
             acc *= kap
             acc *= dt
             x += acc
             np.multiply(ch, sq, out=acc)
-            acc *= dwx[k]
+            acc *= dwx[c]
             x += acc
             np.minimum(lo_xp, xp, out=lo_xp)
             np.minimum(lo_lnv, lnv, out=lo_lnv)
-            if k + 1 in rec_slot:
-                s = rec_slot[k + 1]
-                out_x[i0:i1, s] = np.maximum(x, 0.0)
-                out_v[i0:i1, s] = np.exp(lnv)
         if not np.all(np.isfinite(lnv)):
             raise FloatingPointError("wealth overflowed; check the strategy and parameters")
         min_xeff = min(min_xeff, float(lo_xp.min()))
@@ -302,6 +313,65 @@ def simulate_paths(
         min_v=math.exp(min_lnv),
         min_x_effective=min_xeff,
     )
+
+
+def _state_changes(chain, frozen_path, grid, state0, b, streams) -> dict[int, tuple]:
+    """Regime changes of one memory block, keyed by grid index.
+
+    Entry k is (paths, 0-based labels) to assign before grid time k is
+    used, so that every path holds the state ``state_at(grid[k])`` would
+    give: a jump at time s lands on the first k with grid[k] >= s.  A
+    frozen path changes every path at once; otherwise each stream block
+    draws its chain from its stream, and only the last jump of a path
+    within one step is kept, since a fancy assignment with repeated
+    indices has no defined order.
+    """
+    if frozen_path is not None:
+        steps = np.searchsorted(grid, frozen_path.jump_times, side="left").tolist()
+        # later jumps in the same step overwrite earlier ones
+        return {k: (slice(None), label - 1) for k, label in zip(steps, frozen_path.states[1:].tolist())}
+    paths, times, labels = [], [], []
+    for off, nb, rng in streams:
+        table = sample_block(chain, grid[-1], state0, nb, rng)
+        jump = np.ones(len(table.lo), dtype=bool)
+        jump[table.first[:-1]] = False
+        paths.append(np.repeat(np.arange(off, off + nb), np.diff(table.first))[jump])
+        times.append(table.lo[jump])
+        labels.append(table.states[jump] - 1)
+    paths, labels = np.concatenate(paths), np.concatenate(labels)
+    steps = np.searchsorted(grid, np.concatenate(times), side="left")
+    # stable on (step, path), so a path's jumps within one step stay in time order
+    key = steps * b + paths
+    order = np.argsort(key, kind="stable")
+    key, steps, paths, labels = key[order], steps[order], paths[order], labels[order]
+    last = np.ones(len(key), dtype=bool)
+    last[:-1] = key[1:] != key[:-1]
+    steps, paths, labels = steps[last], paths[last], labels[last].astype(np.int16)
+    cuts = np.flatnonzero(np.diff(steps)) + 1
+    return {
+        int(ks[0]): (ps, ls)
+        for ks, ps, ls in zip(np.split(steps, cuts), np.split(paths, cuts), np.split(labels, cuts))
+        if len(ks)
+    }
+
+
+def _draw_increments(streams, n, refine, buf, sq_dtd, rho, sq1mr, dwx, dwp) -> None:
+    """Fill rows :n of dwx and dwp with the next n steps' increments of every stream block.
+
+    Each stream draws its (driver step, pair, path) normals into ``buf``;
+    consecutive calls continue the stream exactly where the last one
+    stopped, so chunking does not change a single draw.
+    """
+    for off, nb, rng in streams:
+        z = buf[: n * refine * 2 * nb].reshape(n * refine, 2, nb)
+        rng.standard_normal(out=z)
+        zx, zp = z[:, 0], z[:, 1]
+        if refine > 1:
+            zx = zx.reshape(n, refine, nb).sum(axis=1)
+            zp = zp.reshape(n, refine, nb).sum(axis=1)
+        cols = slice(off, off + nb)
+        np.multiply(zx, sq_dtd, out=dwx[:n, cols])
+        dwp[:n, cols] = rho * dwx[:n, cols] + sq1mr * (zp * sq_dtd)
 
 
 def expected_utility_mc(bundle: PathBundle, delta: float) -> tuple[float, float]:
@@ -351,7 +421,7 @@ def martingale_diagnostic(
     cfg: SimConfig,
     checkpoints: Sequence[float],
     xi: XiTable | None = None,
-    strategy: Callable[[float, int], float] | None = None,
+    strategy: Strategy | None = None,
 ) -> list[tuple[float, float, float, float]]:
     """Sample means of the value process along simulated paths.
 

@@ -31,6 +31,7 @@ from .riccati import D_leverage, PiecewiseAB, compose_piecewise, compose_segment
 __all__ = [
     "ValueQuery",
     "StrategyPoint",
+    "optimal_weights",
     "optimal_strategy",
     "timedep_strategy",
     "value_timedep_heston",
@@ -78,16 +79,15 @@ class StrategyPoint:
         return cls(pi_mv=pi_mv, pi_h=pi_h, pi_total=pi_mv + pi_h)
 
 
-def optimal_strategy(p: HestonRegimeParams, t: float, state: int) -> StrategyPoint:
-    """Optimal portfolio weight at (t, state); wealth and factor free.
+def optimal_weights(p: HestonRegimeParams, times) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal (pi_mv, pi_h) at every time and state, as two (n_t, l) arrays.
 
-    The separable variants use the exponent D(t) in the hedging part,
-    which vanishes at rho = 0 (always for SMMH); MMH is solved only at
-    rho = 0 and has no hedging part.
+    Wealth and factor free.  The separable variants use the exponent
+    D(t) in the hedging part, which vanishes at rho = 0 (always for
+    SMMH); MMH is solved only at rho = 0 and has no hedging part.
     """
-    if not 1 <= state <= p.n_states:
-        raise ValueError(f"state must be in 1..{p.n_states}")
-    e = state - 1
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    shape = (len(times), p.n_states)
     inv = 1.0 / (1.0 - p.delta)
     if p.variant is Variant.MMH:
         if p.rho != 0.0:
@@ -95,14 +95,22 @@ def optimal_strategy(p: HestonRegimeParams, t: float, state: int) -> StrategyPoi
                 "no optimal strategy is available for MMH with rho != 0 and "
                 "state-dependent coefficients"
             )
-        return StrategyPoint.of(float(inv * p.lam_hat[e] / p.nu[e] ** 2), 0.0)
-    pi_mv = inv * p.d / p.nu[e]
-    pi_h = inv * p.rho * (p.chi[e] / p.nu[e]) * D_leverage(p, t)
-    return StrategyPoint.of(float(pi_mv), float(pi_h))
+        return np.broadcast_to(inv * p.lam_hat / p.nu**2, shape), np.zeros(shape)
+    pi_mv = np.broadcast_to(inv * p.d / p.nu, shape)
+    pi_h = inv * p.rho * (p.chi / p.nu) * D_leverage(p, times)[:, None]
+    return pi_mv, pi_h
 
 
-def timedep_strategy(p: HestonRegimeParams, coeffs: PiecewiseAB) -> Callable[[float, int], float]:
-    """Optimal weight along one frozen regime trajectory.
+def optimal_strategy(p: HestonRegimeParams, t: float, state: int) -> StrategyPoint:
+    """Optimal portfolio weight at (t, state): one cell of ``optimal_weights``."""
+    if not 1 <= state <= p.n_states:
+        raise ValueError(f"state must be in 1..{p.n_states}")
+    pi_mv, pi_h = optimal_weights(p, t)
+    return StrategyPoint.of(float(pi_mv[0, state - 1]), float(pi_h[0, state - 1]))
+
+
+def timedep_strategy(p: HestonRegimeParams, coeffs: PiecewiseAB) -> Callable[[np.ndarray], np.ndarray]:
+    """Optimal weight along one frozen regime trajectory, as an (n_t, l) table.
 
     pi(t, e) = (1/(1-delta)) [ lam_hat(e)/nu(e)^2
                                + rho (chi(e)/nu(e)) vt B(t) ].
@@ -111,9 +119,8 @@ def timedep_strategy(p: HestonRegimeParams, coeffs: PiecewiseAB) -> Callable[[fl
     slope = p.excess_slope / p.nu**2
     hedge_coef = p.rho * p.chi / p.nu * coeffs.vartheta
 
-    def weight(t: float, state: int) -> float:
-        e = state - 1
-        return float(inv * (slope[e] + hedge_coef[e] * coeffs.B(t)))
+    def weight(times: np.ndarray) -> np.ndarray:
+        return inv * (slope + hedge_coef * coeffs.B(times)[:, None])
 
     return weight
 

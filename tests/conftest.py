@@ -1,3 +1,6 @@
+import bisect
+import math
+
 import numpy as np
 import pytest
 
@@ -50,3 +53,33 @@ def random_intensity(rng: np.random.Generator, l: int, max_rate: float = 2.0) ->
     np.fill_diagonal(q, 0.0)
     np.fill_diagonal(q, -q.sum(axis=1))
     return q
+
+
+def scalar_block_chain(chain, horizon, state0, n, rng):
+    """``sample_block``'s rounds, one draw at a time on Python floats.
+
+    Returns each path's jumps as (jump times, labels after each jump).
+    """
+    table = chain._jump_table
+    t, state = [0.0] * n, [state0] * n
+    jumps = [([], []) for _ in range(n)]
+    running = [i for i in range(n) if table[state0 - 1][0] > 0.0]
+    while running:
+        u = [rng.random() for _ in running]
+        zero = [j for j, x in enumerate(u) if x == 0.0]
+        while zero:
+            for j in zero:
+                u[j] = rng.random()
+            zero = [j for j in zero if u[j] == 0.0]
+        landed = []
+        for j, i in enumerate(running):
+            t[i] = t[i] - math.log1p(-u[j]) / table[state[i] - 1][0]
+            if t[i] <= horizon:
+                landed.append(i)
+        for i in landed:
+            _, targets, cum = table[state[i] - 1]
+            state[i] = targets[bisect.bisect_right(cum, rng.random())]
+            jumps[i][0].append(t[i])
+            jumps[i][1].append(state[i])
+        running = [i for i in landed if t[i] < horizon and table[state[i] - 1][0] > 0.0]
+    return jumps

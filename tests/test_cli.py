@@ -4,6 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
+import rsheston as rs
 import rsheston.cli as cli
 
 
@@ -206,7 +207,54 @@ class TestRunConfigValidation:
         assert not out.exists()
 
 
+def _mmh_config(tmp_path, set1_path):
+    text = set1_path.read_text().replace("variant = smmh_rho", "variant = mmh")
+    text = text.replace("rho = -0.8", "rho = 0.0")
+    text = text.replace("d = 1.7", "lambda_hat.1 = 1.7\nlambda_hat.2 = 2.21")
+    text = text.replace("n_paths_xi = 10000", "n_paths_xi = 150")
+    cfg_file = tmp_path / "mmh.cfg"
+    cfg_file.write_text(text)
+    return cfg_file
+
+
+def _solve_reference(cfg_path, t_grid: int) -> str:
+    """The ``solve`` CSV built row by row from the scalar library calls."""
+    cfg = cli.load_config(cfg_path)
+    p = cfg.params
+    mmh = p.variant is rs.Variant.MMH
+    times = np.linspace(0.0, p.horizon, t_grid)
+    util = cfg.v0**p.delta / p.delta
+    if mmh:
+        phi_mmh, _ = rs.value_mmh_table(p, cfg.chain, times, cfg.v0, cfg.x0, cfg.n_paths_xi, cfg.seed)
+    else:
+        xi = rs.xi_ode(cfg.chain, rs.upsilon_heston(p, rs.d_leverage_fn(p)), cfg.grid_step)
+
+    def fmt(x):
+        return "" if np.isnan(x) else f"{float(x):.17g}"
+
+    lines = [f"# config_sha256={cfg.sha256} seed={cfg.seed}", "t,state,phi,xi,D_or_B,pi_mv,pi_h,pi_total"]
+    for k, t in enumerate(times.tolist()):
+        for state in range(1, p.n_states + 1):
+            if mmh:
+                phi, coeff = phi_mmh[k, state - 1], float("nan")
+                xi_val = phi / util
+            else:
+                phi = rs.value_smmh_rho(p, rs.ValueQuery(t=t, v=cfg.v0, x=cfg.x0, state=state), xi)
+                coeff, xi_val = rs.D_leverage(p, t), xi.at(t, state)
+            sp = rs.optimal_strategy(p, t, state)
+            row = [fmt(t), str(state), *map(fmt, (phi, xi_val, coeff, sp.pi_mv, sp.pi_h, sp.pi_total))]
+            lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
 class TestSolveCommand:
+    @pytest.mark.parametrize("name", ["set1", "set2", "mmh"])
+    def test_table_matches_row_by_row_reference(self, name, set1_path, set2_path, tmp_path):
+        cfg_path = {"set1": set1_path, "set2": set2_path}.get(name) or _mmh_config(tmp_path, set1_path)
+        out = tmp_path / "solve.csv"
+        assert cli.main(["solve", str(cfg_path), "--t-grid", "11", "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == _solve_reference(cfg_path, 11)
+
     def test_set1_solution_table(self, set1_path, tmp_path, capsys):
         out = tmp_path / "solve.csv"
         assert cli.main(["solve", str(set1_path), "--t-grid", "6", "--out", str(out)]) == 0
@@ -257,12 +305,7 @@ class TestSolveCommand:
         assert float(rows[0]["phi"]) == pytest.approx(float(ode_rows[0]["phi"]), abs=0.01)
 
     def test_mmh_partial_mc_route(self, tmp_path, set1_path):
-        text = set1_path.read_text().replace("variant = smmh_rho", "variant = mmh")
-        text = text.replace("rho = -0.8", "rho = 0.0")
-        text = text.replace("d = 1.7", "lambda_hat.1 = 1.7\nlambda_hat.2 = 2.21")
-        text = text.replace("n_paths_xi = 10000", "n_paths_xi = 150")
-        cfg_file = tmp_path / "mmh.cfg"
-        cfg_file.write_text(text)
+        cfg_file = _mmh_config(tmp_path, set1_path)
         out = tmp_path / "solve_mmh.csv"
         assert cli.main(["solve", str(cfg_file), "--t-grid", "3", "--out", str(out)]) == 0
         _, rows = read_csv(out)
@@ -296,6 +339,14 @@ class TestSimulateCommand:
         assert hist_rows[-1]["bin_hi"] == "inf"
         assert sum(int(r["count"]) for r in hist_rows) == 300
 
+    def test_header_records_the_seed_in_effect(self, set1_path, tmp_path):
+        out = tmp_path / "sim.csv"
+        argv = ["simulate", str(set1_path), "--paths", "20", "--steps-per-year", "10", "--seed", "5"]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        for path in (out, tmp_path / "sim_hist.csv"):
+            comment, _ = read_csv(path)
+            assert comment.rstrip("\n").endswith(" seed=5")
+
     def test_single_path_has_no_stderr(self, set1_path, tmp_path):
         out = tmp_path / "sim1.csv"
         cli.main(["simulate", str(set1_path), "--paths", "1", "--steps-per-year", "20",
@@ -328,6 +379,13 @@ class TestDiagnoseCommand:
         assert code == 0
         _, rows = read_csv(out)
         assert float(rows[0]["z_score"]) == 0.0
+
+    def test_header_records_the_seed_in_effect(self, set1_path, tmp_path):
+        out = tmp_path / "diag.csv"
+        argv = ["diagnose", str(set1_path), "--checkpoints", "0,5", "--paths", "20", "--seed", "9"]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        comment, _ = read_csv(out)
+        assert comment.rstrip("\n").endswith(" seed=9")
 
     def test_constant_strategy_flag(self, set1_path, tmp_path):
         out = tmp_path / "diag_const.csv"

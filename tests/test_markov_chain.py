@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.linalg import expm
 from hypothesis import strategies as st
 
 import rsheston as rs
-from conftest import Q_TWO_STATE, random_intensity
+from conftest import Q_TWO_STATE, random_intensity, scalar_block_chain
 
 Q12, Q21 = 1.0909, 3.4413
 
@@ -126,6 +127,46 @@ def test_sample_path_matches_per_jump_reference(name):
         assert path.jump_times.tobytes() == jump_times.tobytes(), i
         assert path.states.tobytes() == states.tobytes(), i
         assert rng_a.random() == rng_b.random(), i
+
+
+class TestSampleBlock:
+    Q = SAMPLER_CHAINS["absorbing_state"]
+
+    @pytest.mark.parametrize("state0", [1, 2, 3])
+    def test_state_law_matches_expm(self, state0):
+        # the state at s follows row state0 of exp(Q s), at every s up to the horizon
+        spec = rs.validate_intensity(self.Q)
+        n, horizon = 20_000, 1.2
+        table = rs.sample_block(spec, horizon, state0, n, rs.path_stream(51, state0))
+        starts = table.first[:-1]
+        for s in (0.3, 0.7, horizon):
+            labels = table.states[starts + np.add.reduceat(table.lo <= s, starts) - 1]
+            row = expm(np.array(self.Q) * s)[state0 - 1]
+            for e in range(3):
+                freq, prob = np.mean(labels == e + 1), row[e]
+                # a certain or impossible state must be hit exactly
+                assert abs(freq - prob) <= 4 * math.sqrt(prob * (1 - prob) / n) + 1e-12, (s, e)
+
+    @pytest.mark.parametrize("state0", [1, 2, 3])
+    def test_every_path_is_a_valid_regime_path(self, state0):
+        spec = rs.validate_intensity(self.Q)
+        table = rs.sample_block(spec, 5.0, state0, 3000, rs.path_stream(52, state0))
+        assert table.first[0] == 0 and len(table.first) == 3001
+        for a, b in zip(table.first[:-1], table.first[1:]):
+            assert table.lo[a] == 0.0 and table.states[a] == state0
+            rs.RegimePath(start=0.0, horizon=5.0, jump_times=table.lo[a + 1:b], states=table.states[a:b])
+        if state0 == 2:  # absorbing
+            assert len(table.lo) == 3000
+
+    def test_matches_scalar_rounds_and_is_reproducible(self):
+        spec = rs.validate_intensity(SAMPLER_CHAINS["uneven_with_zero_rate"])
+        rng_a, rng_b = rs.path_stream(53, 0), rs.path_stream(53, 0)
+        table = rs.sample_block(spec, 5.0, 3, 500, rng_a)
+        for p, (jumps, labels) in enumerate(scalar_block_chain(spec, 5.0, 3, 500, rng_b)):
+            a, b = table.first[p], table.first[p + 1]
+            np.testing.assert_allclose(table.lo[a + 1:b], jumps, rtol=1e-14)
+            assert table.states[a + 1:b].tolist() == labels
+        assert rng_a.random() == rng_b.random()
 
 
 class TestTransitionProbabilities:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import rsheston as rs
-from conftest import make_params
+from conftest import make_params, scalar_block_chain
+from rsheston.simulate import _STREAM_BLOCK
 
 
 def one_state_params(**overrides):
@@ -28,6 +29,15 @@ class TestSimConfig:
                 n_paths=1, steps_per_year=10, seed=1, v0=1.0, x0=0.0, state0=1,
                 driver_steps_per_year=15,
             )
+
+    @pytest.mark.parametrize(
+        "field, value", [("v0", math.nan), ("v0", math.inf), ("x0", math.inf), ("x0", math.nan)]
+    )
+    def test_rejects_non_finite_initial_values(self, field, value):
+        kwargs = dict(n_paths=1, steps_per_year=10, seed=1, v0=1.0, x0=0.0, state0=1)
+        kwargs[field] = value
+        with pytest.raises(rs.ConfigError, match=field):
+            rs.SimConfig(**kwargs)
 
 
 class TestScheme:
@@ -103,11 +113,13 @@ class TestScheme:
         assert abs(coarse[0] - fine[0]) < coarse[1]
 
 
-def _scalar_reference(p, chain, strategy, cfg, frozen_path=None):
+def _scalar_reference(p, chain, weight, cfg, frozen_path=None):
     """The module docstring's scheme, one path and one step at a time on Python floats.
 
-    Draws exactly what ``simulate_paths`` draws from each path's stream and
-    keeps its operation order; returns (X, ln V, states) at every grid
+    Redraws what ``simulate_paths`` draws from each stream block's stream,
+    the chain of every path in the block first and then all of its normals
+    in one call, and keeps its operation order; ``weight(t, state)`` is the
+    strategy as a scalar function.  Returns (X, ln V, states) at every grid
     time plus the running minima of ln V and of the truncated factor.
     """
     horizon = p.horizon
@@ -124,72 +136,122 @@ def _scalar_reference(p, chain, strategy, cfg, frozen_path=None):
     lnvs = np.empty((cfg.n_paths, n_steps + 1))
     states = np.empty((cfg.n_paths, n_steps + 1), dtype=np.int64)
     min_lnv = min_xp = math.inf
-    for i in range(cfg.n_paths):
-        rng = rs.path_stream(cfg.seed, i)
-        path = frozen_path or rs.sample_path(chain, 0.0, horizon, cfg.state0, rng)
-        z = rng.standard_normal((n_steps * refine, 2)).tolist()
-        jumps, labels = path.jump_times.tolist(), path.states.tolist()
-        states[i] = [labels[bisect.bisect_right(jumps, t)] for t in grid]
-        x, lnv = cfg.x0, math.log(cfg.v0)
-        xs[i, 0], lnvs[i, 0] = max(x, 0.0), lnv
-        for k in range(n_steps):
-            zx = sum(row[0] for row in z[k * refine:(k + 1) * refine]) * sq_dtd
-            zp = sum(row[1] for row in z[k * refine:(k + 1) * refine]) * sq_dtd
-            dwx, dwp = zx, rho * zx + sq1mr * zp
-            e = states[i, k] - 1
-            pi = strategy(grid[k], e + 1)
-            xp = max(x, 0.0)
-            sq = math.sqrt(xp)
-            pn = pi * nu[e]
-            lnv += (r[e] + pi * lam[e] * xp - 0.5 * (pn * pn) * xp) * dt + pn * sq * dwp
-            x += kappa[e] * (theta[e] - xp) * dt
-            x += chi[e] * sq * dwx
-            min_xp, min_lnv = min(min_xp, xp), min(min_lnv, lnv)
-            xs[i, k + 1], lnvs[i, k + 1] = max(x, 0.0), lnv
+    for j0 in range(0, cfg.n_paths, _STREAM_BLOCK):
+        nb = min(_STREAM_BLOCK, cfg.n_paths - j0)
+        rng = rs.path_stream(cfg.seed, j0 // _STREAM_BLOCK)
+        if frozen_path is None:
+            paths = scalar_block_chain(chain, horizon, cfg.state0, nb, rng)
+        else:
+            paths = [(frozen_path.jump_times.tolist(), frozen_path.states[1:].tolist())] * nb
+        z = rng.standard_normal((n_steps * refine, 2, nb)).tolist()
+        for c, (jumps, after) in enumerate(paths):
+            i = j0 + c
+            labels = [cfg.state0 if frozen_path is None else int(frozen_path.states[0]), *after]
+            states[i] = [labels[bisect.bisect_right(jumps, t)] for t in grid]
+            x, lnv = cfg.x0, math.log(cfg.v0)
+            xs[i, 0], lnvs[i, 0] = max(x, 0.0), lnv
+            for k in range(n_steps):
+                zx = sum(row[0][c] for row in z[k * refine:(k + 1) * refine]) * sq_dtd
+                zp = sum(row[1][c] for row in z[k * refine:(k + 1) * refine]) * sq_dtd
+                dwx, dwp = zx, rho * zx + sq1mr * zp
+                e = states[i, k] - 1
+                pi = weight(grid[k], e + 1)
+                xp = max(x, 0.0)
+                sq = math.sqrt(xp)
+                pn = pi * nu[e]
+                lnv += (r[e] + pi * lam[e] * xp - 0.5 * (pn * pn) * xp) * dt + pn * sq * dwp
+                x += kappa[e] * (theta[e] - xp) * dt
+                x += chi[e] * sq * dwx
+                min_xp, min_lnv = min(min_xp, xp), min(min_lnv, lnv)
+                xs[i, k + 1], lnvs[i, k + 1] = max(x, 0.0), lnv
     return xs, lnvs, states, min_lnv, min_xp
 
 
 def _three_state_market():
+    """A 3-state market and a time-dependent weight, as a strategy and as a scalar function."""
     p = rs.HestonRegimeParams(
         variant="smmh_rho", horizon=2.0, delta=-0.5, rho=0.4, r=[0.03, 0.01, 0.02],
         nu=[1.0, 1.3, 0.8], kappa=3.0, theta=[0.02, 0.04, 0.03], chi=0.3, d=-0.7,
     )
     chain = rs.validate_intensity([[-1.5, 1.5, 0.0], [0.2, -2.7, 2.5], [4.0, 0.3, -4.3]])
-    return p, chain, lambda t, state: 0.4 * state - 0.15 * t
+
+    def strategy(times):
+        return 0.4 * np.arange(1, 4) - 0.15 * np.asarray(times)[:, None]
+
+    return p, chain, strategy, lambda t, state: 0.4 * state - 0.15 * t
+
+
+def _frozen_path(horizon=5.0):
+    return rs.RegimePath(
+        start=0.0, horizon=horizon, jump_times=np.array([0.9, 2.05, 3.3]), states=np.array([2, 1, 2, 1])
+    )
 
 
 @pytest.mark.parametrize(
-    "three_states, frozen, driver_steps_per_year, block_size",
+    "three_states, frozen, driver_steps_per_year, block_size, n_paths",
     [
-        pytest.param(False, False, None, None, id="refine1"),
-        pytest.param(False, False, 60, None, id="refine3"),
-        pytest.param(False, False, 60, 7, id="refine3_block7"),
-        pytest.param(False, True, None, 7, id="frozen_block7"),
-        pytest.param(True, False, 60, 7, id="three_states"),
+        pytest.param(False, False, None, None, 23, id="refine1"),
+        pytest.param(False, False, 60, None, 23, id="refine3"),
+        pytest.param(False, False, 60, 7, 23, id="refine3_block7"),
+        pytest.param(False, True, None, 7, 23, id="frozen_block7"),
+        pytest.param(True, False, 60, 7, 23, id="three_states"),
+        pytest.param(False, False, None, 7, 2 * _STREAM_BLOCK + 23, id="partial_stream_block"),
     ],
 )
 def test_simulate_paths_matches_scalar_reference(
-    three_states, frozen, driver_steps_per_year, block_size, chain2, set1
+    three_states, frozen, driver_steps_per_year, block_size, n_paths, chain2, set1
 ):
     p, chain, strategy = set1, chain2, rs.optimal_weight_fn(set1)
+    weight = lambda t, state: rs.optimal_strategy(set1, t, state).pi_total  # noqa: E731
     if three_states:
-        p, chain, strategy = _three_state_market()
-    path = None
-    if frozen:
-        path = rs.RegimePath(
-            start=0.0, horizon=p.horizon, jump_times=np.array([0.9, 2.05, 3.3]), states=np.array([2, 1, 2, 1])
-        )
+        p, chain, strategy, weight = _three_state_market()
+    path = _frozen_path() if frozen else None
     cfg = rs.SimConfig(
-        n_paths=23, steps_per_year=20, seed=17, v0=10.0, x0=0.01, state0=2,
+        n_paths=n_paths, steps_per_year=20, seed=17, v0=10.0, x0=0.01, state0=2,
         driver_steps_per_year=driver_steps_per_year,
     )
     bundle = rs.simulate_paths(p, chain, strategy, cfg, record="all", frozen_path=path, block_size=block_size)
-    xs, lnvs, states, min_lnv, min_xp = _scalar_reference(p, chain, strategy, cfg, path)
+    xs, lnvs, states, min_lnv, min_xp = _scalar_reference(p, chain, weight, cfg, path)
     assert bundle.X.tobytes() == xs.tobytes()
     assert bundle.V.tobytes() == np.exp(lnvs).tobytes()
     np.testing.assert_array_equal(bundle.states, states)
     assert bundle.min_v == math.exp(min_lnv)
     assert bundle.min_x_effective == min_xp
+
+
+@pytest.mark.parametrize(
+    "frozen, driver_steps_per_year",
+    [
+        pytest.param(False, None, id="sampled"),
+        pytest.param(True, None, id="frozen"),
+        pytest.param(False, 60, id="refine3"),
+    ],
+)
+def test_results_do_not_depend_on_block_size(frozen, driver_steps_per_year, chain2, set1):
+    cfg = rs.SimConfig(
+        n_paths=2 * _STREAM_BLOCK + 37, steps_per_year=20, seed=23, v0=10.0, x0=0.01, state0=1,
+        driver_steps_per_year=driver_steps_per_year,
+    )
+    path = _frozen_path() if frozen else None
+    runs = [
+        rs.simulate_paths(
+            set1, chain2, rs.optimal_weight_fn(set1), cfg, record=[1.0, 2.5], frozen_path=path, block_size=size
+        )
+        for size in (None, 7, _STREAM_BLOCK + 1)
+    ]
+    for other in runs[1:]:
+        for field in ("X", "V", "states"):
+            assert getattr(other, field).tobytes() == getattr(runs[0], field).tobytes()
+        assert other.min_v == runs[0].min_v
+        assert other.min_x_effective == runs[0].min_x_effective
+
+
+def test_weight_table_matches_scalar_route(set1, set2):
+    grid = np.arange(1251) * (5.0 / 1250)
+    for p in (set1, set2):
+        table = rs.optimal_weight_fn(p)(grid)
+        scalar = [[rs.optimal_strategy(p, float(t), e).pi_total for e in (1, 2)] for t in grid]
+        assert table.tobytes() == np.array(scalar).tobytes()
 
 
 class TestHistogram:
