@@ -228,6 +228,12 @@ def load_config(path) -> RunConfig:
     if not 1 <= state0 <= l:
         raise ConfigError(f"[initial] state0 must be a state label in 1..{l}, got {state0}")
     solver = sections.get("solver", {})
+    n_paths_xi = _number(solver, "n_paths_xi", int, default=10000)
+    if n_paths_xi < 1:
+        raise ConfigError(f"[solver] n_paths_xi must be >= 1, got {n_paths_xi}")
+    seed = _number(solver, "seed", int, default=12345)
+    if seed < 0:
+        raise ConfigError(f"[solver] seed must be >= 0, got {seed}")
     sim = sections.get("sim", {})
     return RunConfig(
         params=params,
@@ -236,8 +242,8 @@ def load_config(path) -> RunConfig:
         x0=x0,
         state0=state0,
         grid_step=_number(solver, "grid_step", default=params.horizon / 5000.0),
-        n_paths_xi=_number(solver, "n_paths_xi", int, default=10000),
-        seed=_number(solver, "seed", int, default=12345),
+        n_paths_xi=n_paths_xi,
+        seed=seed,
         n_paths=_number(sim, "n_paths", int, default=100000),
         steps_per_year=_number(sim, "steps_per_year", int, default=250),
         sha256=hashlib.sha256(raw).hexdigest(),
@@ -357,14 +363,19 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an int of at least ``low``, else a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="value function and strategy table as CSV")
     sp.add_argument("config")
-    sp.add_argument("--t-grid", type=_positive_int, default=51)
+    sp.add_argument("--t-grid", type=_int_at_least(1), default=51)
     sp.add_argument("--out", default="solve.csv")
     sp.add_argument("--xi-method", choices=("ode", "mc"), default="ode")
     sp.set_defaults(fn=cmd_solve)
@@ -389,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("config")
     sp.add_argument("--paths", type=int, default=None)
     sp.add_argument("--steps-per-year", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=_int_at_least(0), default=None)
     sp.add_argument("--out", default="simulate.csv")
     sp.add_argument("--bins", type=int, default=30)
     sp.add_argument("--overflow-at", type=float, default=150.0)
@@ -400,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--checkpoints", default="0,1,2,3,4,5")
     sp.add_argument("--strategy", default="optimal")
     sp.add_argument("--paths", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=_int_at_least(0), default=None)
     sp.add_argument("--out", default="diagnose.csv")
     sp.set_defaults(fn=cmd_diagnose)
     return parser

@@ -10,7 +10,9 @@ state j is drawn with probability q_ij / (-q_ii).  A state with
 q_ii = 0 is absorbing and never jumps.  ``PathTable`` keeps many paths
 as flat arrays and restarts them at any later time by truncation;
 ``sample_block`` draws a block of paths from one RNG stream as array
-passes.
+passes.  Every array route gives one RNG stream to each block of
+``_STREAM_BLOCK`` paths: block j holds paths 256 j onward and draws from
+``path_stream(seed, j)``.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ __all__ = [
 _ROW_SUM_TOL = 1e-12
 _SERIES_TOL = 1e-16
 _MAX_STATES = 32
+_STREAM_BLOCK = 256  # paths per RNG stream: fixes the draw layout, not a memory bound
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,9 +314,9 @@ class PathTable:
     Path p's segments are ``lo`` (0, then the jump times) and ``states``
     at ``first[p]:first[p + 1]``.  From ``sample``, for each start state
     ``starts[k]`` and each i < ``n_paths``, path ``k * n_paths + i`` is
-    ``sample_path`` on [0, length] from that state on stream
-    ``path_stream(seed, i)``; ``sample_block`` fills a table from one
-    stream instead.
+    path ``i % 256`` of ``sample_block`` on [0, length] from that state
+    on stream ``path_stream(seed, i // 256)``: every start state reads
+    the same streams.
     """
 
     length: float
@@ -323,21 +326,18 @@ class PathTable:
 
     @classmethod
     def sample(cls, spec: MarkovChainSpec, length: float, starts, n_paths: int, seed) -> "PathTable":
-        lo, states, counts = [], [], []
-        for e in starts:
-            e = int(e)
-            _check_start(spec, 0.0, length, e)
-            for i in range(n_paths):
-                jump_times, path_states = _draw_jumps(spec, 0.0, length, e, path_stream(seed, i))
-                lo.append(0.0)
-                lo.extend(jump_times)
-                states.extend(path_states)
-                counts.append(len(path_states))
+        sb = _STREAM_BLOCK
+        blocks = [
+            sample_block(spec, length, int(e), min(sb, n_paths - j0), path_stream(seed, j0 // sb))
+            for e in starts
+            for j0 in range(0, n_paths, sb)
+        ]
+        counts = np.concatenate([np.diff(b.first) for b in blocks])
         return cls(
             length=length,
             first=np.concatenate(([0], np.cumsum(counts))),
-            lo=np.array(lo),
-            states=np.array(states, dtype=np.int64),
+            lo=np.concatenate([b.lo for b in blocks]),
+            states=np.concatenate([b.states for b in blocks]),
         )
 
     def truncate(self, times, horizon: float) -> Segments:
@@ -346,8 +346,8 @@ class PathTable:
         The chain is time-homogeneous, so a path from (t, e) on [t, horizon]
         is the table's path from (0, e) cut at horizon - t and shifted by t.
         Cell ``k * n_table_paths + p`` is path p at ``times[k]``; a jump
-        landing exactly on the cut is kept, as ``sample_path`` keeps one on
-        the horizon.  Needs t < horizon <= t + length for every t.
+        landing exactly on the cut is kept, as ``sample_block`` keeps one at
+        its length.  Needs t < horizon <= t + length for every t.
         """
         times = np.asarray(times, dtype=float)
         cut = horizon - times

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import StepFailure
+from .errors import DomainViolation, StepFailure
 from .markov_chain import MarkovChainSpec, PathTable, Segments
 from .models import HestonRegimeParams
 from .riccati import D_leverage, D_leverage_integral
@@ -91,8 +91,9 @@ def upsilon_heston(p: HestonRegimeParams, coeff_fn: Callable[[float], float]) ->
     ``fn_all`` evaluates D by ``coeff_fn`` (normally ``d_leverage_fn``) on
     a scalar time or on an array of times at once; a ``coeff_fn`` that
     disagrees with ``D_leverage`` at t = 0 raises ValueError.  Segment
-    integrals are exact, from one ``D_leverage_integral`` call on all
-    segment edges.
+    integrals are exact, from ``D_leverage_integral`` at each distinct
+    segment edge once: an upper edge equal to the next segment's lower
+    edge reuses its value, and the integral is 0 at the horizon.
     """
     d0 = D_leverage(p, 0.0)
     if abs(coeff_fn(0.0) - d0) > 1e-12 * max(1.0, abs(d0)):
@@ -104,9 +105,15 @@ def upsilon_heston(p: HestonRegimeParams, coeff_fn: Callable[[float], float]) ->
         return delta_r + np.multiply.outer(np.broadcast_to(coeff_fn(t), np.shape(t)), kap_th)
 
     def segment_integral(lo: np.ndarray, hi: np.ndarray, states: np.ndarray) -> np.ndarray:
-        big_d = D_leverage_integral(p, np.concatenate((lo, hi)))  # int_s^T D at every edge s
+        big_lo = D_leverage_integral(p, lo)  # int_s^T D at every lower edge s
+        big_hi = np.zeros(len(hi))  # D_leverage_integral(p, T) is exactly 0
+        shared = np.flatnonzero(hi[:-1] == lo[1:])  # as inside a cell: the next lower edge
+        big_hi[shared] = big_lo[shared + 1]
+        own = hi != p.horizon
+        own[shared] = False
+        big_hi[own] = D_leverage_integral(p, hi[own])
         e = states - 1
-        return delta_r[e] * (hi - lo) + kap_th[e] * (big_d[: len(lo)] - big_d[len(lo) :])
+        return delta_r[e] * (hi - lo) + kap_th[e] * (big_lo - big_hi)
 
     return RegimeIntegrand(
         horizon=p.horizon, n_states=p.n_states, fn_all=fn_all, segment_integral=segment_integral
@@ -164,9 +171,10 @@ def xi_mc(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of xi(t, state) with its standard error.
 
-    Path i is drawn on its own RNG stream (seed, i), so the estimate is
-    reproducible for a fixed seed; it is the (t, state) cell of
-    ``xi_mc_table``.
+    The paths are those of ``PathTable.sample`` on [0, T] from state,
+    cut at T - t and shifted by t, so the estimate is reproducible for a
+    fixed seed; it is the (t, state) cell of ``xi_mc_table`` for any
+    grid.  A time outside [0, T] raises DomainViolation.
     """
     mean, err = _xi_cells(spec, integrand, [t], [state], n_paths, seed)
     return float(mean[0, 0]), float(err[0, 0])
@@ -182,9 +190,11 @@ def xi_mc_table(
     """Tabulate xi_mc at the given times for every state.
 
     One truncation pass: for each state, ``n_paths`` paths are drawn once
-    from time 0 (path i on stream (seed, i)); each grid time t reads every
-    path cut at T - t and shifted by t.  Every cell therefore uses the
-    same streams as ``xi_mc`` (common random numbers across cells).
+    on [0, T] (block j of 256 paths on stream (seed, j), the same streams
+    for every state); each grid time t reads every path cut at T - t and
+    shifted by t.  Every cell is therefore the matching ``xi_mc`` call
+    (common random numbers across cells).  A time outside [0, T] raises
+    DomainViolation.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     values, errs = _xi_cells(spec, integrand, times, range(1, spec.n_states + 1), n_paths, seed)
@@ -203,21 +213,27 @@ def _truncation_mc(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean and standard error of exp(log_weight) per (time, start state) cell.
 
-    Draws ``PathTable.sample`` once on [0, T - min(times)] and truncates
-    it for every time, in chunks of bounded memory.  ``log_weight(segs)``
-    returns one value per cell of ``segs``.  Times at or after the horizon
-    give exactly (1, 0); one path gives a standard error of 0.
+    Draws ``PathTable.sample`` once on [0, T], whatever the times, and
+    truncates it for every time, in chunks of bounded memory; block
+    streams do not survive truncation, so a fixed length keeps each
+    cell independent of the rest of the grid.  ``log_weight(segs)``
+    returns one value per cell of ``segs``.  A time outside [0, T]
+    (up to 1e-12 above T) raises DomainViolation; times at or after the
+    horizon give exactly (1, 0); one path gives a standard error of 0.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     times = np.atleast_1d(np.asarray(times, dtype=float))
+    outside = times[~((times >= 0.0) & (times <= horizon + 1e-12))]  # also catches nan
+    if len(outside):
+        raise DomainViolation(f"t = {outside[0]} must lie in [0, {horizon}]")
     starts = list(starts)
     mean = np.ones((len(times), len(starts)))
     err = np.zeros_like(mean)
     live = np.flatnonzero(times < horizon)
     if not len(live):
         return mean, err
-    table = PathTable.sample(spec, horizon - times[live].min(), starts, n_paths, seed)
+    table = PathTable.sample(spec, horizon, starts, n_paths, seed)
     step = max(1, _CHUNK_SEGMENTS // len(table.lo))
     for k in range(0, len(live), step):
         rows = live[k : k + step]

@@ -44,7 +44,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .markov_chain import MarkovChainSpec, RegimePath, path_stream, sample_block
+from .markov_chain import _STREAM_BLOCK, MarkovChainSpec, RegimePath, path_stream, sample_block
 from .models import HestonRegimeParams, Variant
 from .regime_expectation import XiTable, upsilon_heston, xi_ode
 from .riccati import D_leverage, d_leverage_fn
@@ -66,7 +66,6 @@ __all__ = [
 # A strategy maps step times to weights that broadcast to (len(times), n_states).
 Strategy = Callable[[np.ndarray], np.ndarray]
 
-_STREAM_BLOCK = 256  # paths per RNG stream: fixes the draw layout, not a memory bound
 _BLOCK = 8192  # paths stepped together when block_size is not given
 _DRIVER_CHUNK = 64  # driver steps of normals drawn per call into the reused buffer
 

@@ -150,9 +150,9 @@ def value_mmh_general(
 ) -> tuple[float, float]:
     """Partial Monte Carlo value for the general regime-switching model, rho = 0.
 
-    The (q.t, q.state) cell of ``value_mmh_table`` at (q.v, q.x): path i
-    runs on stream (seed, i) from every (t, e), which gives common random
-    numbers across cells.  Returns (estimate, std_err).
+    The (q.t, q.state) cell of ``value_mmh_table`` at (q.v, q.x), for any
+    grid: both read the same paths drawn on [0, T], which gives common
+    random numbers across cells.  Returns (estimate, std_err).
     """
     q.check(p)
     phi, err = _mmh_cells(p, chain, [q.t], [q.state], q.v, q.x, n_paths, seed)
@@ -173,10 +173,10 @@ def value_mmh_table(
     Only the chain is simulated.  Each trajectory contributes
     exp{ int delta r } * exp{ vt A(t) + vt B(t) x }, the value_timedep_heston
     weight (vt = 1 at rho = 0), and the average is scaled by v**delta/delta.
-    For each state, n_paths paths are drawn once from time 0, path i on
-    stream (seed, i); time t reads them cut at T - t and shifted by t, and
-    (A, B) are composed backward over all of them at once.  Returns
-    (estimate, std_err).
+    For each state, n_paths paths are drawn once on [0, T], block j of 256
+    paths on stream (seed, j), the same streams for every state; time t
+    reads them cut at T - t and shifted by t, and (A, B) are composed
+    backward over all of them at once.  Returns (estimate, std_err).
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     for t in times:

@@ -197,6 +197,31 @@ class TestRunConfigValidation:
         assert cli.main(["solve", str(bad), "--t-grid", "3", "--out", str(tmp_path / "x.csv")]) == 1
         assert f"{field} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, replacement",
+        [("seed = 20240211", "seed = -3"), ("n_paths_xi = 10000", "n_paths_xi = 0")],
+    )
+    @pytest.mark.parametrize("route", [[], ["--xi-method", "mc"]], ids=["ode", "mc"])
+    def test_bad_solver_value_exits_one(self, line, replacement, route, tmp_path, set1_path, capsys):
+        bad = tmp_path / "solver.cfg"
+        bad.write_text(set1_path.read_text().replace(line, replacement))
+        key = line.split()[0]
+        with pytest.raises(cli.ConfigError, match=key):
+            cli.load_config(bad)
+        out = tmp_path / "x.csv"
+        assert cli.main(["solve", str(bad), "--t-grid", "3", *route, "--out", str(out)]) == 1
+        assert f"[solver] {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "diagnose"])
+    def test_negative_seed_flag_is_usage_error(self, command, set1_path, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, str(set1_path), "--paths", "2", "--seed", "-3", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid_step", ["nan", "inf", "10"])
     def test_bad_grid_step_exits_one(self, grid_step, tmp_path, set1_path, capsys):
         bad = tmp_path / "grid.cfg"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import rsheston as rs
 from conftest import Q_TWO_STATE, random_intensity, scalar_block_chain
+from rsheston.markov_chain import _STREAM_BLOCK, PathTable
 
 Q12, Q21 = 1.0909, 3.4413
 
@@ -167,6 +168,23 @@ class TestSampleBlock:
             np.testing.assert_allclose(table.lo[a + 1:b], jumps, rtol=1e-14)
             assert table.states[a + 1:b].tolist() == labels
         assert rng_a.random() == rng_b.random()
+
+
+def test_path_table_layout_is_stream_blocks_per_start_state():
+    # path k * n + i is path i % 256 of start state k's block i // 256, on stream (seed, i // 256)
+    spec = rs.validate_intensity(SAMPLER_CHAINS["absorbing_state"])
+    sb = _STREAM_BLOCK
+    n, horizon, starts, seed = 2 * sb + 5, 5.0, [3, 1, 2], 61
+    table = PathTable.sample(spec, horizon, starts, n, seed)
+    assert len(table.first) == len(starts) * n + 1 and table.length == horizon
+    for k, e in enumerate(starts):
+        for j0 in range(0, n, sb):
+            block = rs.sample_block(spec, horizon, e, min(sb, n - j0), rs.path_stream(seed, j0 // sb))
+            for i in range(j0, min(n, j0 + sb)):
+                a, b = table.first[k * n + i], table.first[k * n + i + 1]
+                c, d = block.first[i - j0], block.first[i - j0 + 1]
+                assert table.lo[a:b].tobytes() == block.lo[c:d].tobytes(), (e, i)
+                assert table.states[a:b].tolist() == block.states[c:d].tolist(), (e, i)
 
 
 class TestTransitionProbabilities:

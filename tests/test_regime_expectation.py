@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import rsheston as rs
-from conftest import make_params, random_intensity
+from conftest import Q_TWO_STATE, make_params, random_intensity
+from rsheston.markov_chain import PathTable
 
 
 def flat_integrand(value: float, horizon: float, n_states: int) -> rs.RegimeIntegrand:
@@ -35,6 +36,31 @@ class TestUpsilonHeston:
         d0 = rs.D_leverage(set1, 0.0)
         integrand = rs.upsilon_heston(set1, rs.d_leverage_fn(set1))
         assert integrand.fn_all(0.0)[0] == pytest.approx(0.3 * 0.03 + d0 * 4.0 * 0.02, rel=1e-12)
+
+    @pytest.mark.parametrize("delta", [0.3, -1.0])
+    def test_segment_edges_evaluated_once_match_every_edge_evaluated(self, delta):
+        # the one-evaluation-per-edge form against D_leverage_integral at both edges of every segment
+        p = make_params(delta=delta)
+        assert rs.D_leverage_integral(p, p.horizon) == 0.0
+        integrand = rs.upsilon_heston(p, rs.d_leverage_fn(p))
+        delta_r, kap_th = p.delta * p.r, p.kappa * p.theta
+
+        def two_evaluations(lo, hi, states):
+            big_d = rs.D_leverage_integral(p, np.concatenate((lo, hi)))
+            e = states - 1
+            return delta_r[e] * (hi - lo) + kap_th[e] * (big_d[: len(lo)] - big_d[len(lo):])
+
+        chain = rs.validate_intensity(Q_TWO_STATE)
+        table = PathTable.sample(chain, p.horizon, [1, 2], 300, seed=8)
+        cells = table.truncate([0.0, 1.7, 4.2], p.horizon)
+        rng = np.random.default_rng(0)
+        pick = rng.permutation(len(cells.lo))[: len(cells.lo) // 3]  # shuffled, mostly non-adjacent
+        lo = np.append(cells.lo[pick], [0.5, 0.5, 2.0])
+        hi = np.append(cells.hi[pick], [2.0, p.horizon, 2.0])  # an edge shared out of order, and empty
+        states = np.append(cells.states[pick], [1, 2, 2])
+        for args in ((cells.lo, cells.hi, cells.states), (lo, hi, states)):
+            got, ref = integrand.segment_integral(*args), two_evaluations(*args)
+            assert got.tobytes() == ref.tobytes()
 
 
 class TestXiMc:
@@ -155,6 +181,19 @@ class TestXiOde:
 
 
 class TestXiTable:
+    @pytest.mark.parametrize("bad", [-1.0, -1e-9, 2.0 + 1e-9, float("nan")])
+    def test_mc_rejects_times_outside_the_horizon(self, chain2, bad):
+        integrand = flat_integrand(0.01, 2.0, 2)
+        with pytest.raises(rs.DomainViolation, match=f"t = {bad}"):
+            rs.xi_mc_table(chain2, integrand, [bad, 0.0, 1.0], 20, seed=1)
+        with pytest.raises(rs.DomainViolation, match=f"t = {bad}"):
+            rs.xi_mc(chain2, integrand, bad, 1, 20, seed=1)
+
+    def test_mc_accepts_the_horizon_within_slack(self, chain2):
+        integrand = flat_integrand(0.01, 2.0, 2)
+        table = rs.xi_mc_table(chain2, integrand, [0.0, 2.0, 2.0 + 1e-13], 20, seed=1)
+        np.testing.assert_array_equal(table.values[1:], 1.0)
+
     def test_mc_table_tracks_stderr_and_terminal_row(self, chain2, set1):
         integrand = rs.upsilon_heston(set1, rs.d_leverage_fn(set1))
         table = rs.xi_mc_table(chain2, integrand, [0.0, 2.5, 5.0], 400, seed=9)

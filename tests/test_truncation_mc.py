@@ -1,9 +1,11 @@
 """The truncation pass of the chain Monte Carlo routes against per-path references.
 
-``value_mmh_general``, ``value_mmh_table`` and ``xi_mc`` draw each path
-once from time 0 and compose or integrate all of them at once.  The
-references below are the per-path routes they replaced: path i is
-sampled from (t, e) on stream (seed, i), composed with
+``value_mmh_general``, ``value_mmh_table`` and ``xi_mc`` draw each start
+state's paths once on [0, T], one RNG stream per block of 256 paths,
+and compose or integrate all of them at once.  The references below
+redo every cell path by path: block j is drawn on [0, T] by
+``conftest.scalar_block_chain`` from stream (seed, j), each path is cut
+at T - t and shifted by t as a ``RegimePath``, composed with
 ``compose_piecewise`` or integrated segment by segment, and averaged
 one cell at a time.  Both routes consume the same uniforms, so they
 agree to rounding.
@@ -13,7 +15,8 @@ import numpy as np
 import pytest
 
 import rsheston as rs
-from conftest import Q_TWO_STATE
+from conftest import Q_TWO_STATE, scalar_block_chain
+from rsheston.markov_chain import _STREAM_BLOCK
 
 REL = 1e-12
 
@@ -23,10 +26,18 @@ ABSORBING = [[-1.5, 1.0, 0.5], [0.7, -1.2, 0.5], [0.0, 0.0, 0.0]]
 def _chain_mc_reference(spec, t, horizon, state, n_paths, seed, log_weight):
     if t >= horizon:
         return 1.0, 0.0
-    vals = np.empty(n_paths)
-    for i in range(n_paths):
-        path = rs.sample_path(spec, t, horizon, state, rs.path_stream(seed, i))
-        vals[i] = np.exp(log_weight(path))
+    vals = []
+    for j0 in range(0, n_paths, _STREAM_BLOCK):
+        rng = rs.path_stream(seed, j0 // _STREAM_BLOCK)
+        for times, labels in scalar_block_chain(spec, horizon, state, min(_STREAM_BLOCK, n_paths - j0), rng):
+            kept = sum(s <= horizon - t for s in times)  # a jump on the cut is kept
+            path = rs.RegimePath(
+                start=t, horizon=horizon,
+                jump_times=np.array([s + t for s in times[:kept]]),
+                states=np.array([state, *labels[:kept]]),
+            )
+            vals.append(np.exp(log_weight(path)))
+    vals = np.array(vals)
     err = 0.0 if n_paths == 1 else float(vals.std(ddof=1) / np.sqrt(n_paths))
     return float(vals.mean()), err
 
@@ -65,6 +76,7 @@ MMH_CASES = {
     ),
     "negative_delta": (_mmh(delta=-1.0), Q_TWO_STATE, 0.3, 150),
     "one_path": (_mmh(), Q_TWO_STATE, 0.02, 1),
+    "partial_stream_block": (_mmh(), Q_TWO_STATE, 0.02, _STREAM_BLOCK + 5),
 }
 
 
@@ -87,9 +99,10 @@ def test_mmh_routes_match_per_path_reference(name):
                 chain, t, p.horizon, e, n, 11, lambda path: _log_path_value(p, path, t, x)
             )
             est, est_err = rs.value_mmh_general(p, chain, rs.ValueQuery(t=t, v=10.0, x=x, state=e), n, 11)
-            for got, got_err in ((est, est_err), (phi[k, e - 1], err[k, e - 1])):
-                assert _close(got, util * ref), (name, t, e, got, util * ref)
-                assert abs(got_err - abs(util) * ref_err) <= REL * abs(got), (name, t, e)
+            assert _close(est, util * ref), (name, t, e, est, util * ref)
+            assert abs(est_err - abs(util) * ref_err) <= REL * abs(est), (name, t, e)
+            # the table cell reads the same paths as the single-cell call
+            assert phi[k, e - 1] == est and err[k, e - 1] == est_err, (name, t, e)
     np.testing.assert_array_equal(phi[-1], util)
     np.testing.assert_array_equal(err[-1], 0.0)
     if n == 1:
@@ -120,6 +133,7 @@ def _xi_cases():
         lambda path, t: rs.occupation_integral(path, u, t, 2.0),
     )
     cases["one_path"] = (cases["upsilon_set1"][0], Q_TWO_STATE, 1, cases["upsilon_set1"][3])
+    cases["partial_stream_block"] = (cases["upsilon_set1"][0], Q_TWO_STATE, _STREAM_BLOCK + 5, cases["upsilon_set1"][3])
     return cases
 
 
@@ -141,9 +155,8 @@ def test_xi_mc_matches_per_path_reference(name):
             est, err = rs.xi_mc(chain, integrand, t, e, n, seed=5)
             assert _close(est, ref), (name, t, e, est, ref)
             assert abs(err - ref_err) <= REL * est, (name, t, e)
-            # every cell of the table uses the streams of the matching xi_mc call
-            assert abs(table.values[k, e - 1] - est) <= REL * est
-            assert abs(table.std_err[k, e - 1] - err) <= REL * est
+            # every cell of the table reads the paths of the matching xi_mc call
+            assert table.values[k, e - 1] == est and table.std_err[k, e - 1] == err, (name, t, e)
     np.testing.assert_array_equal(table.values[-1], 1.0)
     np.testing.assert_array_equal(table.std_err[-1], 0.0)
     if n == 1:
