@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import sys
 import time
@@ -64,12 +65,13 @@ from .value_strategy import optimal_weights, value_mmh_table
 __all__ = ["RunConfig", "load_config", "shipped_config", "main", "entry"]
 
 
-def _fmt(x) -> str:
-    if x is None or (isinstance(x, float) and np.isnan(x)):
-        return ""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.17g}"
+def _column(values) -> list[str]:
+    """CSV cells of a float array, flattened row-major: 17 significant digits, nan empty."""
+    return ["" if x != x else f"{x:.17g}" for x in np.ravel(values).tolist()]
+
+
+def _fmt(x: float) -> str:
+    return _column(x)[0]
 
 
 def parse_flat_config(text: str) -> dict[str, dict[str, str]]:
@@ -297,12 +299,13 @@ def cmd_solve(args) -> int:
         phi = util * xi_vals * np.exp(d_vals * cfg.x0)[:, None]
     pi_mv, pi_h = optimal_weights(p, times)
     pi_total = pi_mv + pi_h
+    l = p.n_states
+    # one row per (time, state), time-major, each column formatted at once
+    columns = (np.repeat(times, l), phi, xi_vals, np.repeat(d_vals, l), pi_mv, pi_h, pi_total)
+    t_col, *cols = map(_column, columns)
     with open(args.out, "w", encoding="utf-8") as fh:
         writer = _csv_writer(fh, cfg, cfg.seed, ["t", "state", "phi", "xi", "D_or_B", "pi_mv", "pi_h", "pi_total"])
-        for k, t in enumerate(times):
-            for e in range(p.n_states):
-                cells = (phi[k, e], xi_vals[k, e], d_vals[k], pi_mv[k, e], pi_h[k, e], pi_total[k, e])
-                writer.writerow([_fmt(t), e + 1, *map(_fmt, cells)])
+        writer.writerows(zip(t_col, list(range(1, l + 1)) * len(times), *cols))
     print(f"wrote {args.out}")
     return 0
 
@@ -341,7 +344,10 @@ def _parse_strategy(spec_str: str, p: HestonRegimeParams):
     if spec_str == "optimal":
         return optimal_weight_fn(p)
     if spec_str.startswith("const:"):
-        return constant_strategy(float(spec_str.split(":", 1)[1]))
+        weight = float(spec_str.split(":", 1)[1])
+        if not np.isfinite(weight):
+            raise ConfigError(f"constant strategy weight must be finite, got {weight}")
+        return constant_strategy(weight)
     raise ConfigError(f"unknown strategy {spec_str!r} (use optimal or const:<w>)")
 
 
@@ -378,6 +384,18 @@ def _int_at_least(low: int):
     return parse
 
 
+def _positive_float(text: str) -> float:
+    """argparse type: a finite, positive float, else a usage error (exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 < value < np.inf:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {value}")
+    return value
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rsheston",
@@ -402,8 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps-per-year", type=int, default=None)
     sp.add_argument("--seed", type=_int_at_least(0), default=None)
     sp.add_argument("--out", default="simulate.csv")
-    sp.add_argument("--bins", type=int, default=30)
-    sp.add_argument("--overflow-at", type=float, default=150.0)
+    sp.add_argument("--bins", type=_int_at_least(1), default=30)
+    sp.add_argument("--overflow-at", type=_positive_float, default=150.0)
     sp.set_defaults(fn=cmd_simulate)
 
     sp = sub.add_parser("diagnose", help="value-process flatness along simulated paths")
@@ -425,7 +443,7 @@ def main(argv=None) -> int:
     except (ParseError, OSError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (RsHestonError, ValueError, KeyError) as exc:
+    except (RsHestonError, ValueError, KeyError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,8 +14,10 @@ Two independent routes are provided and cross-checked in the tests:
 
   The system is linear, so each RK4 step is one l x l propagator; a
   chunk of them is built at once by batched matrix products from one
-  evaluation of u at all of the chunk's stage times, then applied in
-  order.
+  evaluation of u at all of the chunk's stage times, and the chunk's
+  running products are formed by a log-depth prefix-product scan, so
+  every step's value is one batched product with the chunk's start
+  value.
 
 Positivity of xi is preserved by redoing a failing step from its start
 value with scalar RK4 steps, halved locally; losing positivity at the
@@ -137,18 +139,25 @@ class XiTable:
     def n_states(self) -> int:
         return self.values.shape[1]
 
+    def _checked_time(self, t: float) -> float:
+        t = float(t)
+        if not self.times[0] - 1e-12 <= t <= self.times[-1] + 1e-12:  # also rejects nan
+            raise ValueError(f"t = {t} outside the tabulated range")
+        return t
+
     def row(self, t: float) -> np.ndarray:
         """All-state values at time t (linear interpolation)."""
-        t = float(t)
-        if not self.times[0] - 1e-12 <= t <= self.times[-1] + 1e-12:
-            raise ValueError(f"t = {t} outside the tabulated range")
+        t = self._checked_time(t)
         out = np.array(
             [np.interp(t, self.times, self.values[:, e]) for e in range(self.n_states)]
         )
         return out
 
     def at(self, t: float, state: int) -> float:
-        return float(np.interp(float(t), self.times, self.values[:, state - 1]))
+        """Value of state (1..n_states) at time t; raises ValueError like ``row``."""
+        if state not in range(1, self.n_states + 1):
+            raise ValueError(f"state {state!r} outside 1..{self.n_states}")
+        return float(np.interp(self._checked_time(t), self.times, self.values[:, state - 1]))
 
     def write_csv(self, stream: io.TextIOBase, comment: str | None = None) -> None:
         writer = csv.writer(stream, lineterminator="\n")
@@ -260,7 +269,11 @@ def xi_ode(spec: MarkovChainSpec, integrand: RegimeIntegrand, grid_step: float |
     P_k with y_{k+1} = P_k y_k.  Steps are taken in chunks of bounded
     memory: one ``fn_all`` call gives u at every stage time of the chunk
     (t_k, t_k - h/2, t_{k+1}), the chunk's propagators are formed by
-    batched matmuls, and they are applied in order.
+    batched matmuls, and ``_propagate`` applies them by a prefix-product
+    scan.  The products are reassociated against step-by-step
+    application, which moves the result by rounding only (about 1e-14
+    relative; the propagators are nonnegative at the step sizes in use,
+    so nothing cancels).
 
     The default grid step is horizon/5000, and every step is shortened so
     that whole steps span the horizon; a step that is not finite, not
@@ -311,14 +324,21 @@ def xi_ode(spec: MarkovChainSpec, integrand: RegimeIntegrand, grid_step: float |
 def _propagate(props, values, k0, times, h, rhs) -> None:
     """Fill values[k0 + 1 : k0 + len(props) + 1] by y_{k+1} = P_k y_k.
 
-    Results are checked once per pass; the first step that is not finite
-    and positive is redone by ``_advance`` and the pass resumes after it.
+    A pass from step k forms the running products P_j ... P_k for every
+    j of the chunk by a Hillis-Steele scan (log2 of the chunk length
+    batched matmuls) and applies them all to y_k at once.  The pass is
+    checked as a whole; the first step that is not finite and positive
+    is redone by ``_advance`` and a new pass starts after it.
     """
     k, stop = k0, k0 + len(props)
     while k < stop:
-        for j in range(k, stop):
-            np.matmul(props[j - k0], values[j], out=values[j + 1])
+        acc = props[k - k0 :].copy()
+        s = 1
+        while s < len(acc):
+            acc[s:] = acc[s:] @ acc[:-s]
+            s *= 2
         new = values[k + 1 : stop + 1]
+        new[:] = acc @ values[k]
         bad = np.flatnonzero(~((new > 0.0) & (new < np.inf)).all(axis=1))
         if not len(bad):
             return

@@ -372,6 +372,32 @@ class TestSimulateCommand:
             comment, _ = read_csv(path)
             assert comment.rstrip("\n").endswith(" seed=5")
 
+    def test_parser_built_once_keeps_no_state_between_calls(self, set1_path, tmp_path):
+        assert cli.build_parser() is cli.build_parser()
+        out = tmp_path / "sim.csv"
+        argv = ["simulate", str(set1_path), "--paths", "5", "--steps-per-year", "5", "--out", str(out)]
+        assert cli.main([*argv, "--seed", "5"]) == 0
+        assert read_csv(out)[0].rstrip("\n").endswith(" seed=5")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", str(set1_path), "--t-grid", "0", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert cli.main(argv) == 0
+        seed = cli.load_config(set1_path).seed
+        assert read_csv(out)[0].rstrip("\n").endswith(f" seed={seed}")
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--overflow-at", v) for v in ("nan", "inf", "0", "-5", "abc")]
+        + [("--bins", v) for v in ("0", "-2", "2.5")],
+    )
+    def test_bad_histogram_flag_is_usage_error(self, flag, value, set1_path, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", str(set1_path), "--paths", "5", flag, value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_path_has_no_stderr(self, set1_path, tmp_path):
         out = tmp_path / "sim1.csv"
         cli.main(["simulate", str(set1_path), "--paths", "1", "--steps-per-year", "20",
@@ -421,6 +447,17 @@ class TestDiagnoseCommand:
         assert code == 0
         _, rows = read_csv(out)
         assert len(rows) == 2
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.parametrize(
+        "weight, message", [("nan", "must be finite"), ("inf", "must be finite"), ("1e200", "wealth overflowed")]
+    )
+    def test_unusable_constant_weight_exits_one(self, weight, message, set1_path, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        argv = ["diagnose", str(set1_path), "--checkpoints", "0,5", "--strategy", f"const:{weight}", "--paths", "5"]
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_strategy_exits_one(self, set1_path, tmp_path):
         code = cli.main(

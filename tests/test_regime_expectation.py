@@ -217,3 +217,23 @@ class TestXiTable:
         table = rs.xi_ode(chain2, integrand, grid_step=0.5)
         k = 3
         assert table.at(float(table.times[k]), 2) == table.values[k, 1]
+
+    @pytest.mark.parametrize("state", [0, 3, -1, 1.5])
+    def test_at_rejects_a_state_outside_the_table(self, chain2, state):
+        table = rs.xi_ode(chain2, flat_integrand(0.01, 2.0, 2), grid_step=0.5)
+        with pytest.raises(ValueError, match="state"):
+            table.at(0.0, state)
+
+    @pytest.mark.parametrize("t", [-3.0, -1e-9, 2.0 + 1e-9, 99.0, float("nan")])
+    def test_at_rejects_a_time_outside_the_table_like_row(self, chain2, t):
+        table = rs.xi_ode(chain2, flat_integrand(0.01, 2.0, 2), grid_step=0.5)
+        with pytest.raises(ValueError, match="outside the tabulated range"):
+            table.row(t)
+        with pytest.raises(ValueError, match="outside the tabulated range"):
+            table.at(t, 1)
+
+    def test_at_accepts_the_ends_within_slack(self, chain2):
+        table = rs.xi_ode(chain2, flat_integrand(0.01, 2.0, 2), grid_step=0.5)
+        assert table.at(-1e-13, 1) == table.values[0, 0]
+        assert table.at(2.0 + 1e-13, 2) == 1.0
+        assert table.at(np.float64(1.0), np.int64(2)) == table.row(1.0)[1]

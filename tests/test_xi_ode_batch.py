@@ -3,9 +3,10 @@
 The reference below is the loop xi_ode ran before it formed one l x l
 propagator per step: four right-hand-side evaluations per step, each
 step's result checked and, on a loss of positivity or finiteness,
-bisected locally down to a minimum step.  Forming the propagator and
-applying it reorders the floating-point operations and nothing else, so
-the two agree to 1e-13 relative, also where steps are redone by halving.
+bisected locally down to a minimum step.  Forming the propagators and
+applying them by a prefix-product scan reorders the floating-point
+operations and nothing else, so the two agree to 1e-13 relative, also
+where steps are redone by halving.
 """
 
 import numpy as np
@@ -121,6 +122,39 @@ def test_steps_redone_by_halving_match_scalar_loop(chunked):
     spec = rs.validate_intensity([[-1.0, 1.0], [1.0, -1.0]])
     halvings = _assert_matches_reference(spec, integrand, 0.1)
     assert halvings and max(halvings) < 1.0
+
+
+@pytest.mark.parametrize("steps_per_chunk", [10, 5])
+def test_step_redone_on_the_first_step_of_a_chunk(steps_per_chunk, monkeypatch):
+    # a narrow dip of u(t, 1) at t = 1 makes only the step from 1.0 to 0.9
+    # (step 10 back from T = 2) lose positivity; the steps after it are
+    # scanned from its redone value
+    spec = rs.validate_intensity([[-1.0, 1.0], [1.0, -1.0]])
+    integrand = rs.RegimeIntegrand.from_scalar(
+        lambda t, e: -100.0 * np.exp(-(((t - 1.0) / 0.1) ** 2)) if e == 1 else 0.0, 2.0, 2
+    )
+    monkeypatch.setattr(regime_expectation, "_CHUNK_ENTRIES", steps_per_chunk * 4)
+    halvings = _assert_matches_reference(spec, integrand, 0.1)
+    assert halvings and all(0.9 < t <= 1.0 for t in halvings)
+
+
+@pytest.mark.parametrize("steps_per_chunk", [None, 7, 1], ids=["default_chunks", "chunks_of_7_steps", "one_step"])
+@pytest.mark.parametrize("n_states", [1, 4, 6])
+def test_random_chains_match_scalar_loop(n_states, steps_per_chunk, monkeypatch):
+    # chunk lengths in steps for any state count: 7 gives scans whose length
+    # is not a power of two, 1 a scan of one propagator
+    if steps_per_chunk is not None:
+        monkeypatch.setattr(regime_expectation, "_CHUNK_ENTRIES", steps_per_chunk * n_states**2)
+    rng = np.random.default_rng(20261019 + n_states)
+    spec = rs.validate_intensity(random_intensity(rng, n_states, max_rate=2.0))
+    level = rng.uniform(0.05, 0.2, n_states) * np.where(np.arange(n_states) % 2, -1.0, 1.0)
+    swing = rng.uniform(0.25, 0.4, n_states)  # larger than the level: u takes both signs in every state
+
+    def u(t, e):
+        return level[e - 1] + swing[e - 1] * np.cos(2.0 * t)
+
+    integrand = rs.RegimeIntegrand.from_scalar(u, 2.5, n_states)
+    _assert_matches_reference(spec, integrand, 2.5 / 1000)
 
 
 def test_step_failure_partway_through_the_horizon():
