@@ -356,10 +356,9 @@ def cmd_diagnose(args) -> int:
     p = cfg.params
     validate_feller(cfg.params).raise_if_failed()
     validate_solution_assumptions(p).raise_if_failed()
-    checkpoints = [float(tok) for tok in args.checkpoints.split(",") if tok.strip()]
     sim_cfg = cfg.sim_config(n_paths=args.paths, seed=args.seed)
     rows = martingale_diagnostic(
-        p, cfg.chain, sim_cfg, checkpoints, strategy=_parse_strategy(args.strategy, p)
+        p, cfg.chain, sim_cfg, args.checkpoints, strategy=_parse_strategy(args.strategy, p)
     )
     with open(args.out, "w", encoding="utf-8") as fh:
         writer = _csv_writer(fh, cfg, sim_cfg.seed, ["t", "mean_phi", "std_err", "z_score"])
@@ -395,6 +394,20 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _finite_floats(text: str) -> list[float]:
+    """argparse type: a non-empty comma list of finite floats, else a usage error (exit 2)."""
+    values = []
+    for tok in text.split(","):
+        try:
+            value = float(tok)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid float value: {tok!r}") from None
+        if not np.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+        values.append(value)
+    return values
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -426,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("diagnose", help="value-process flatness along simulated paths")
     sp.add_argument("config")
-    sp.add_argument("--checkpoints", default="0,1,2,3,4,5")
+    sp.add_argument("--checkpoints", type=_finite_floats, default="0,1,2,3,4,5")
     sp.add_argument("--strategy", default="optimal")
     sp.add_argument("--paths", type=int, default=None)
     sp.add_argument("--seed", type=_int_at_least(0), default=None)

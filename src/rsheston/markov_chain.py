@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import NegativeRate, RowSumNonZero
 
@@ -395,6 +394,17 @@ def transition_probabilities(spec: MarkovChainSpec, t: float) -> np.ndarray:
     return np.clip(p, 0.0, 1.0)
 
 
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported on the first call.
+
+    Only the quadrature references call it, so loading the library or
+    running the CLI does not import scipy.
+    """
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
+
+
 def occupation_integral(
     path: RegimePath,
     g: Callable[[float, int], float],
@@ -406,7 +416,8 @@ def occupation_integral(
     The generic quadrature reference: within one segment the state is
     constant and adaptive quadrature (absolute tolerance 1e-12) handles
     the time dependence.  It serves ``RegimeIntegrand.from_scalar``; the
-    library's own integrands have closed-form path integrals.
+    library's own integrands have closed-form path integrals.  scipy is
+    imported on the first call (see ``quad``).
     """
     if not path.start <= t <= horizon <= path.horizon + 1e-12:
         raise ValueError("need path.start <= t <= horizon <= path.horizon")

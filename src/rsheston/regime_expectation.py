@@ -5,7 +5,8 @@ Two independent routes are provided and cross-checked in the tests:
 * ``xi_mc``  - Monte Carlo over chain trajectories, summing the
   integrand's segment integrals along each path (closed form for
   ``upsilon_heston``, adaptive quadrature for
-  ``RegimeIntegrand.from_scalar``).
+  ``RegimeIntegrand.from_scalar``, which imports scipy on its first
+  segment integral).
 * ``xi_ode`` - backward RK4 integration of the equivalent coupled
   linear ODE system
 
@@ -32,10 +33,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainViolation, StepFailure
-from .markov_chain import MarkovChainSpec, PathTable, Segments
+from .markov_chain import MarkovChainSpec, PathTable, Segments, quad
 from .models import HestonRegimeParams
 from .riccati import D_leverage, D_leverage_integral
 
@@ -62,7 +62,7 @@ class RegimeIntegrand:
     times; ``segment_integral(lo, hi, states)`` is the array of
     int_lo^hi u(s, state) ds over flat arrays of segments, by adaptive
     quadrature (absolute and relative tolerance 1e-12) for ``from_scalar``
-    integrands.
+    integrands; scipy is imported on the first such call.
     """
 
     horizon: float

@@ -68,6 +68,7 @@ Strategy = Callable[[np.ndarray], np.ndarray]
 
 _BLOCK = 8192  # paths stepped together when block_size is not given
 _DRIVER_CHUNK = 64  # driver steps of normals drawn per call into the reused buffer
+_OVERFLOW = "wealth overflowed; check the strategy and parameters"
 
 
 @dataclass(frozen=True)
@@ -166,10 +167,13 @@ def _record_indices(record, n_steps: int, grid: np.ndarray) -> np.ndarray:
             return np.array([n_steps])
         raise ConfigError(f"unknown record mode {record!r}")
     idx = set()
+    tol = 1e-9 * max(1.0, grid[-1])
     for t in record:
+        if not -tol <= float(t) <= grid[-1] + tol:  # also rejects nan
+            raise ConfigError(f"record time {t} is outside [0, T] = [0, {grid[-1]}]")
         j = int(round(float(t) / grid[1])) if n_steps else 0
         j = min(max(j, 0), n_steps)
-        if abs(grid[j] - float(t)) > 1e-9 * max(1.0, grid[-1]):
+        if abs(grid[j] - float(t)) > tol:
             raise ConfigError(f"record time {t} is not on the step grid")
         idx.add(j)
     idx.add(n_steps)
@@ -188,12 +192,12 @@ def simulate_paths(
     """Simulate the market under a given strategy.
 
     ``strategy`` is called once, on the step start times.  ``record`` is
-    "all", "terminal", or a sequence of times that must lie on the step
-    grid (the terminal time is always included).  With ``frozen_path``
-    the regime trajectory is fixed instead of sampled, which conditions
-    the whole run on one chain path.  ``block_size`` only bounds memory:
-    it is rounded up to whole stream blocks, and results are bitwise
-    identical for any batching.
+    "all", "terminal", or a sequence of times in [0, T] that must lie on
+    the step grid (the terminal time is always included).  With
+    ``frozen_path`` the regime trajectory is fixed instead of sampled,
+    which conditions the whole run on one chain path.  ``block_size``
+    only bounds memory: it is rounded up to whole stream blocks, and
+    results are bitwise identical for any batching.
     """
     if chain.n_states != p.n_states:
         raise ConfigError("chain and model disagree on the state count")
@@ -220,13 +224,16 @@ def simulate_paths(
     pi = np.broadcast_to(np.asarray(strategy(grid[:-1]), dtype=float), (n_steps, l))
     # coef[k, :, e]: r, pi lam_hat, (pi nu)^2 / 2, pi nu, kappa, theta, chi
     # at step k in state e (see the module docstring)
-    pi_nu = pi * p.nu
     coef = np.empty((n_steps, 7, l))
-    coef[:, 0] = p.r
-    coef[:, 1] = pi * p.excess_slope
-    coef[:, 2] = 0.5 * pi_nu**2
-    coef[:, 3] = pi_nu
-    coef[:, 4:] = np.stack([p.kappa, p.theta, p.chi])
+    with np.errstate(over="ignore", invalid="ignore"):  # a weight too large to step is rejected below
+        pi_nu = pi * p.nu
+        coef[:, 0] = p.r
+        coef[:, 1] = pi * p.excess_slope
+        coef[:, 2] = 0.5 * pi_nu**2
+        coef[:, 3] = pi_nu
+        coef[:, 4:] = np.stack([p.kappa, p.theta, p.chi])
+    if not np.isfinite(coef).all():
+        raise FloatingPointError(_OVERFLOW)
     rho, sq1mr = p.rho, math.sqrt(max(0.0, 1.0 - p.rho**2))
 
     n_paths = cfg.n_paths
@@ -258,47 +265,49 @@ def simulate_paths(
         xp, sq, acc, tmp = np.empty((4, b))
         lo_xp = np.full(b, math.inf)
         lo_lnv = np.full(b, math.inf)
-        for k in range(n_steps + 1):
-            if k in changes:
-                idx, labels = changes[k]
-                e[idx] = labels
-            if k in rec_slot:
-                s = rec_slot[k]
-                out_states[i0:i1, s] = e + 1
-                out_x[i0:i1, s] = np.maximum(x, 0.0)
-                out_v[i0:i1, s] = np.exp(lnv)
-            if k == n_steps:
-                break
-            c = k % chunk
-            if c == 0:
-                _draw_increments(streams, min(chunk, n_steps - k), refine, buf, sq_dtd, rho, sq1mr, dwx, dwp)
-            # the labels are valid indices; mode="clip" lets take write into g unbuffered
-            np.take(coef[k], e, axis=1, out=g, mode="clip")
-            np.maximum(x, 0.0, out=xp)
-            np.sqrt(xp, out=sq)
-            # lnv += (rr + pl * xp - h * xp) * dt + pn * sq * dwp[c]
-            np.multiply(pl, xp, out=acc)
-            acc += rr
-            np.multiply(h, xp, out=tmp)
-            acc -= tmp
-            acc *= dt
-            np.multiply(pn, sq, out=tmp)
-            tmp *= dwp[c]
-            acc += tmp
-            lnv += acc
-            # x += kap * (th - xp) * dt, then x += ch * sq * dwx[c]: drift first,
-            # since fixed-seed outputs depend on the order
-            np.subtract(th, xp, out=acc)
-            acc *= kap
-            acc *= dt
-            x += acc
-            np.multiply(ch, sq, out=acc)
-            acc *= dwx[c]
-            x += acc
-            np.minimum(lo_xp, xp, out=lo_xp)
-            np.minimum(lo_lnv, lnv, out=lo_lnv)
-        if not np.all(np.isfinite(lnv)):
-            raise FloatingPointError("wealth overflowed; check the strategy and parameters")
+        # an overflowing path is caught at the end of its draw chunk
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(n_steps + 1):
+                if k in changes:
+                    idx, labels = changes[k]
+                    e[idx] = labels
+                if k in rec_slot:
+                    s = rec_slot[k]
+                    out_states[i0:i1, s] = e + 1
+                    out_x[i0:i1, s] = np.maximum(x, 0.0)
+                    out_v[i0:i1, s] = np.exp(lnv)
+                if k == n_steps:
+                    break
+                c = k % chunk
+                if c == 0:
+                    _draw_increments(streams, min(chunk, n_steps - k), refine, buf, sq_dtd, rho, sq1mr, dwx, dwp)
+                # the labels are valid indices; mode="clip" lets take write into g unbuffered
+                np.take(coef[k], e, axis=1, out=g, mode="clip")
+                np.maximum(x, 0.0, out=xp)
+                np.sqrt(xp, out=sq)
+                # lnv += (rr + pl * xp - h * xp) * dt + pn * sq * dwp[c]
+                np.multiply(pl, xp, out=acc)
+                acc += rr
+                np.multiply(h, xp, out=tmp)
+                acc -= tmp
+                acc *= dt
+                np.multiply(pn, sq, out=tmp)
+                tmp *= dwp[c]
+                acc += tmp
+                lnv += acc
+                # x += kap * (th - xp) * dt, then x += ch * sq * dwx[c]: drift first,
+                # since fixed-seed outputs depend on the order
+                np.subtract(th, xp, out=acc)
+                acc *= kap
+                acc *= dt
+                x += acc
+                np.multiply(ch, sq, out=acc)
+                acc *= dwx[c]
+                x += acc
+                np.minimum(lo_xp, xp, out=lo_xp)
+                np.minimum(lo_lnv, lnv, out=lo_lnv)
+                if (c == chunk - 1 or k == n_steps - 1) and not np.isfinite(lnv).all():
+                    raise FloatingPointError(_OVERFLOW)
         min_xeff = min(min_xeff, float(lo_xp.min()))
         min_lnv = min(min_lnv, float(lo_lnv.min()))
 
@@ -424,7 +433,8 @@ def martingale_diagnostic(
 ) -> list[tuple[float, float, float, float]]:
     """Sample means of the value process along simulated paths.
 
-    Evaluates Phi(t, V(t), X(t), state(t)) at each checkpoint.  Under
+    Evaluates Phi(t, V(t), X(t), state(t)) at each checkpoint; there
+    must be at least one, each in [0, T] and on the step grid.  Under
     the optimal strategy (the default) the means are flat in t up to
     Monte Carlo noise; under any other admissible strategy they drift
     downward.  Returns rows (t, mean, std_err, z) where z measures the
@@ -432,6 +442,8 @@ def martingale_diagnostic(
     """
     if p.variant is Variant.MMH:
         raise ConfigError("the value diagnostic is defined for the separable variants")
+    if len(checkpoints) == 0:
+        raise ConfigError("need at least one checkpoint")
     if xi is None:
         xi = xi_ode(chain, upsilon_heston(p, d_leverage_fn(p)))
     if strategy is None:

@@ -448,7 +448,7 @@ class TestDiagnoseCommand:
         _, rows = read_csv(out)
         assert len(rows) == 2
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "weight, message", [("nan", "must be finite"), ("inf", "must be finite"), ("1e200", "wealth overflowed")]
     )
@@ -456,7 +456,26 @@ class TestDiagnoseCommand:
         out = tmp_path / "d.csv"
         argv = ["diagnose", str(set1_path), "--checkpoints", "0,5", "--strategy", f"const:{weight}", "--paths", "5"]
         assert cli.main([*argv, "--out", str(out)]) == 1
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert "RuntimeWarning" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["", "0,abc", "nan", "inf", "0,,5"])
+    def test_bad_checkpoints_flag_is_usage_error(self, value, set1_path, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["diagnose", str(set1_path), "--checkpoints", value, "--paths", "5", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--checkpoints" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["-1", "7", "0,5.5"])
+    def test_checkpoint_outside_the_horizon_exits_one(self, value, set1_path, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        argv = ["diagnose", str(set1_path), "--checkpoints", value, "--paths", "5", "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert "outside [0, T]" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_strategy_exits_one(self, set1_path, tmp_path):

@@ -92,6 +92,20 @@ class TestScheme:
         with pytest.raises(rs.ConfigError):
             rs.simulate_paths(set1, chain2, rs.constant_strategy(0.0), cfg, record=[0.35])
 
+    @pytest.mark.parametrize("t", [-0.1, 5.1, math.nan])
+    def test_record_times_outside_the_horizon_are_rejected(self, t, chain2, set1):
+        cfg = rs.SimConfig(n_paths=2, steps_per_year=10, seed=1, v0=1.0, x0=0.02, state0=1)
+        with pytest.raises(rs.ConfigError, match=r"outside \[0, T\]"):
+            rs.simulate_paths(set1, chain2, rs.constant_strategy(0.0), cfg, record=[t])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_while_stepping_raises_without_numpy_warnings(self, chain1):
+        # the weight table is finite, but (pi nu)^2 / 2 * X overflows on the first step
+        p = one_state_params()
+        cfg = rs.SimConfig(n_paths=4, steps_per_year=10, seed=1, v0=1.0, x0=1e10, state0=1)
+        with pytest.raises(FloatingPointError, match="wealth overflowed"):
+            rs.simulate_paths(p, chain1, rs.constant_strategy(1e150), cfg)
+
     def test_discretization_convergence_with_shared_driver(self, chain2, set1):
         # the two runs share Brownian paths through the common driver grid,
         # isolating the step-size effect from Monte Carlo noise
@@ -306,6 +320,11 @@ class TestMartingaleDiagnostic:
             rs.martingale_diagnostic(p_mmh, chain2, cfg, [0.0])
         rows = rs.martingale_diagnostic(make_params(variant="smmh", rho=0.0), chain2, cfg, [0.0])
         assert rows[0][3] == 0.0
+
+    def test_requires_a_checkpoint(self, chain2, set1):
+        cfg = rs.SimConfig(n_paths=10, steps_per_year=10, seed=1, v0=1.0, x0=0.02, state0=1)
+        with pytest.raises(rs.ConfigError, match="at least one checkpoint"):
+            rs.martingale_diagnostic(set1, chain2, cfg, [])
 
 
 class TestVarianceObservable:
