@@ -279,6 +279,8 @@ def cmd_validate(args) -> int:
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     p = cfg.params
+    if p.variant is Variant.MMH and args.xi_method is not None:
+        raise ConfigError("--xi-method applies to smmh and smmh_rho only; mmh is solved by chain Monte Carlo")
     validate_feller(cfg.params).raise_if_failed()
     validate_solution_assumptions(p).raise_if_failed()
     times = np.linspace(0.0, p.horizon, args.t_grid)
@@ -344,7 +346,10 @@ def _parse_strategy(spec_str: str, p: HestonRegimeParams):
     if spec_str == "optimal":
         return optimal_weight_fn(p)
     if spec_str.startswith("const:"):
-        weight = float(spec_str.split(":", 1)[1])
+        try:
+            weight = float(spec_str.split(":", 1)[1])
+        except ValueError:
+            raise ConfigError(f"--strategy {spec_str!r} is not of the form const:<w> with a number w") from None
         if not np.isfinite(weight):
             raise ConfigError(f"constant strategy weight must be finite, got {weight}")
         return constant_strategy(weight)
@@ -424,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("config")
     sp.add_argument("--t-grid", type=_int_at_least(1), default=51)
     sp.add_argument("--out", default="solve.csv")
-    sp.add_argument("--xi-method", choices=("ode", "mc"), default="ode")
+    sp.add_argument("--xi-method", choices=("ode", "mc"), default=None)  # ode when omitted; mmh takes none
     sp.set_defaults(fn=cmd_solve)
 
     sp = sub.add_parser("simulate", help="full Monte Carlo expected utility and histogram")

@@ -15,10 +15,10 @@ Two independent routes are provided and cross-checked in the tests:
 
   The system is linear, so each RK4 step is one l x l propagator; a
   chunk of them is built at once by batched matrix products from one
-  evaluation of u at all of the chunk's stage times, and the chunk's
-  running products are formed by a log-depth prefix-product scan, so
-  every step's value is one batched product with the chunk's start
-  value.
+  evaluation of u at all of the chunk's stage times, and applied by a
+  work-efficient scan: an up-sweep of pairwise matrix products and a
+  down-sweep of matrix-vector products, about 2m products for m steps
+  in about 2 log2(m) batched calls.
 
 Positivity of xi is preserved by redoing a failing step from its start
 value with scalar RK4 steps, halved locally; losing positivity at the
@@ -39,18 +39,11 @@ from .markov_chain import MarkovChainSpec, PathTable, Segments, quad
 from .models import HestonRegimeParams
 from .riccati import D_leverage, D_leverage_integral
 
-__all__ = [
-    "RegimeIntegrand",
-    "XiTable",
-    "upsilon_heston",
-    "xi_mc",
-    "xi_ode",
-    "xi_mc_table",
-]
+__all__ = ["RegimeIntegrand", "XiTable", "upsilon_heston", "xi_mc", "xi_ode", "xi_mc_table"]
 
 _MIN_STEP = 1e-10
 _CHUNK_SEGMENTS = 1 << 18  # table segments times grid times per truncation chunk: bounds its memory
-_CHUNK_ENTRIES = 1 << 12  # xi_ode steps times l * l propagator entries per chunk: bounds its memory
+_CHUNK_ENTRIES = 1 << 12  # xi_ode steps times l * l entries per chunk: bounds propagators and up-sweep (as many)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,10 +141,7 @@ class XiTable:
     def row(self, t: float) -> np.ndarray:
         """All-state values at time t (linear interpolation)."""
         t = self._checked_time(t)
-        out = np.array(
-            [np.interp(t, self.times, self.values[:, e]) for e in range(self.n_states)]
-        )
-        return out
+        return np.array([np.interp(t, self.times, col) for col in self.values.T])
 
     def at(self, t: float, state: int) -> float:
         """Value of state (1..n_states) at time t; raises ValueError like ``row``."""
@@ -253,14 +243,6 @@ def _truncation_mc(
     return mean, err
 
 
-def _rk4_step(y: np.ndarray, t: float, h: float, rhs) -> np.ndarray:
-    k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = rhs(t + h, y + h * k3)
-    return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def xi_ode(spec: MarkovChainSpec, integrand: RegimeIntegrand, grid_step: float | None = None) -> XiTable:
     """Backward RK4 solution of the coupled linear system for xi.
 
@@ -269,11 +251,12 @@ def xi_ode(spec: MarkovChainSpec, integrand: RegimeIntegrand, grid_step: float |
     P_k with y_{k+1} = P_k y_k.  Steps are taken in chunks of bounded
     memory: one ``fn_all`` call gives u at every stage time of the chunk
     (t_k, t_k - h/2, t_{k+1}), the chunk's propagators are formed by
-    batched matmuls, and ``_propagate`` applies them by a prefix-product
-    scan.  The products are reassociated against step-by-step
-    application, which moves the result by rounding only (about 1e-14
-    relative; the propagators are nonnegative at the step sizes in use,
-    so nothing cancels).
+    batched matmuls, and ``_propagate`` applies them by an up-sweep and
+    down-sweep scan (about 2m products in 2 log2(m) batched calls).  The
+    products are reassociated against step-by-step application, which
+    moves the result by rounding only (about 1e-14 relative; the
+    propagators are nonnegative at the step sizes in use, so nothing
+    cancels).
 
     The default grid step is horizon/5000, and every step is shortened so
     that whole steps span the horizon; a step that is not finite, not
@@ -286,9 +269,7 @@ def xi_ode(spec: MarkovChainSpec, integrand: RegimeIntegrand, grid_step: float |
     if grid_step is None:
         grid_step = horizon / 5000.0
     if not 0.0 < grid_step <= horizon:  # also rejects nan and inf
-        raise ValueError(
-            f"grid_step must be finite, positive and at most the horizon {horizon}, got {grid_step}"
-        )
+        raise ValueError(f"grid_step must be finite, positive and at most the horizon {horizon}, got {grid_step}")
     if integrand.n_states != spec.n_states:
         raise ValueError("integrand and chain disagree on the state count")
     q = spec.intensity
@@ -312,7 +293,9 @@ def xi_ode(spec: MarkovChainSpec, integrand: RegimeIntegrand, grid_step: float |
         for k0 in range(0, n, chunk):
             k1 = min(n, k0 + chunk)
             u = integrand.fn_all(stage_times[2 * k0 : 2 * k1 + 1])
-            m = -q - u[:, :, None] * eye  # M at the chunk's stage times
+            m = np.repeat(-q[None], len(u), axis=0)  # M = -Q - diag(u) at the chunk's stage times
+            for e in range(l):  # one 1-d strided update per state, much faster than one 2-d update
+                m[:, e, e] -= u[:, e]
             a1, a2, a4 = m[:-1:2], m[1::2], m[2::2]
             s2 = a2 @ (eye - 0.5 * h * a1)
             s3 = a2 @ (eye - 0.5 * h * s2)
@@ -324,27 +307,40 @@ def xi_ode(spec: MarkovChainSpec, integrand: RegimeIntegrand, grid_step: float |
 def _propagate(props, values, k0, times, h, rhs) -> None:
     """Fill values[k0 + 1 : k0 + len(props) + 1] by y_{k+1} = P_k y_k.
 
-    A pass from step k forms the running products P_j ... P_k for every
-    j of the chunk by a Hillis-Steele scan (log2 of the chunk length
-    batched matmuls) and applies them all to y_k at once.  The pass is
+    Each pass applies the remaining propagators from y_k by ``_sweep``
+    (about 2m products in 2 log2(m) batched calls for m of them) and is
     checked as a whole; the first step that is not finite and positive
     is redone by ``_advance`` and a new pass starts after it.
     """
     k, stop = k0, k0 + len(props)
     while k < stop:
-        acc = props[k - k0 :].copy()
-        s = 1
-        while s < len(acc):
-            acc[s:] = acc[s:] @ acc[:-s]
-            s *= 2
+        _sweep(props[k - k0 :], values[k : stop + 1])
         new = values[k + 1 : stop + 1]
-        new[:] = acc @ values[k]
-        bad = np.flatnonzero(~((new > 0.0) & (new < np.inf)).all(axis=1))
-        if not len(bad):
+        if new.min() > 0.0 and new.max() < np.inf:  # all finite and positive; false on nan
             return
-        k += int(bad[0])
-        values[k + 1] = _advance(values[k], times[k], -h, rhs)
-        k += 1
+        k += int(np.argmin(((new > 0.0) & (new < np.inf)).all(axis=1))) + 1  # redo the first lost step
+        values[k] = _advance(values[k - 1], times[k - 1], -h, rhs)
+
+
+def _sweep(props: np.ndarray, out: np.ndarray) -> None:
+    """Fill out[1:] by out[j + 1] = props[j] @ out[j] from out[0] (Blelloch 1990).
+
+    The up-sweep multiplies neighbouring pairs, level by level, until one
+    product spans all steps (a level of odd length carries its last
+    element up unpaired); the down-sweep fills each pair's midpoint from
+    its start by one matrix-vector product, top level first.  out[j]
+    depends on props[:j] only.
+    """
+    levels = [props]  # level i: products of 2**i consecutive propagators
+    while len(levels[-1]) > 1:
+        a = levels[-1]
+        up = a[1::2] @ a[: len(a) - 1 : 2]
+        levels.append(np.concatenate((up, a[-1:])) if len(a) % 2 else up)
+    out[len(props)] = levels[-1][0] @ out[0]
+    for i in range(len(levels) - 2, -1, -1):
+        firsts, s = levels[i][: len(levels[i]) - 1 : 2], 1 << i  # the first of each pair
+        end = 2 * s * len(firsts)
+        np.matmul(firsts, out[:end : 2 * s, :, None], out=out[s:end : 2 * s, :, None])
 
 
 def _advance(y: np.ndarray, t: float, h: float, rhs) -> np.ndarray:
@@ -354,8 +350,12 @@ def _advance(y: np.ndarray, t: float, h: float, rhs) -> np.ndarray:
     divergent system reaches the minimum step quickly instead of
     retrying ever-finer uniform refinements of the whole step.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        y_new = _rk4_step(y, t, h, rhs)
+    with np.errstate(over="ignore", invalid="ignore"):  # one classic RK4 step
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(t + h, y + h * k3)
+        y_new = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if np.all(np.isfinite(y_new)) and np.all(y_new > 0.0):
         return y_new
     if abs(h) * 0.5 < _MIN_STEP:

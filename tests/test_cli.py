@@ -338,6 +338,17 @@ class TestSolveCommand:
         assert float(rows[0]["phi"]) == pytest.approx(float(rows[0]["xi"]) * (10**0.3 / 0.3), rel=1e-12)
         assert float(rows[-1]["phi"]) == pytest.approx(10**0.3 / 0.3, rel=1e-9)
 
+    @pytest.mark.parametrize("method", [None, "ode", "mc"], ids=["no_flag", "ode", "mc"])
+    def test_xi_method_on_mmh_exits_one(self, method, tmp_path, set1_path, capsys):
+        # mmh has no separable xi: a given --xi-method would be ignored, so it is refused
+        out = tmp_path / "solve_mmh.csv"
+        flag = [] if method is None else ["--xi-method", method]
+        argv = ["solve", str(_mmh_config(tmp_path, set1_path)), "--t-grid", "3", *flag, "--out", str(out)]
+        assert cli.main(argv) == (0 if method is None else 1)
+        assert out.exists() == (method is None)
+        if method is not None:
+            assert "--xi-method" in capsys.readouterr().err
+
     def test_failed_assumption_exits_one(self, tmp_path, set1_path, capsys):
         text = set1_path.read_text().replace("delta = 0.3", "delta = 0.999")
         text = text.replace("rho = -0.8", "rho = 0.8")
@@ -476,6 +487,16 @@ class TestDiagnoseCommand:
         argv = ["diagnose", str(set1_path), "--checkpoints", value, "--paths", "5", "--out", str(out)]
         assert cli.main(argv) == 1
         assert "outside [0, T]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["const:abc", "const:"])
+    def test_malformed_constant_strategy_exits_one(self, value, set1_path, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        argv = ["diagnose", str(set1_path), "--checkpoints", "0,5", "--strategy", value, "--paths", "5"]
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "--strategy" in err and "const:<w>" in err
+        assert "could not convert" not in err
         assert not out.exists()
 
     def test_unknown_strategy_exits_one(self, set1_path, tmp_path):

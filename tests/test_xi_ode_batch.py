@@ -4,9 +4,10 @@ The reference below is the loop xi_ode ran before it formed one l x l
 propagator per step: four right-hand-side evaluations per step, each
 step's result checked and, on a loss of positivity or finiteness,
 bisected locally down to a minimum step.  Forming the propagators and
-applying them by a prefix-product scan reorders the floating-point
+applying them by an up-sweep/down-sweep scan reorders the floating-point
 operations and nothing else, so the two agree to 1e-13 relative, also
-where steps are redone by halving.
+where steps are redone by halving.  The scan itself is checked against
+sequential matrix-vector products.
 """
 
 import numpy as np
@@ -127,8 +128,8 @@ def test_steps_redone_by_halving_match_scalar_loop(chunked):
 @pytest.mark.parametrize("steps_per_chunk", [10, 5])
 def test_step_redone_on_the_first_step_of_a_chunk(steps_per_chunk, monkeypatch):
     # a narrow dip of u(t, 1) at t = 1 makes only the step from 1.0 to 0.9
-    # (step 10 back from T = 2) lose positivity; the steps after it are
-    # scanned from its redone value
+    # (step 10 back from T = 2) lose positivity; a fresh sweep starts from
+    # its redone value
     spec = rs.validate_intensity([[-1.0, 1.0], [1.0, -1.0]])
     integrand = rs.RegimeIntegrand.from_scalar(
         lambda t, e: -100.0 * np.exp(-(((t - 1.0) / 0.1) ** 2)) if e == 1 else 0.0, 2.0, 2
@@ -141,8 +142,8 @@ def test_step_redone_on_the_first_step_of_a_chunk(steps_per_chunk, monkeypatch):
 @pytest.mark.parametrize("steps_per_chunk", [None, 7, 1], ids=["default_chunks", "chunks_of_7_steps", "one_step"])
 @pytest.mark.parametrize("n_states", [1, 4, 6])
 def test_random_chains_match_scalar_loop(n_states, steps_per_chunk, monkeypatch):
-    # chunk lengths in steps for any state count: 7 gives scans whose length
-    # is not a power of two, 1 a scan of one propagator
+    # chunk lengths in steps for any state count: 7 gives sweeps with levels
+    # of odd length, 1 a sweep over one propagator
     if steps_per_chunk is not None:
         monkeypatch.setattr(regime_expectation, "_CHUNK_ENTRIES", steps_per_chunk * n_states**2)
     rng = np.random.default_rng(20261019 + n_states)
@@ -162,3 +163,43 @@ def test_step_failure_partway_through_the_horizon():
     integrand = rs.RegimeIntegrand.from_scalar(lambda t, e: 1e3 * max(0.0, 2.5 - t), 5.0, 2)
     with pytest.raises(rs.StepFailure):
         rs.xi_ode(rs.validate_intensity(Q_TWO_STATE), integrand, grid_step=1e-3)
+
+
+def _sequential(props, y0):
+    out = np.empty((len(props) + 1, len(y0)))
+    out[0] = y0
+    for k, prop in enumerate(props):
+        out[k + 1] = prop @ out[k]
+    return out
+
+
+def _propagators(rng, m, l):
+    # nonnegative and near the identity, like RK4 propagators at small steps: nothing cancels
+    return np.eye(l) * rng.uniform(0.99, 1.0, (m, 1, 1)) + rng.uniform(0.0, 0.01 / l, (m, l, l))
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 6])
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 9, 1023, 1025])
+def test_sweep_matches_sequential_products(m, l):
+    rng = np.random.default_rng(20261019 + 10 * m + l)
+    props = _propagators(rng, m, l)
+    out = np.empty((m + 1, l))
+    out[0] = rng.uniform(0.5, 1.0, l)
+    regime_expectation._sweep(props, out)
+    assert np.abs(out / _sequential(props, out[0]) - 1.0).max() <= TOL
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("j", [0, 1, 4, 7, 8, 12])
+def test_sweep_values_up_to_a_non_finite_propagator_are_kept(j, bad):
+    # _propagate redoes the first failing step from out[j] and trusts out[: j + 1]
+    rng = np.random.default_rng(20261020 + j)
+    props = _propagators(rng, 13, 2)
+    props[j] = bad
+    out = np.empty((14, 2))
+    out[0] = rng.uniform(0.5, 1.0, 2)
+    with np.errstate(invalid="ignore"):
+        regime_expectation._sweep(props, out)
+    assert np.isfinite(out[: j + 1]).all()
+    assert np.abs(out[: j + 1] / _sequential(props[:j], out[0]) - 1.0).max() <= TOL
+    assert not np.isfinite(out[j + 1 :]).any(axis=1).any()
