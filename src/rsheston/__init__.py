@@ -7,7 +7,6 @@ for reproducible CSV experiments.
 
 from .errors import (
     AssumptionViolated,
-    BlowUp,
     ConfigError,
     DomainViolation,
     FellerViolated,
@@ -25,7 +24,6 @@ from .markov_chain import (
     path_stream,
     sample_block,
     sample_path,
-    transition_probabilities,
     validate_intensity,
 )
 from .models import (
@@ -40,7 +38,6 @@ from .models import (
 )
 from .regime_expectation import RegimeIntegrand, XiTable, upsilon_heston, xi_mc, xi_mc_table, xi_ode
 from .riccati import (
-    CharFnCoeffs,
     D_leverage,
     D_leverage_integral,
     PiecewiseAB,
@@ -48,7 +45,6 @@ from .riccati import (
     compose_piecewise,
     compose_segments,
     d_leverage_fn,
-    riccati_numeric,
 )
 from .simulate import (
     HistogramTable,
@@ -60,18 +56,15 @@ from .simulate import (
     optimal_weight_fn,
     simulate_paths,
     terminal_wealth_histogram,
-    variance_observable,
 )
 from .value_strategy import (
     StrategyPoint,
     ValueQuery,
     optimal_strategy,
     optimal_weights,
-    timedep_strategy,
     value_mmh_general,
     value_mmh_table,
     value_smmh_rho,
-    value_timedep_heston,
 )
 
 __version__ = "0.1.0"

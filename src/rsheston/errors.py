@@ -25,10 +25,6 @@ class DomainViolation(RsHestonError):
     """Inputs left the well-definedness region of a closed-form solution."""
 
 
-class BlowUp(RsHestonError):
-    """Numeric Riccati integration escaped to infinity."""
-
-
 class StepFailure(RsHestonError):
     """ODE integration lost positivity or finiteness at the minimum step."""
 

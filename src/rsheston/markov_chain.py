@@ -21,7 +21,7 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -35,13 +35,11 @@ __all__ = [
     "validate_intensity",
     "sample_path",
     "sample_block",
-    "transition_probabilities",
     "occupation_integral",
     "path_stream",
 ]
 
 _ROW_SUM_TOL = 1e-12
-_SERIES_TOL = 1e-16
 _MAX_STATES = 32
 _STREAM_BLOCK = 256  # paths per RNG stream: fixes the draw layout, not a memory bound
 
@@ -154,6 +152,9 @@ def validate_intensity(matrix) -> MarkovChainSpec:
 
     Raises
     ------
+    ValueError
+        If the matrix is not square, has more than 32 states, or holds
+        a nan or infinite entry (named by its 1-based (i, j)).
     NegativeRate
         If any off-diagonal entry is negative.
     RowSumNonZero
@@ -165,6 +166,9 @@ def validate_intensity(matrix) -> MarkovChainSpec:
     l = q.shape[0]
     if l < 1 or l > _MAX_STATES:
         raise ValueError(f"n_states must be in [1, {_MAX_STATES}], got {l}")
+    bad = np.argwhere(~np.isfinite(q)) + 1
+    if bad.size:
+        raise ValueError(f"intensity entries must be finite, got nan or inf at {[tuple(ij) for ij in bad.tolist()]}")
     bad = np.argwhere((q < 0) & ~np.eye(l, dtype=bool)) + 1
     if bad.size:
         raise NegativeRate(f"negative off-diagonal rate(s) at {[tuple(ij) for ij in bad.tolist()]}")
@@ -365,40 +369,12 @@ class PathTable:
         return Segments(first=first, lo=lo, hi=hi, states=self.states[src])
 
 
-def transition_probabilities(spec: MarkovChainSpec, t: float) -> np.ndarray:
-    """Transition matrix exp(Q t) by scaling-and-squaring.
-
-    The Taylor series is truncated once the term's max-norm falls below
-    1e-16; the argument is pre-scaled by 2**s so the series converges in
-    a few terms, then squared s times.  Rows sum to 1 within 1e-10.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    l = spec.n_states
-    a = spec.intensity * float(t)
-    norm = np.linalg.norm(a, np.inf)
-    s = 0 if norm <= 0.5 else int(math.ceil(math.log2(norm))) + 1
-    a /= 2.0**s
-    p = np.eye(l)
-    term = np.eye(l)
-    k = 1
-    while True:
-        term = term @ a / k
-        p += term
-        if np.linalg.norm(term, np.inf) < _SERIES_TOL or k > 80:
-            break
-        k += 1
-    for _ in range(s):
-        p = p @ p
-    # rounding can leave entries a hair outside [0, 1]
-    return np.clip(p, 0.0, 1.0)
-
-
 def quad(*args, **kwargs):
     """``scipy.integrate.quad``, imported on the first call.
 
-    Only the quadrature references call it, so loading the library or
-    running the CLI does not import scipy.
+    Only quadrature references call it (``occupation_integral`` and the
+    tests' scalar integrands), so loading the library or running the CLI
+    does not import scipy.
     """
     from scipy.integrate import quad as scipy_quad
 
@@ -415,8 +391,8 @@ def occupation_integral(
 
     The generic quadrature reference: within one segment the state is
     constant and adaptive quadrature (absolute tolerance 1e-12) handles
-    the time dependence.  It serves ``RegimeIntegrand.from_scalar``; the
-    library's own integrands have closed-form path integrals.  scipy is
+    the time dependence.  The library's own integrands have closed-form
+    path integrals, which the tests check against this one.  scipy is
     imported on the first call (see ``quad``).
     """
     if not path.start <= t <= horizon <= path.horizon + 1e-12:

@@ -177,10 +177,6 @@ class HestonRegimeParams:
         """lam_hat(e)/nu(e): market price of risk per sqrt(X)."""
         return self.excess_slope / self.nu
 
-    def tilted_kappa(self) -> np.ndarray:
-        """Mean-reversion speed of the drift-adjusted factor used by the exponent ODEs."""
-        return exponent_params(self).kappa
-
 
 class ExponentParams(NamedTuple):
     """Per-state CIR parameters of the exponent ODEs (see ``exponent_params``)."""

@@ -4,9 +4,7 @@ Two independent routes are provided and cross-checked in the tests:
 
 * ``xi_mc``  - Monte Carlo over chain trajectories, summing the
   integrand's segment integrals along each path (closed form for
-  ``upsilon_heston``, adaptive quadrature for
-  ``RegimeIntegrand.from_scalar``, which imports scipy on its first
-  segment integral).
+  ``upsilon_heston``).
 * ``xi_ode`` - backward RK4 integration of the equivalent coupled
   linear ODE system
 
@@ -27,15 +25,13 @@ minimum step signals an integrand far outside the intended regime.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainViolation, StepFailure
-from .markov_chain import MarkovChainSpec, PathTable, Segments, quad
+from .markov_chain import MarkovChainSpec, PathTable, Segments
 from .models import HestonRegimeParams
 from .riccati import D_leverage, D_leverage_integral
 
@@ -53,31 +49,13 @@ class RegimeIntegrand:
     ``fn_all(t)`` evaluates all states at once: an array of length
     n_states for a scalar t, of shape (len(t), n_states) for an array of
     times; ``segment_integral(lo, hi, states)`` is the array of
-    int_lo^hi u(s, state) ds over flat arrays of segments, by adaptive
-    quadrature (absolute and relative tolerance 1e-12) for ``from_scalar``
-    integrands; scipy is imported on the first such call.
+    int_lo^hi u(s, state) ds over flat arrays of segments.
     """
 
     horizon: float
     n_states: int
     fn_all: Callable[[float | np.ndarray], np.ndarray]
     segment_integral: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-
-    @classmethod
-    def from_scalar(cls, fn: Callable[[float, int], float], horizon: float, n_states: int):
-        def fn_all(t) -> np.ndarray:
-            rows = [[fn(s, e) for e in range(1, n_states + 1)] for s in np.ravel(t).tolist()]
-            return np.array(rows).reshape(np.shape(t) + (n_states,))
-
-        def segment_integral(lo: np.ndarray, hi: np.ndarray, states: np.ndarray) -> np.ndarray:
-            return np.array(
-                [
-                    quad(fn, a, b, args=(int(e),), epsabs=1e-12, epsrel=1e-12, limit=200)[0]
-                    for a, b, e in zip(lo.tolist(), hi.tolist(), states)
-                ]
-            )
-
-        return cls(horizon=horizon, n_states=n_states, fn_all=fn_all, segment_integral=segment_integral)
 
 
 def upsilon_heston(p: HestonRegimeParams, coeff_fn: Callable[[float], float]) -> RegimeIntegrand:
@@ -148,16 +126,6 @@ class XiTable:
         if state not in range(1, self.n_states + 1):
             raise ValueError(f"state {state!r} outside 1..{self.n_states}")
         return float(np.interp(self._checked_time(t), self.times, self.values[:, state - 1]))
-
-    def write_csv(self, stream: io.TextIOBase, comment: str | None = None) -> None:
-        writer = csv.writer(stream, lineterminator="\n")
-        if comment:
-            stream.write(f"# {comment}\n")
-        writer.writerow(["t", "state", "xi", "std_err", "method"])
-        for i, t in enumerate(self.times):
-            for e in range(self.n_states):
-                err = "" if self.std_err is None else f"{self.std_err[i, e]:.17g}"
-                writer.writerow([f"{t:.17g}", e + 1, f"{self.values[i, e]:.17g}", err, self.method])
 
 
 def xi_mc(

@@ -20,30 +20,29 @@ backward time they solve
     B_t + (1/2) chi^2 B^2 - kappa B + beta = 0,   B(T) = alpha,
     A_t + kappa theta B = 0,                      A(T) = 0.
 
-This module provides the closed forms, an independent backward RK4
-integrator over piecewise-constant coefficients, the backward
-composition across one regime path or across many at once, and the
-separable variants' factor exponent D = vt B and its integral.  All evaluate the closed form on the
-tilted parameters of ``models.exponent_params``.
+``char_fn_coeffs`` is the one evaluation of this closed form and of its
+domain.  It runs in two halves, ``_exponent_table`` (the checks on kappa,
+theta, chi and beta) and ``_ab`` (the checks on alpha and tau), so that
+callers that reuse parameters check them once: the backward composition
+across one regime path or across many at once, and the separable
+variants' factor exponent D = vt B and its integral.  All evaluate the
+closed form on the tilted parameters of ``models.exponent_params``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import BlowUp, DomainViolation
+from .errors import DomainViolation
 from .markov_chain import RegimePath, Segments
 from .models import HestonRegimeParams, Variant, exponent_params
 
 __all__ = [
-    "CharFnCoeffs",
     "PiecewiseAB",
-    "RiccatiSolution",
     "char_fn_coeffs",
-    "riccati_numeric",
     "compose_piecewise",
     "compose_segments",
     "D_leverage",
@@ -51,167 +50,79 @@ __all__ = [
     "d_leverage_fn",
 ]
 
-_B_ESCAPE = 1e8
 
+def _exponent_table(kappa, theta, chi, beta) -> np.ndarray:
+    """The closed form's per-parameter constants, as rows for ``_ab``.
 
-@dataclass(frozen=True)
-class CharFnCoeffs:
-    """One evaluation (A, B) of the exponential-affine coefficients."""
-
-    A: float
-    B: float
-
-
-def _discriminant_root(kappa: float, chi: float, beta: float) -> float:
-    disc = kappa * kappa - 2.0 * beta * chi * chi
-    if disc < 0.0:
-        # roundoff at the boundary beta = kappa^2/(2 chi^2) must map to a = 0
-        if disc > -1e-12 * kappa * kappa:
-            return 0.0
-        raise DomainViolation(
-            f"beta = {beta} exceeds kappa^2/(2 chi^2) = {kappa**2 / (2 * chi**2)}"
-        )
-    return math.sqrt(disc)
-
-
-def _closed_ab(kappa, theta, chi, alpha, beta, tau):
-    """Vectorized closed-form (A(tau), B(tau)); tau scalar or ndarray."""
-    if kappa <= 0 or theta <= 0 or chi <= 0:
+    Raises DomainViolation unless kappa, theta, chi > 0 and beta <=
+    kappa^2/(2 chi^2); roundoff just past the beta bound maps to a = 0.
+    Rows: kappa, a, chi^2, the alpha bound (kappa + a)/chi^2, and the
+    coefficients kappa theta (kappa - a)/chi^2, 2 kappa theta/chi^2 and
+    kappa theta (kappa + a)/chi^2 of A, each formed as A's expression
+    forms it.
+    """
+    if not np.all((kappa > 0.0) & (theta > 0.0) & (chi > 0.0)):
         raise DomainViolation("closed forms need kappa, theta, chi > 0")
-    tau = np.asarray(tau, dtype=float)
-    if (tau < 0).any():
-        raise DomainViolation("tau must be nonnegative")
-    a = _discriminant_root(kappa, chi, beta)
+    disc = kappa * kappa - 2.0 * beta * chi * chi
+    if np.any(disc <= -1e-12 * kappa * kappa):
+        raise DomainViolation("beta exceeds kappa^2/(2 chi^2)")
+    a = np.sqrt(np.maximum(disc, 0.0))
     chi2 = chi * chi
     bound = (kappa + a) / chi2
-    if alpha == bound:
-        # boundary branch: B is frozen at its terminal value
-        b = np.full_like(tau, bound)
-        big_a = kappa * theta * bound * tau
+    k_th = kappa * theta
+    rows = (kappa, a, chi2, bound, k_th * (kappa - a) / chi2, 2.0 * kappa * theta / chi2, k_th * bound)
+    return np.array(np.broadcast_arrays(*rows), dtype=float)
+
+
+def _all(x) -> bool:
+    """``x.all()``, without numpy's slow reduction of a scalar."""
+    return x.all() if isinstance(x, np.ndarray) else bool(x)
+
+
+def _ab(table, alpha, tau, with_a: bool = True):
+    """(A(tau), B(tau)) on ``_exponent_table`` rows, elementwise; A is None without ``with_a``.
+
+    Raises DomainViolation unless tau >= 0 and alpha <= (kappa + a)/chi^2
+    (nan fails both), and where 1 - c e^{-a tau} can vanish, which is
+    where a = 0 with alpha below its bound.  At the bound B stays at alpha.
+    """
+    tau = np.asarray(tau, dtype=float)
+    if not tau.min(initial=0.0) >= 0.0:  # nan fails too
+        raise DomainViolation("tau must be nonnegative")
+    kappa, a, chi2, bound, lin, log_coef, _ = table
+    live = alpha < bound
+    if not _all(live):
+        if not np.all(alpha <= bound):  # also rejects nan
+            raise DomainViolation("alpha exceeds (kappa + a)/chi^2")
+        # at the bound B stays there and A = kappa theta bound tau; the rest take the interior form
+        *rows, alpha, tau, live = np.broadcast_arrays(*table, alpha, tau, live)
+        b, big_a = np.array(rows[3]), np.array(rows[6] * tau)
+        sub_a, b[live] = _ab(np.array(rows)[:, live], alpha[live], tau[live], with_a)
+        if not with_a:
+            return None, b
+        big_a[live] = sub_a
         return big_a, b
-    if a == 0.0:
-        raise DomainViolation(
-            "beta = kappa^2/(2 chi^2) is only admissible with alpha = kappa/chi^2"
-        )
-    if alpha > bound:
-        raise DomainViolation(f"alpha = {alpha} exceeds (kappa + a)/chi^2 = {bound}")
-    return _interior_ab(kappa, theta, chi2, a, alpha, tau)
-
-
-def _interior_ab(kappa, theta, chi2, a, alpha, tau):
-    """(A(tau), B(tau)) for a > 0 and alpha below its bound, elementwise over arrays."""
-    c = (kappa - a - alpha * chi2) / (kappa + a - alpha * chi2)
+    kpa, ac = kappa + a, alpha * chi2
+    c = (kappa - a - ac) / (kpa - ac)
+    # e^{-a tau} <= 1, so 1 - c e^{-a tau} > 0 wherever c < 1; c = 1 where a = 0
+    if not _all(c < 1.0):  # nan fails too
+        raise DomainViolation("coefficient denominator vanished: beta = kappa^2/(2 chi^2) needs alpha = kappa/chi^2")
     decay = np.exp(-a * tau)
     den = 1.0 - c * decay
-    if (den <= 0.0).any():
-        raise DomainViolation("coefficient denominator vanished inside the domain")
-    b = (-c * (kappa + a) * decay + kappa - a) / (chi2 * den)
-    big_a = kappa * theta * (kappa - a) / chi2 * tau - (2.0 * kappa * theta / chi2) * np.log(
-        den / (1.0 - c)
-    )
-    return big_a, b
+    b = (-c * kpa * decay + kappa - a) / (chi2 * den)
+    if not with_a:
+        return None, b
+    return lin * tau - log_coef * np.log(den / (1.0 - c)), b
 
 
-def char_fn_coeffs(
-    kappa: float, theta: float, chi: float, alpha: float, beta: float, tau: float
-) -> CharFnCoeffs:
-    """Closed-form (A, B) at elapsed backward time tau.
+def char_fn_coeffs(kappa, theta, chi, alpha, beta, tau):
+    """Closed-form (A(tau), B(tau)), elementwise over arguments that broadcast.
 
-    Raises DomainViolation whenever (alpha, beta) leave the region where
-    the transform is well defined.
+    Raises DomainViolation whenever (alpha, beta, tau) leave the region
+    where the transform is well defined (see ``_exponent_table`` and
+    ``_ab``).
     """
-    big_a, b = _closed_ab(kappa, theta, chi, alpha, beta, float(tau))
-    return CharFnCoeffs(A=float(big_a), B=float(b))
-
-
-@dataclass(frozen=True, eq=False)
-class RiccatiSolution:
-    """Backward RK4 samples of (A(t), B(t)) on a grid aligned with segment edges."""
-
-    times: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-
-
-def riccati_numeric(
-    boundaries,
-    kappa,
-    theta,
-    chi,
-    beta,
-    terminal_alpha: float = 0.0,
-    grid_step: float = 1e-3,
-) -> RiccatiSolution:
-    """Integrate the coefficient ODE pair backward with classic RK4.
-
-    ``boundaries`` are the segment edges t_0 < ... < t_n (the last one
-    is the horizon); ``kappa``/``theta``/``chi``/``beta`` give the
-    constant coefficients on each of the n segments.  Integration starts
-    from (A, B)(t_n) = (0, terminal_alpha) and is continuous across
-    segment edges.  Each segment is subdivided so steps never exceed
-    ``grid_step`` and always land exactly on the edges.
-
-    Raises BlowUp once |B| exceeds 1e8, the signature of a violated
-    solvability condition (finite-time Riccati escape).
-    """
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
-    edges = np.asarray(boundaries, dtype=float)
-    kap = np.atleast_1d(np.asarray(kappa, dtype=float))
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    ch = np.atleast_1d(np.asarray(chi, dtype=float))
-    be = np.atleast_1d(np.asarray(beta, dtype=float))
-    n_seg = len(edges) - 1
-    if n_seg < 1 or not (len(kap) == len(th) == len(ch) == len(be) == n_seg):
-        raise ValueError("need one (kappa, theta, chi, beta) tuple per segment")
-    if np.any(np.diff(edges) <= 0):
-        raise ValueError("boundaries must be strictly increasing")
-
-    times = [np.array([edges[-1]])]
-    a_vals = [np.array([0.0])]
-    b_vals = [np.array([float(terminal_alpha)])]
-    b_cur, a_cur = float(terminal_alpha), 0.0
-    for j in range(n_seg - 1, -1, -1):
-        seg_len = edges[j + 1] - edges[j]
-        m = max(1, int(math.ceil(seg_len / grid_step - 1e-12)))
-        h = seg_len / m
-        kj, tj, cj, bj = kap[j], th[j], ch[j], be[j]
-        c2 = 0.5 * cj * cj
-
-        def rhs(b):
-            return -c2 * b * b + kj * b - bj
-
-        seg_t = np.empty(m)
-        seg_a = np.empty(m)
-        seg_b = np.empty(m)
-        t = edges[j + 1]
-        for k in range(m):
-            # one RK4 step of size -h for the pair (B, A)
-            k1b = rhs(b_cur)
-            k1a = -kj * tj * b_cur
-            b2 = b_cur - 0.5 * h * k1b
-            k2b = rhs(b2)
-            k2a = -kj * tj * b2
-            b3 = b_cur - 0.5 * h * k2b
-            k3b = rhs(b3)
-            k3a = -kj * tj * b3
-            b4 = b_cur - h * k3b
-            k4b = rhs(b4)
-            k4a = -kj * tj * b4
-            b_cur = b_cur - h / 6.0 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-            a_cur = a_cur - h / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-            t -= h
-            if not math.isfinite(b_cur) or abs(b_cur) > _B_ESCAPE:
-                raise BlowUp(f"|B| escaped past {_B_ESCAPE:g} near t = {t:.6g}")
-            seg_t[k] = t
-            seg_a[k] = a_cur
-            seg_b[k] = b_cur
-        seg_t[-1] = edges[j]  # pin the edge exactly against rounding drift
-        times.append(seg_t)
-        a_vals.append(seg_a)
-        b_vals.append(seg_b)
-    t_all = np.concatenate(times)[::-1]
-    return RiccatiSolution(times=t_all, A=np.concatenate(a_vals)[::-1], B=np.concatenate(b_vals)[::-1])
+    return _ab(_exponent_table(kappa, theta, chi, beta), alpha, tau)
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,10 +130,7 @@ class _Segment:
     t_lo: float
     t_hi: float
     alpha_end: float  # B value carried in from the later segment
-    beta: float
-    kappa_t: float
-    theta_t: float
-    chi: float
+    table: np.ndarray  # the state's ``_exponent_table`` column
     a_tail: float  # accumulated A contributions of all later segments
 
 
@@ -244,7 +152,7 @@ class PiecewiseAB:
     def ab(self, t):
         """(A(t), B(t)) from one evaluation: floats for scalar t, else arrays."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t_arr < self.start - 1e-12) or np.any(t_arr > self.horizon + 1e-12):
+        if not ((t_arr >= self.start - 1e-12) & (t_arr <= self.horizon + 1e-12)).all():  # also rejects nan
             raise DomainViolation("query time outside the path interval")
         edges = np.array([s.t_lo for s in self.segments] + [self.horizon])
         idx = np.clip(np.searchsorted(edges, t_arr, side="right") - 1, 0, len(self.segments) - 1)
@@ -254,33 +162,26 @@ class PiecewiseAB:
             mask = idx == j
             if not mask.any():
                 continue
-            tau = seg.t_hi - t_arr[mask]
-            big_a, b = _closed_ab(seg.kappa_t, seg.theta_t, seg.chi, seg.alpha_end, seg.beta, tau)
+            big_a, b = _ab(seg.table, seg.alpha_end, seg.t_hi - t_arr[mask])
             a_out[mask] = big_a + seg.a_tail
             b_out[mask] = b
         if np.ndim(t) == 0:
             return float(a_out[0]), float(b_out[0])
         return a_out, b_out
 
-    def A(self, t):
-        return self.ab(t)[0]
-
-    def B(self, t):
-        return self.ab(t)[1]
-
 
 def compose_piecewise(path: RegimePath, p: HestonRegimeParams) -> PiecewiseAB:
     """Backward composition of the closed forms over a regime path.
 
     Each segment uses its state's tilted (kappa, theta, beta) from
-    ``exponent_params``; A and B come out unscaled (multiply by vartheta
-    for the value exponent).
+    ``exponent_params``, and every state's are checked, visited or not.
+    A and B come out unscaled (multiply by vartheta for the value
+    exponent).
     """
     if np.any(path.states > p.n_states):
         raise ValueError("path states exceed the model's state count")
     kt, tt, beta, vt = exponent_params(p)
-    if np.any(kt <= 0.0):
-        raise DomainViolation("drift-adjusted reversion speed must stay positive")
+    table = _exponent_table(kt, tt, p.chi, beta)
 
     edges = path.boundaries()
     segs: list[_Segment] = []
@@ -288,19 +189,11 @@ def compose_piecewise(path: RegimePath, p: HestonRegimeParams) -> PiecewiseAB:
     a_tail = 0.0
     for j in range(len(path.states) - 1, -1, -1):
         e = int(path.states[j]) - 1
-        tau_j = edges[j + 1] - edges[j]
         seg = _Segment(
-            t_lo=float(edges[j]),
-            t_hi=float(edges[j + 1]),
-            alpha_end=alpha,
-            beta=float(beta[e]),
-            kappa_t=float(kt[e]),
-            theta_t=float(tt[e]),
-            chi=float(p.chi[e]),
-            a_tail=a_tail,
+            t_lo=float(edges[j]), t_hi=float(edges[j + 1]), alpha_end=alpha, table=table[:, e], a_tail=a_tail
         )
         segs.append(seg)
-        big_a, b = _closed_ab(seg.kappa_t, seg.theta_t, seg.chi, alpha, seg.beta, tau_j)
+        big_a, b = _ab(seg.table, alpha, seg.t_hi - seg.t_lo)
         alpha = float(b)
         a_tail += float(big_a)
     return PiecewiseAB(
@@ -312,21 +205,16 @@ def compose_segments(p: HestonRegimeParams, segs: Segments) -> tuple[np.ndarray,
     """(A, B) at the start of every cell: ``compose_piecewise`` on all cells at once.
 
     Step j applies the closed form over the j-th segment from the end of
-    every cell that has one, with B carried in from step j - 1.  The
-    domain checks of ``_closed_ab`` run elementwise, and every state's
-    exponent is validated whether or not a cell visits it.  Unscaled, as
+    every cell that has one, with B carried in from step j - 1; its
+    checks run elementwise, and every state's parameters are checked
+    whether or not a cell visits the state.  Unscaled, as
     ``compose_piecewise``.
     """
     if np.any(segs.states > p.n_states):
         raise ValueError("path states exceed the model's state count")
     kt, tt, beta, _ = exponent_params(p)
-    if np.any(kt <= 0.0):
-        raise DomainViolation("drift-adjusted reversion speed must stay positive")
-    if np.any(p.chi <= 0.0):
-        raise DomainViolation("closed forms need kappa, theta, chi > 0")
-    a = np.array([_discriminant_root(k, c, b) for k, c, b in zip(kt, p.chi, beta)])
-    chi2 = p.chi * p.chi
-    per_state = np.stack((kt, tt, chi2, a, (kt + a) / chi2))
+    table = _exponent_table(kt, tt, p.chi, beta)
+    state = segs.states - 1
     dur = segs.hi - segs.lo
     n_seg = np.diff(segs.first)
     order = np.argsort(-n_seg, kind="stable")  # cells still composing at step j are a prefix
@@ -336,35 +224,32 @@ def compose_segments(p: HestonRegimeParams, segs: Segments) -> tuple[np.ndarray,
     alpha = np.zeros(len(n_seg))
     for j, n in enumerate(n_active):
         s = last[:n] - j
-        kj, tj, c2j, aj, bound = per_state[:, segs.states[s] - 1]
-        alpha_j, tau = alpha[:n], dur[s]
-        if (alpha_j > bound).any():
-            raise DomainViolation("B carried into a segment exceeds its state's (kappa + a)/chi^2")
-        live = alpha_j < bound  # at the bound, B is frozen at its terminal value
-        if ((aj == 0.0) & live).any():
-            raise DomainViolation("beta = kappa^2/(2 chi^2) is only admissible with alpha = kappa/chi^2")
-        if live.all():
-            a_j, b_j = _interior_ab(kj, tj, c2j, aj, alpha_j, tau)
-        else:
-            a_j, b_j = kj * tj * bound * tau, bound.copy()
-            a_j[live], b_j[live] = _interior_ab(kj[live], tj[live], c2j[live], aj[live], alpha_j[live], tau[live])
+        a_j, alpha[:n] = _ab(table[:, state[s]], alpha[:n], dur[s])
         big_a[:n] += a_j
-        alpha[:n] = b_j
     out_a, out_b = np.empty_like(big_a), np.empty_like(alpha)
     out_a[order], out_b[order] = big_a, alpha
     return out_a, out_b
 
 
-def _tilted_ab(p: HestonRegimeParams, t):
-    """Closed-form (A, B)(T - t) with alpha = 0 on the tilted state-1 parameters."""
+@lru_cache(maxsize=32)
+def _tilted_table(p: HestonRegimeParams) -> tuple[float, ...]:
+    """``_exponent_table`` of the separable variants' tilted parameters (state 1).
+
+    A tuple of floats, cached per parameter set as ``exponent_params``.
+    """
     if p.variant is Variant.MMH:
         raise DomainViolation("D_leverage applies to the separable variants only")
-    t_arr = np.asarray(t, dtype=float)
-    if ((t_arr < -1e-12) | (t_arr > p.horizon + 1e-12)).any():
-        raise DomainViolation(f"t must lie in [0, {p.horizon}]")
     ep = exponent_params(p)
-    tau = np.maximum(p.horizon - t_arr, 0.0)
-    return ep, *_closed_ab(float(ep.kappa[0]), float(ep.theta[0]), float(p.chi[0]), 0.0, float(ep.beta[0]), tau)
+    return tuple(_exponent_table(ep.kappa[0], ep.theta[0], p.chi[0], ep.beta[0]).tolist())
+
+
+def _tilted_ab(p: HestonRegimeParams, t, with_a: bool = True):
+    """Closed-form (A, B)(T - t) with alpha = 0 on the tilted state-1 parameters."""
+    table = _tilted_table(p)
+    t_arr = np.asarray(t, dtype=float)
+    if not ((t_arr >= -1e-12) & (t_arr <= p.horizon + 1e-12)).all():  # also rejects nan
+        raise DomainViolation(f"t must lie in [0, {p.horizon}]")
+    return _ab(table, 0.0, np.maximum(p.horizon - t_arr, 0.0), with_a)
 
 
 def D_leverage(p: HestonRegimeParams, t):
@@ -374,34 +259,30 @@ def D_leverage(p: HestonRegimeParams, t):
     ``exponent_params`` with alpha = 0, so D(T) = 0.  Serves SMMH and
     SMMH_RHO alike (at rho = 0, vt = 1 and the tilt vanishes).
     """
-    ep, _, b = _tilted_ab(p, t)
-    out = ep.vartheta * b
+    _, b = _tilted_ab(p, t, with_a=False)
+    out = p.vartheta * b
     return float(out) if np.ndim(t) == 0 else out
 
 
 def D_leverage_integral(p: HestonRegimeParams, t):
     """int_t^T D(s) ds = vt A(T - t) / (kappa theta), since dA/dtau = kappa theta B."""
-    ep, big_a, _ = _tilted_ab(p, t)
+    big_a, _ = _tilted_ab(p, t)
+    ep = exponent_params(p)
     out = ep.vartheta / (ep.kappa[0] * ep.theta[0]) * big_a
     return float(out) if np.ndim(t) == 0 else out
 
 
 def d_leverage_fn(p: HestonRegimeParams):
-    """D_leverage without per-call validation: validates once, then pure math.
+    """D_leverage with the parameters checked once, as a function of time.
 
     The returned function takes a scalar time or an array of times (as
-    ``upsilon_heston``'s ``fn_all`` passes them) and returns the same
-    values as D_leverage, without its range checks on t.
+    ``upsilon_heston``'s ``fn_all`` passes them) and returns D_leverage's
+    values, without evaluating A; of the checks on t it keeps only
+    t <= T (tau >= 0, nan rejected).
     """
-    D_leverage(p, 0.0)  # run the full validation once
-    ep = exponent_params(p)
-    kt, chi, vt, horizon = float(ep.kappa[0]), float(p.chi[0]), ep.vartheta, p.horizon
-    a = _discriminant_root(kt, chi, float(ep.beta[0]))
-    c = (kt - a) / (kt + a)
-    chi2 = chi * chi
+    table, vt, horizon = _tilted_table(p), p.vartheta, p.horizon
 
     def d_of(t):
-        decay = np.exp(-a * (horizon - t))
-        return vt * ((-c * (kt + a) * decay + kt - a) / (chi2 * (1.0 - c * decay)))
+        return vt * _ab(table, 0.0, horizon - t, with_a=False)[1]
 
     return d_of

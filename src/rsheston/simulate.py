@@ -26,8 +26,9 @@ the RNG stream derived from (seed, j).  It draws the chain trajectories
 of all its paths first (``sample_block``) and then their normal
 increments, step-major: driver step by driver step, the pair (dW_X,
 dW_perp) of every path in the block.  The stream layout does not depend
-on ``block_size``, which only sets how many stream blocks are stepped
-together, so results are bitwise reproducible regardless of batching.
+on ``_BLOCK``, which only sets how many paths (whole stream blocks) are
+stepped together to bound memory, so results are bitwise reproducible
+regardless of batching.
 Setting ``driver_steps_per_year`` draws the Brownian increments on a
 finer grid and sums them per step as they are drawn: two runs at
 different step sizes but the same driver resolution then share their
@@ -58,7 +59,6 @@ __all__ = [
     "terminal_wealth_histogram",
     "HistogramTable",
     "martingale_diagnostic",
-    "variance_observable",
     "constant_strategy",
     "optimal_weight_fn",
 ]
@@ -66,7 +66,7 @@ __all__ = [
 # A strategy maps step times to weights that broadcast to (len(times), n_states).
 Strategy = Callable[[np.ndarray], np.ndarray]
 
-_BLOCK = 8192  # paths stepped together when block_size is not given
+_BLOCK = 8192  # paths stepped together, a multiple of _STREAM_BLOCK: bounds memory only
 _DRIVER_CHUNK = 64  # driver steps of normals drawn per call into the reused buffer
 _OVERFLOW = "wealth overflowed; check the strategy and parameters"
 
@@ -110,10 +110,10 @@ class PathBundle:
 
     ``states`` holds 1-based labels, ``X`` the truncated factor (the
     value actually driving variance, hence nonnegative) and ``V``
-    wealth; the asset price is not simulated.  ``min_v`` and
-    ``min_x_effective`` are tracked over every step, not only recorded
-    ones.  RNG provenance: under ``seed``, stream j belongs to paths
-    256 j to 256 j + 255 (see the module docstring).
+    wealth; the asset price is not simulated.  ``min_x_effective``, the
+    least truncated factor of any path, is tracked over every step, not
+    only recorded ones.  RNG provenance: under ``seed``, stream j belongs
+    to paths 256 j to 256 j + 255 (see the module docstring).
     """
 
     grid: np.ndarray
@@ -122,7 +122,6 @@ class PathBundle:
     X: np.ndarray
     V: np.ndarray
     seed: int
-    min_v: float
     min_x_effective: float
 
     @property
@@ -187,7 +186,6 @@ def simulate_paths(
     cfg: SimConfig,
     record="all",
     frozen_path: RegimePath | None = None,
-    block_size: int | None = None,
 ) -> PathBundle:
     """Simulate the market under a given strategy.
 
@@ -195,9 +193,7 @@ def simulate_paths(
     "all", "terminal", or a sequence of times in [0, T] that must lie on
     the step grid (the terminal time is always included).  With
     ``frozen_path`` the regime trajectory is fixed instead of sampled,
-    which conditions the whole run on one chain path.  ``block_size``
-    only bounds memory: it is rounded up to whole stream blocks, and
-    results are bitwise identical for any batching.
+    which conditions the whole run on one chain path.
     """
     if chain.n_states != p.n_states:
         raise ConfigError("chain and model disagree on the state count")
@@ -241,16 +237,14 @@ def simulate_paths(
     out_states = np.empty((n_paths, m), dtype=np.int16)
     out_x = np.empty((n_paths, m))
     out_v = np.empty((n_paths, m))
-    min_lnv = math.inf
     min_xeff = math.inf
 
     sb = _STREAM_BLOCK
-    block = -(-(block_size or _BLOCK) // sb) * sb
     chunk = max(1, _DRIVER_CHUNK // refine)  # steps per normal draw
     buf = np.empty(chunk * refine * 2 * sb)
     state0 = cfg.state0 if frozen_path is None else int(frozen_path.state_at(grid[0]))
-    for i0 in range(0, n_paths, block):
-        i1 = min(i0 + block, n_paths)
+    for i0 in range(0, n_paths, _BLOCK):
+        i1 = min(i0 + _BLOCK, n_paths)
         b = i1 - i0
         streams = [(j0 - i0, min(sb, i1 - j0), path_stream(cfg.seed, j0 // sb)) for j0 in range(i0, i1, sb)]
         changes = _state_changes(chain, frozen_path, grid, state0, b, streams)
@@ -264,7 +258,6 @@ def simulate_paths(
         rr, pl, h, pn, kap, th, ch = g
         xp, sq, acc, tmp = np.empty((4, b))
         lo_xp = np.full(b, math.inf)
-        lo_lnv = np.full(b, math.inf)
         # an overflowing path is caught at the end of its draw chunk
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(n_steps + 1):
@@ -305,11 +298,9 @@ def simulate_paths(
                 acc *= dwx[c]
                 x += acc
                 np.minimum(lo_xp, xp, out=lo_xp)
-                np.minimum(lo_lnv, lnv, out=lo_lnv)
                 if (c == chunk - 1 or k == n_steps - 1) and not np.isfinite(lnv).all():
                     raise FloatingPointError(_OVERFLOW)
         min_xeff = min(min_xeff, float(lo_xp.min()))
-        min_lnv = min(min_lnv, float(lo_lnv.min()))
 
     return PathBundle(
         grid=grid,
@@ -318,7 +309,6 @@ def simulate_paths(
         X=out_x,
         V=out_v,
         seed=cfg.seed,
-        min_v=math.exp(min_lnv),
         min_x_effective=min_xeff,
     )
 
@@ -472,13 +462,3 @@ def martingale_diagnostic(
             z = (mean - phi0) / err
         rows.append((float(t), mean, err, z))
     return rows
-
-
-def variance_observable(bundle: PathBundle, p: HestonRegimeParams) -> tuple[np.ndarray, np.ndarray]:
-    """Instantaneous log-return variance nu(state)^2 * X per path and time.
-
-    Jumps by the ratio of squared nu exactly at chain transitions.
-    """
-    nu2 = p.nu**2
-    return bundle.record_times, nu2[bundle.states - 1] * bundle.X
-

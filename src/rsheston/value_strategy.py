@@ -18,23 +18,20 @@ Neither component depends on wealth or on the current factor level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import DomainViolation
-from .markov_chain import MarkovChainSpec, RegimePath, Segments
+from .markov_chain import MarkovChainSpec, Segments
 from .models import HestonRegimeParams, Variant
 from .regime_expectation import XiTable, _truncation_mc
-from .riccati import D_leverage, PiecewiseAB, compose_piecewise, compose_segments
+from .riccati import D_leverage, compose_segments
 
 __all__ = [
     "ValueQuery",
     "StrategyPoint",
     "optimal_weights",
     "optimal_strategy",
-    "timedep_strategy",
-    "value_timedep_heston",
     "value_mmh_general",
     "value_mmh_table",
     "value_smmh_rho",
@@ -109,38 +106,6 @@ def optimal_strategy(p: HestonRegimeParams, t: float, state: int) -> StrategyPoi
     return StrategyPoint.of(float(pi_mv[0, state - 1]), float(pi_h[0, state - 1]))
 
 
-def timedep_strategy(p: HestonRegimeParams, coeffs: PiecewiseAB) -> Callable[[np.ndarray], np.ndarray]:
-    """Optimal weight along one frozen regime trajectory, as an (n_t, l) table.
-
-    pi(t, e) = (1/(1-delta)) [ lam_hat(e)/nu(e)^2
-                               + rho (chi(e)/nu(e)) vt B(t) ].
-    """
-    inv = 1.0 / (1.0 - p.delta)
-    slope = p.excess_slope / p.nu**2
-    hedge_coef = p.rho * p.chi / p.nu * coeffs.vartheta
-
-    def weight(times: np.ndarray) -> np.ndarray:
-        return inv * (slope + hedge_coef * coeffs.B(times)[:, None])
-
-    return weight
-
-
-def value_timedep_heston(p: HestonRegimeParams, path: RegimePath, q: ValueQuery) -> float:
-    """Value along a frozen regime trajectory.
-
-    Phi(t, v, x) = (v**delta/delta) * exp{ int_t^T delta r(m(s)) ds }
-                   * exp{ vt A(t) + vt B(t) x }
-    with (A, B) composed backward over the trajectory's segments.
-    """
-    q.check(p)
-    coeffs = compose_piecewise(path, p)
-    lo, hi, state = path.segments(q.t)
-    vt = coeffs.vartheta
-    a, b = coeffs.ab(q.t)
-    log_value = (p.delta * p.r)[state - 1] @ (hi - lo) + vt * a + vt * b * q.x
-    return float(q.v**p.delta / p.delta * np.exp(log_value))
-
-
 def value_mmh_general(
     p: HestonRegimeParams,
     chain: MarkovChainSpec,
@@ -171,8 +136,10 @@ def value_mmh_table(
     """Partial Monte Carlo value at every (time, state), as two (n_t, l) arrays.
 
     Only the chain is simulated.  Each trajectory contributes
-    exp{ int delta r } * exp{ vt A(t) + vt B(t) x }, the value_timedep_heston
-    weight (vt = 1 at rho = 0), and the average is scaled by v**delta/delta.
+    exp{ int delta r } * exp{ vt A(t) + vt B(t) x }, the value along that
+    frozen trajectory up to the utility factor (vt = 1 at rho = 0), with
+    (A, B) composed backward over its segments, and the average is scaled
+    by v**delta/delta.
     For each state, n_paths paths are drawn once on [0, T], block j of 256
     paths on stream (seed, j), the same streams for every state; time t
     reads them cut at T - t and shifted by t, and (A, B) are composed

@@ -34,11 +34,11 @@ def draw_valid(rng: np.random.Generator):
 
 
 def _b_on_grid(kappa, theta, chi, alpha, beta, taus):
-    return np.array([rs.char_fn_coeffs(kappa, theta, chi, alpha, beta, t).B for t in taus])
+    return np.array([rs.char_fn_coeffs(kappa, theta, chi, alpha, beta, t)[1] for t in taus])
 
 
 def _a_on_grid(kappa, theta, chi, alpha, beta, taus):
-    return np.array([rs.char_fn_coeffs(kappa, theta, chi, alpha, beta, t).A for t in taus])
+    return np.array([rs.char_fn_coeffs(kappa, theta, chi, alpha, beta, t)[0] for t in taus])
 
 
 def check_draw(rng: np.random.Generator) -> list[str]:
@@ -56,12 +56,12 @@ def check_draw(rng: np.random.Generator) -> list[str]:
         failures.append(f"B not monotone {label}")
 
     # short-horizon limit B -> alpha
-    if abs(rs.char_fn_coeffs(kappa, theta, chi, alpha, beta, 1e-8).B - alpha) >= 1e-6:
+    if abs(rs.char_fn_coeffs(kappa, theta, chi, alpha, beta, 1e-8)[1] - alpha) >= 1e-6:
         failures.append(f"B(0+) != alpha {label}")
 
     # long-horizon limit (kappa - a)/chi^2, sign governed by beta
     limit = (kappa - a) / chi**2
-    b_inf = rs.char_fn_coeffs(kappa, theta, chi, alpha, beta, 1e3).B
+    b_inf = rs.char_fn_coeffs(kappa, theta, chi, alpha, beta, 1e3)[1]
     if abs(b_inf - limit) >= 1e-6:
         failures.append(f"B(inf) limit off {label}")
     if abs(limit) > 1e-12 and np.sign(limit) != np.sign(beta):

@@ -13,6 +13,7 @@ import pytest
 import rsheston as rs
 from conftest import Q_TWO_STATE, make_params, random_intensity
 from hamiltonian import hamiltonian_grid_argmax
+from oracles import riccati_numeric, scalar_integrand, value_timedep_heston
 from riccati_properties import run_suite
 
 REF_UTILITY_SET1 = 7.4261
@@ -123,7 +124,7 @@ def test_criterion_3_oracle_equivalence(set1):
         def u(t, e):
             return c0[e - 1] + c1[e - 1] * np.sin(omega * t)
 
-        integrand = rs.RegimeIntegrand.from_scalar(u, horizon, l)
+        integrand = scalar_integrand(u, horizon, l)
         table = rs.xi_ode(spec, integrand, grid_step=horizon / 4000)
         state = int(rng.integers(1, l + 1))
         est, err = rs.xi_mc(spec, integrand, 0.0, state, 1500, seed=9000 + trial)
@@ -162,12 +163,12 @@ def test_criterion_3_oracle_equivalence(set1):
                 break
         vt = p_rho.vartheta
         ratio = delta / (1 - delta)
-        kb = float(p_rho.tilted_kappa()[0])
-        sol_d = rs.riccati_numeric(
+        kb = float(rs.exponent_params(p_rho).kappa[0])
+        sol_d = riccati_numeric(
             [0.0, horizon], kb, th, chi, ratio * d**2 / (2 * vt), grid_step=1e-4
         )
         worst_b = max(worst_b, np.abs(rs.D_leverage(p_rho, sol_d.times) - vt * sol_d.B).max())
-        sol_b = rs.riccati_numeric([0.0, horizon], kap, th, chi, ratio * d**2 / 2, grid_step=1e-4)
+        sol_b = riccati_numeric([0.0, horizon], kap, th, chi, ratio * d**2 / 2, grid_step=1e-4)
         worst_b = max(worst_b, np.abs(rs.D_leverage(p_sep, sol_b.times) - sol_b.B).max())
     ok_b = worst_b <= 1e-8
 
@@ -201,15 +202,16 @@ def test_criterion_3_oracle_equivalence(set1):
             start=0.0, horizon=3.0, jump_times=jumps, states=np.array(states)
         )
         coeffs = rs.compose_piecewise(path, p)
-        kt = p.tilted_kappa()
+        kt = rs.exponent_params(p).kappa
         tt = p.kappa * p.theta / kt
         beta = p.delta_ratio * p.price_of_risk_slope**2 / (2 * p.vartheta)
         idx = path.states - 1
-        sol = rs.riccati_numeric(
+        sol = riccati_numeric(
             path.boundaries(), kt[idx], tt[idx], p.chi[idx], beta[idx], grid_step=1e-3
         )
-        worst_c = max(worst_c, np.abs(coeffs.B(sol.times) - sol.B).max())
-        worst_c = max(worst_c, np.abs(coeffs.A(sol.times) - sol.A).max())
+        big_a, b = coeffs.ab(sol.times)
+        worst_c = max(worst_c, np.abs(b - sol.B).max())
+        worst_c = max(worst_c, np.abs(big_a - sol.A).max())
     ok_c = worst_c <= 1e-7
 
     ok = ok_a and ok_b and ok_c
@@ -283,7 +285,7 @@ def test_criterion_6_reduction_tests(set1, xi_set1, chain):
     for t in (0.0, 1.25, 3.6):
         for x in (0.0, 0.02, 0.4):
             q = rs.ValueQuery(t=t, v=10.0, x=x, state=1)
-            a = rs.value_timedep_heston(p1, path0, q)
+            a = value_timedep_heston(p1, path0, q)
             b = rs.value_smmh_rho(p1, q, xi1)
             worst_rel = max(worst_rel, abs(a - b) / abs(b))
     ok_const = worst_rel <= 1e-10

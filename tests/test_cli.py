@@ -198,6 +198,25 @@ class TestRunConfigValidation:
         assert f"{field} must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("validate", []),
+            ("solve", ["--t-grid", "3", "--xi-method", "mc"]),
+            ("simulate", ["--paths", "20", "--steps-per-year", "10"]),
+        ],
+        ids=["validate", "solve_mc", "simulate"],
+    )
+    def test_non_finite_intensity_exits_one(self, command, flags, tmp_path, set1_path, capsys):
+        # nan passes the sign and row-sum checks; the sampler would make state 1 absorbing
+        text = set1_path.read_text().replace("q.1.1 = -1.0909", "q.1.1 = nan")
+        bad = tmp_path / "chain.cfg"
+        bad.write_text(text.replace("q.1.2 = 1.0909", "q.1.2 = nan"))
+        out = [] if command == "validate" else ["--out", str(tmp_path / "x.csv")]
+        assert cli.main([command, str(bad), *flags, *out]) == 1
+        assert "must be finite, got nan or inf at [(1, 1), (1, 2)]" in capsys.readouterr().err
+        assert list(tmp_path.glob("x*.csv")) == []
+
+    @pytest.mark.parametrize(
         "line, replacement",
         [("seed = 20240211", "seed = -3"), ("n_paths_xi = 10000", "n_paths_xi = 0")],
     )

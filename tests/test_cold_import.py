@@ -5,7 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 SCRIPT = r"""
 import math
@@ -16,6 +17,7 @@ import numpy as np
 
 import rsheston as rs
 import rsheston.cli as cli
+from oracles import scalar_integrand
 
 tmp = Path(sys.argv[1])
 set1 = Path(cli.shipped_config("set1"))
@@ -43,7 +45,7 @@ assert "scipy" not in sys.modules, "a CLI route imported scipy"
 path = rs.RegimePath(start=0.0, horizon=2.0, jump_times=np.array([0.5]), states=np.array([1, 2]))
 val = rs.occupation_integral(path, lambda s, e: 0.5 * e, 0.0, 2.0)
 assert math.isclose(val, 0.5 * 0.5 + 1.0 * 1.5, rel_tol=1e-12), val
-integrand = rs.RegimeIntegrand.from_scalar(lambda s, e: 0.7, 2.0, 2)
+integrand = scalar_integrand(lambda s, e: 0.7, 2.0, 2)
 seg = integrand.segment_integral(np.array([0.0, 0.5]), np.array([0.5, 2.0]), np.array([1, 2]))
 np.testing.assert_allclose(seg, [0.35, 1.05], rtol=1e-12)
 assert "scipy" in sys.modules, "the quadrature references did not use scipy"
@@ -51,7 +53,7 @@ assert "scipy" in sys.modules, "the quadrature references did not use scipy"
 
 
 def test_cli_routes_do_not_import_scipy(tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((str(SRC), str(TESTS)))}
     res = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(tmp_path)], env=env, capture_output=True, text=True, timeout=300
     )

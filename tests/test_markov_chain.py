@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.linalg import expm
 from hypothesis import strategies as st
 
 import rsheston as rs
-from conftest import Q_TWO_STATE, random_intensity, scalar_block_chain
+from conftest import Q_TWO_STATE, scalar_block_chain
 from rsheston.markov_chain import _STREAM_BLOCK, PathTable
 
 Q12, Q21 = 1.0909, 3.4413
@@ -33,6 +34,20 @@ class TestValidateIntensity:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             rs.validate_intensity([[0.0, 0.0]])
+
+    @pytest.mark.parametrize(
+        "matrix, entries",
+        [
+            pytest.param([[-1.0, 1.0], [math.nan, -1.0]], [(2, 1)], id="nan_off_diagonal"),
+            pytest.param([[math.nan, 1.0], [1.0, -1.0]], [(1, 1)], id="nan_diagonal"),
+            pytest.param([[-math.inf, math.inf], [1.0, -1.0]], [(1, 1), (1, 2)], id="inf_row"),
+            pytest.param([[math.nan, math.nan], [1.0, -1.0]], [(1, 1), (1, 2)], id="nan_row"),
+        ],
+    )
+    def test_non_finite_entries_are_named(self, matrix, entries):
+        # nan < 0 and abs(nan) > tol are both false, so the sign and row-sum checks pass nan
+        with pytest.raises(ValueError, match=re.escape(str(entries))):
+            rs.validate_intensity(matrix)
 
 
 class TestSamplePath:
@@ -76,7 +91,7 @@ class TestSamplePath:
         for i in range(n):
             path = rs.sample_path(chain2, 0.0, t, 1, rs.path_stream(21, i))
             hits += path.state_at(t) == 1
-        p11 = rs.transition_probabilities(chain2, t)[0, 0]
+        p11 = expm(chain2.intensity * t)[0, 0]
         se = np.sqrt(p11 * (1 - p11) / n)
         assert abs(hits / n - p11) < 3 * se
 
@@ -185,42 +200,6 @@ def test_path_table_layout_is_stream_blocks_per_start_state():
                 c, d = block.first[i - j0], block.first[i - j0 + 1]
                 assert table.lo[a:b].tobytes() == block.lo[c:d].tobytes(), (e, i)
                 assert table.states[a:b].tolist() == block.states[c:d].tolist(), (e, i)
-
-
-class TestTransitionProbabilities:
-    def test_zero_generator_gives_identity(self):
-        spec = rs.validate_intensity(np.zeros((3, 3)))
-        np.testing.assert_allclose(rs.transition_probabilities(spec, 7.3), np.eye(3), atol=1e-15)
-
-    def test_time_zero_gives_identity(self, chain2):
-        np.testing.assert_allclose(rs.transition_probabilities(chain2, 0.0), np.eye(2), atol=1e-15)
-
-    def test_two_state_closed_form(self, chain2):
-        # 2x2 exponential has the explicit stationary-mixture form
-        rate = Q12 + Q21
-        pi1 = Q21 / rate
-        p = rs.transition_probabilities(chain2, 1.0)
-        assert p[0, 0] == pytest.approx(pi1 + (1 - pi1) * np.exp(-rate), abs=1e-12)
-        assert p[1, 0] == pytest.approx(pi1 * (1 - np.exp(-rate)), abs=1e-12)
-
-    def test_rows_sum_to_one_and_entries_in_unit_interval(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            l = int(rng.integers(2, 5))
-            spec = rs.validate_intensity(random_intensity(rng, l))
-            p = rs.transition_probabilities(spec, float(rng.uniform(0, 10)))
-            np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-10)
-            assert p.min() >= 0.0 and p.max() <= 1.0
-
-    def test_semigroup_property(self):
-        rng = np.random.default_rng(6)
-        for _ in range(10):
-            l = int(rng.integers(2, 5))
-            spec = rs.validate_intensity(random_intensity(rng, l))
-            s, t = rng.uniform(0.1, 3.0, size=2)
-            lhs = rs.transition_probabilities(spec, s) @ rs.transition_probabilities(spec, t)
-            rhs = rs.transition_probabilities(spec, s + t)
-            np.testing.assert_allclose(lhs, rhs, atol=1e-8)
 
 
 class TestOccupationIntegral:

@@ -1,15 +1,14 @@
-import io
-
 import numpy as np
 import pytest
 
 import rsheston as rs
 from conftest import Q_TWO_STATE, make_params, random_intensity
+from oracles import scalar_integrand
 from rsheston.markov_chain import PathTable
 
 
 def flat_integrand(value: float, horizon: float, n_states: int) -> rs.RegimeIntegrand:
-    return rs.RegimeIntegrand.from_scalar(lambda t, e: value, horizon, n_states)
+    return scalar_integrand(lambda t, e: value, horizon, n_states)
 
 
 class TestUpsilonHeston:
@@ -99,7 +98,7 @@ class TestXiMc:
 class TestXiOde:
     def test_decoupled_states_without_switching(self):
         spec = rs.validate_intensity(np.zeros((2, 2)))
-        integrand = rs.RegimeIntegrand.from_scalar(lambda t, e: 0.02 * e, 3.0, 2)
+        integrand = scalar_integrand(lambda t, e: 0.02 * e, 3.0, 2)
         table = rs.xi_ode(spec, integrand, grid_step=1e-3)
         # no switching: xi is the plain exponential of each state's own integral
         assert table.at(0.0, 1) == pytest.approx(np.exp(0.02 * 3.0), rel=1e-10)
@@ -112,7 +111,7 @@ class TestXiOde:
     def test_constant_rates_match_eigen_solution(self, chain2):
         # constant coefficients: xi(t) = expm((T-t)(diag(u) + Q)) 1
         u = np.array([0.05, -0.03])
-        integrand = rs.RegimeIntegrand.from_scalar(lambda t, e: u[e - 1], 2.0, 2)
+        integrand = scalar_integrand(lambda t, e: u[e - 1], 2.0, 2)
         table = rs.xi_ode(chain2, integrand, grid_step=1e-3)
         m = np.diag(u) + chain2.intensity
         vals, vecs = np.linalg.eig(m)
@@ -174,7 +173,7 @@ class TestXiOde:
             def u(t, e):
                 return coefs[e - 1, 0] + coefs[e - 1, 1] * np.sin(t)
 
-            integrand = rs.RegimeIntegrand.from_scalar(u, horizon, l)
+            integrand = scalar_integrand(u, horizon, l)
             table = rs.xi_ode(spec, integrand, grid_step=horizon / 4000)
             est, err = rs.xi_mc(spec, integrand, 0.0, 1, 1500, seed=100 + trial)
             assert abs(est - table.at(0.0, 1)) < 3 * max(err, 1e-12)
@@ -201,16 +200,6 @@ class TestXiTable:
         assert table.values[-1, 0] == 1.0
         assert table.std_err[0, 0] > 0.0
         assert table.std_err[-1, 0] == 0.0
-
-    def test_csv_round_trip_columns(self, chain2, set1):
-        integrand = rs.upsilon_heston(set1, rs.d_leverage_fn(set1))
-        table = rs.xi_ode(chain2, integrand, grid_step=1.0)
-        buf = io.StringIO()
-        table.write_csv(buf, comment="seed=1")
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "# seed=1"
-        assert lines[1] == "t,state,xi,std_err,method"
-        assert len(lines) == 2 + len(table.times) * 2
 
     def test_interpolation_onto_grid_nodes_is_exact(self, chain2, set1):
         integrand = rs.upsilon_heston(set1, rs.d_leverage_fn(set1))

@@ -3,14 +3,16 @@ import pytest
 
 import rsheston as rs
 from conftest import make_params
+from oracles import BlowUp, riccati_numeric
 from riccati_properties import run_suite
 
 KAPPA, THETA, CHI = 4.0, 0.02, 0.35
+ONE_SEGMENT = rs.RegimePath(start=0.0, horizon=5.0, jump_times=np.array([]), states=np.array([1]))
 
 
 def tilted_segment_tables(path: rs.RegimePath, p: rs.HestonRegimeParams):
     """Per-segment (kappa, theta, chi, beta) for the drift-adjusted ODE pair."""
-    kt = p.tilted_kappa()
+    kt = rs.exponent_params(p).kappa
     tt = p.kappa * p.theta / kt
     beta = p.delta_ratio * p.price_of_risk_slope**2 / (2.0 * p.vartheta)
     idx = path.states - 1
@@ -19,9 +21,9 @@ def tilted_segment_tables(path: rs.RegimePath, p: rs.HestonRegimeParams):
 
 class TestCharFnCoeffs:
     def test_zero_exponents_give_zero(self):
-        out = rs.char_fn_coeffs(KAPPA, THETA, CHI, 0.0, 0.0, 3.7)
-        assert out.A == 0.0
-        assert out.B == 0.0
+        big_a, b = rs.char_fn_coeffs(KAPPA, THETA, CHI, 0.0, 0.0, 3.7)
+        assert big_a == 0.0
+        assert b == 0.0
 
     def test_tau_zero_returns_alpha(self):
         rng = np.random.default_rng(3)
@@ -31,23 +33,23 @@ class TestCharFnCoeffs:
             beta = float(rng.uniform(-2, 0.9)) * kappa**2 / (2 * chi**2)
             a = np.sqrt(kappa**2 - 2 * beta * chi**2)
             alpha = float(rng.uniform(-2, 0.9)) * (kappa + a) / chi**2
-            out = rs.char_fn_coeffs(kappa, 0.05, chi, alpha, beta, 0.0)
-            assert out.B == pytest.approx(alpha, abs=1e-12)
-            assert out.A == pytest.approx(0.0, abs=1e-12)
+            big_a, b = rs.char_fn_coeffs(kappa, 0.05, chi, alpha, beta, 0.0)
+            assert b == pytest.approx(alpha, abs=1e-12)
+            assert big_a == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_backward_rk4(self):
-        sol = rs.riccati_numeric([0.0, 1.0], KAPPA, THETA, CHI, 0.5, terminal_alpha=0.0, grid_step=1e-4)
-        out = rs.char_fn_coeffs(KAPPA, THETA, CHI, 0.0, 0.5, 1.0)
-        assert out.B == pytest.approx(sol.B[0], abs=1e-8)
-        assert out.A == pytest.approx(sol.A[0], abs=1e-8)
+        sol = riccati_numeric([0.0, 1.0], KAPPA, THETA, CHI, 0.5, terminal_alpha=0.0, grid_step=1e-4)
+        big_a, b = rs.char_fn_coeffs(KAPPA, THETA, CHI, 0.0, 0.5, 1.0)
+        assert b == pytest.approx(sol.B[0], abs=1e-8)
+        assert big_a == pytest.approx(sol.A[0], abs=1e-8)
 
     def test_boundary_alpha_branch(self):
         beta = 0.5
         a = np.sqrt(KAPPA**2 - 2 * beta * CHI**2)
         alpha = (KAPPA + a) / CHI**2
-        out = rs.char_fn_coeffs(KAPPA, THETA, CHI, alpha, beta, 2.0)
-        assert out.B == pytest.approx(alpha)
-        assert out.A == pytest.approx(KAPPA * THETA * alpha * 2.0)
+        big_a, b = rs.char_fn_coeffs(KAPPA, THETA, CHI, alpha, beta, 2.0)
+        assert b == pytest.approx(alpha)
+        assert big_a == pytest.approx(KAPPA * THETA * alpha * 2.0)
 
     def test_beta_above_bound_rejected(self):
         with pytest.raises(rs.DomainViolation):
@@ -61,25 +63,42 @@ class TestCharFnCoeffs:
         beta = KAPPA**2 / (2 * CHI**2)  # makes a = 0 exactly
         with pytest.raises(rs.DomainViolation):
             rs.char_fn_coeffs(KAPPA, THETA, CHI, 0.0, beta, 1.0)
-        out = rs.char_fn_coeffs(KAPPA, THETA, CHI, KAPPA / CHI**2, beta, 1.0)
-        assert out.B == pytest.approx(KAPPA / CHI**2)
+        _, b = rs.char_fn_coeffs(KAPPA, THETA, CHI, KAPPA / CHI**2, beta, 1.0)
+        assert b == pytest.approx(KAPPA / CHI**2)
 
     def test_property_suite_spot_check(self):
         assert run_suite(20, seed=2024) == []
 
+    def test_nan_or_negative_tau_is_rejected(self):
+        for tau in (np.nan, -1e-9, np.array([1.0, np.nan])):
+            with pytest.raises(rs.DomainViolation):
+                rs.char_fn_coeffs(KAPPA, THETA, CHI, 0.0, 0.5, tau)
+
+    def test_elementwise_over_arrays(self):
+        # per-element parameters, one element at the alpha bound (B frozen there)
+        beta = np.array([0.5, -1.0, 0.5])
+        a = np.sqrt(KAPPA**2 - 2 * beta * CHI**2)
+        alpha = np.array([0.0, 0.3, (KAPPA + a[2]) / CHI**2])
+        tau = np.array([1.0, 2.0, 0.7])
+        big_a, b = rs.char_fn_coeffs(KAPPA, THETA, CHI, alpha, beta, tau)
+        for k in range(3):
+            ref_a, ref_b = rs.char_fn_coeffs(KAPPA, THETA, CHI, alpha[k], beta[k], tau[k])
+            assert (big_a[k], b[k]) == (ref_a, ref_b)
+        assert b[2] == alpha[2]
+
 
 class TestRiccatiNumeric:
     def test_zero_data_stays_zero(self):
-        sol = rs.riccati_numeric([0.0, 0.7, 2.0], [1.0, 2.0], [0.1, 0.2], [0.3, 0.4], [0.0, 0.0])
+        sol = riccati_numeric([0.0, 0.7, 2.0], [1.0, 2.0], [0.1, 0.2], [0.3, 0.4], [0.0, 0.0])
         np.testing.assert_array_equal(sol.B, 0.0)
         np.testing.assert_array_equal(sol.A, 0.0)
 
     def test_blow_up_detected_above_solvable_region(self):
-        with pytest.raises(rs.BlowUp):
-            rs.riccati_numeric([0.0, 5.0], 1.0, 0.05, 1.0, 5.0, grid_step=1e-3)
+        with pytest.raises(BlowUp):
+            riccati_numeric([0.0, 5.0], 1.0, 0.05, 1.0, 5.0, grid_step=1e-3)
 
     def test_grid_hits_segment_edges(self):
-        sol = rs.riccati_numeric([0.0, 0.33, 1.0], [1.0, 1.0], [0.1, 0.1], [0.3, 0.3], [0.1, 0.1])
+        sol = riccati_numeric([0.0, 0.33, 1.0], [1.0, 1.0], [0.1, 0.1], [0.3, 0.3], [0.1, 0.1])
         assert 0.33 in sol.times
         assert sol.times[0] == 0.0 and sol.times[-1] == 1.0
 
@@ -88,13 +107,14 @@ class TestComposePiecewise:
     def test_no_jump_reduces_to_single_closed_form(self, set1):
         path = rs.RegimePath(start=0.0, horizon=5.0, jump_times=np.array([]), states=np.array([1]))
         coeffs = rs.compose_piecewise(path, set1)
-        kt = set1.tilted_kappa()[0]
+        kt = rs.exponent_params(set1).kappa[0]
         tt = set1.kappa[0] * set1.theta[0] / kt
         beta = set1.delta_ratio * set1.price_of_risk_slope[0] ** 2 / (2 * set1.vartheta)
         for t in (0.0, 1.3, 4.9, 5.0):
-            ref = rs.char_fn_coeffs(kt, tt, set1.chi[0], 0.0, beta, 5.0 - t)
-            assert coeffs.B(t) == pytest.approx(ref.B, abs=1e-14)
-            assert coeffs.A(t) == pytest.approx(ref.A, abs=1e-14)
+            ref_a, ref_b = rs.char_fn_coeffs(kt, tt, set1.chi[0], 0.0, beta, 5.0 - t)
+            big_a, b = coeffs.ab(t)
+            assert b == pytest.approx(ref_b, abs=1e-14)
+            assert big_a == pytest.approx(ref_a, abs=1e-14)
 
     def test_identical_regimes_make_jumps_invisible(self):
         p = make_params(r=[0.03, 0.03], nu=[1.0, 1.0], theta=[0.02, 0.02])
@@ -104,7 +124,7 @@ class TestComposePiecewise:
         )
         ts = np.linspace(0.0, 5.0, 101)
         np.testing.assert_allclose(
-            rs.compose_piecewise(flat, p).B(ts), rs.compose_piecewise(jumpy, p).B(ts), atol=1e-12
+            rs.compose_piecewise(flat, p).ab(ts)[1], rs.compose_piecewise(jumpy, p).ab(ts)[1], atol=1e-12
         )
 
     def test_two_jump_path_matches_numeric_ode(self, set1):
@@ -112,9 +132,10 @@ class TestComposePiecewise:
             start=0.0, horizon=5.0, jump_times=np.array([1.2, 3.4]), states=np.array([1, 2, 1])
         )
         coeffs = rs.compose_piecewise(path, set1)
-        sol = rs.riccati_numeric(*tilted_segment_tables(path, set1), terminal_alpha=0.0, grid_step=1e-3)
-        assert np.abs(coeffs.B(sol.times) - sol.B).max() < 1e-7
-        assert np.abs(coeffs.A(sol.times) - sol.A).max() < 1e-7
+        sol = riccati_numeric(*tilted_segment_tables(path, set1), terminal_alpha=0.0, grid_step=1e-3)
+        big_a, b = coeffs.ab(sol.times)
+        assert np.abs(b - sol.B).max() < 1e-7
+        assert np.abs(big_a - sol.A).max() < 1e-7
 
     def test_continuity_at_segment_edges(self, set1):
         path = rs.RegimePath(
@@ -122,18 +143,17 @@ class TestComposePiecewise:
         )
         coeffs = rs.compose_piecewise(path, set1)
         for tj in path.jump_times:
-            left = coeffs.B(tj - 1e-13)
-            right = coeffs.B(tj)
+            left_a, left = coeffs.ab(tj - 1e-13)
+            right_a, right = coeffs.ab(tj)
             assert abs(left - right) < 1e-12
-            assert abs(coeffs.A(tj - 1e-13) - coeffs.A(tj)) < 1e-12
+            assert abs(left_a - right_a) < 1e-12
 
     def test_terminal_values_are_exact_zero(self, set1):
         path = rs.RegimePath(
             start=0.0, horizon=5.0, jump_times=np.array([2.5]), states=np.array([1, 2])
         )
         coeffs = rs.compose_piecewise(path, set1)
-        assert coeffs.B(5.0) == 0.0
-        assert coeffs.A(5.0) == 0.0
+        assert coeffs.ab(5.0) == (0.0, 0.0)
 
 
 class TestSeparableSolutions:
@@ -149,7 +169,7 @@ class TestSeparableSolutions:
     def test_b_matches_numeric(self):
         p = make_params(variant="smmh", rho=0.0)
         beta = p.delta_ratio * p.d**2 / 2.0
-        sol = rs.riccati_numeric([0.0, 5.0], KAPPA, THETA, CHI, beta, grid_step=1e-4)
+        sol = riccati_numeric([0.0, 5.0], KAPPA, THETA, CHI, beta, grid_step=1e-4)
         b_closed = rs.D_leverage(p, sol.times)
         assert np.abs(b_closed - sol.B).max() < 1e-8
 
@@ -164,9 +184,9 @@ class TestSeparableSolutions:
 
     def test_d_matches_numeric_after_rescale(self, set1):
         vt = set1.vartheta
-        kb = set1.tilted_kappa()[0]
+        kb = rs.exponent_params(set1).kappa[0]
         beta = set1.delta_ratio * set1.d**2 / (2 * vt)
-        sol = rs.riccati_numeric([0.0, 5.0], kb, THETA, CHI, beta, grid_step=1e-4)
+        sol = riccati_numeric([0.0, 5.0], kb, THETA, CHI, beta, grid_step=1e-4)
         d_closed = rs.D_leverage(set1, sol.times)
         assert np.abs(d_closed - vt * sol.B).max() < 1e-8
 
@@ -188,3 +208,19 @@ class TestSeparableSolutions:
             rs.D_leverage(make_params(delta=0.99, kappa=0.5, rho=0.8), 0.0)
         with pytest.raises(rs.DomainViolation):
             rs.D_leverage(make_params(), 6.0)  # outside [0, T]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda p: rs.D_leverage(p, np.nan), id="D_leverage"),
+            pytest.param(lambda p: rs.D_leverage(p, np.array([0.0, np.nan, 5.0])), id="D_leverage_array"),
+            pytest.param(lambda p: rs.D_leverage_integral(p, np.nan), id="D_leverage_integral"),
+            pytest.param(lambda p: rs.optimal_weights(p, [np.nan]), id="optimal_weights"),
+            pytest.param(lambda p: rs.d_leverage_fn(p)(np.nan), id="d_leverage_fn"),
+            pytest.param(lambda p: rs.compose_piecewise(ONE_SEGMENT, p).ab(np.nan), id="PiecewiseAB.ab"),
+        ],
+    )
+    def test_nan_time_is_rejected(self, set1, call):
+        # a range test written as (t < lo) | (t > hi) is false for nan
+        with pytest.raises(rs.DomainViolation):
+            call(set1)

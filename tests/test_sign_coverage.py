@@ -3,8 +3,10 @@ both signs of d, rho and delta.
 
 The single-state draws never jump, so three routes must coincide:
 D_leverage against vt * B of compose_piecewise on the frozen one-segment
-path, value_smmh_rho against value_timedep_heston, and the solvability
-report's tilted rate against HestonRegimeParams.tilted_kappa.  Draws are
+path, value_smmh_rho against the frozen-path value of tests/oracles.py,
+and the solvability report's tilted rate against exponent_params.  The
+one closed form gives D_leverage, d_leverage_fn and vt * B of
+compose_segments on one-segment cells bit for bit.  Draws are
 seeded and kept only where validate_solution_assumptions accepts them;
 each sign combination of (d, rho, delta) is drawn once, plus SMMH
 (rho = 0) with either sign of d.  The d < 0 probe is also simulated
@@ -32,6 +34,7 @@ import pytest
 
 import rsheston as rs
 from conftest import random_intensity
+from oracles import value_timedep_heston
 
 # set1's first state with the slope flipped: the case that exposed a sign bug
 PROBE = dict(
@@ -144,8 +147,19 @@ def test_near_bound_draws_sit_at_the_bound():
 def test_separable_exponent_matches_composition(p):
     ts = np.linspace(0.0, p.horizon, 41)
     d_closed = rs.D_leverage(p, ts)
-    d_composed = p.vartheta * rs.compose_piecewise(_single_path(p), p).B(ts)
+    d_composed = p.vartheta * rs.compose_piecewise(_single_path(p), p).ab(ts)[1]
     assert np.abs(d_closed - d_composed).max() <= 1e-10
+
+
+@pytest.mark.parametrize("p", SEPARABLE_CASES)
+def test_separable_exponent_routes_are_bitwise_equal(p):
+    ts = np.linspace(0.0, p.horizon, 41)
+    d_closed = rs.D_leverage(p, ts)
+    cells = rs.Segments(  # cell k: one segment in state 1 on [ts[k], T]
+        first=np.arange(len(ts) + 1), lo=ts, hi=np.full(len(ts), p.horizon), states=np.ones(len(ts), dtype=np.int64)
+    )
+    assert np.array_equal(d_closed, rs.d_leverage_fn(p)(ts))
+    assert np.array_equal(d_closed, p.vartheta * rs.compose_segments(p, cells)[1])
 
 
 @pytest.mark.parametrize("p", SEPARABLE_CASES)
@@ -158,7 +172,7 @@ def test_separable_value_matches_timedep_value(p, chain1):
     for t in times:
         for x in (0.02, 0.4):
             q = rs.ValueQuery(t=t, v=10.0, x=x, state=1)
-            a = rs.value_timedep_heston(p, path, q)
+            a = value_timedep_heston(p, path, q)
             b = rs.value_smmh_rho(p, q, xi)
             assert abs(a - b) <= 1e-10 * abs(b)
 
@@ -167,7 +181,7 @@ def test_separable_value_matches_timedep_value(p, chain1):
 def test_reported_tilted_rate_is_the_model_rate(p):
     report = rs.validate_solution_assumptions(p)
     rate = next(c for c in report.checks if c.name == "tilted_rate_positive")
-    assert rate.rhs == p.tilted_kappa()[0]
+    assert rate.rhs == rs.exponent_params(p).kappa[0]
 
 
 def test_negative_slope_value_process_is_flat(chain1):

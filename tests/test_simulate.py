@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import rsheston as rs
+import rsheston.simulate as simulate
 from conftest import make_params, scalar_block_chain
 from rsheston.simulate import _STREAM_BLOCK
 
@@ -65,17 +66,15 @@ class TestScheme:
     def test_wealth_positive_and_factor_truncated(self, chain2, set1):
         cfg = rs.SimConfig(n_paths=2000, steps_per_year=50, seed=7, v0=10.0, x0=0.02, state0=1)
         bundle = rs.simulate_paths(set1, chain2, rs.optimal_weight_fn(set1), cfg)
-        assert bundle.min_v > 0.0
         assert bundle.min_x_effective >= 0.0
         assert bundle.X.min() >= 0.0
         assert bundle.V.min() > 0.0
 
-    def test_determinism_is_block_size_free(self, chain2, set1):
+    def test_determinism_is_block_size_free(self, chain2, set1, monkeypatch):
         cfg = rs.SimConfig(n_paths=400, steps_per_year=30, seed=8, v0=10.0, x0=0.02, state0=1)
         a = rs.simulate_paths(set1, chain2, rs.optimal_weight_fn(set1), cfg, record="terminal")
-        b = rs.simulate_paths(
-            set1, chain2, rs.optimal_weight_fn(set1), cfg, record="terminal", block_size=7
-        )
+        monkeypatch.setattr(simulate, "_BLOCK", _STREAM_BLOCK)
+        b = rs.simulate_paths(set1, chain2, rs.optimal_weight_fn(set1), cfg, record="terminal")
         np.testing.assert_array_equal(a.V, b.V)
         np.testing.assert_array_equal(a.states, b.states)
 
@@ -134,7 +133,7 @@ def _scalar_reference(p, chain, weight, cfg, frozen_path=None):
     the chain of every path in the block first and then all of its normals
     in one call, and keeps its operation order; ``weight(t, state)`` is the
     strategy as a scalar function.  Returns (X, ln V, states) at every grid
-    time plus the running minima of ln V and of the truncated factor.
+    time plus the running minimum of the truncated factor.
     """
     horizon = p.horizon
     n_steps = max(1, int(round(horizon * cfg.steps_per_year)))
@@ -149,7 +148,7 @@ def _scalar_reference(p, chain, weight, cfg, frozen_path=None):
     xs = np.empty((cfg.n_paths, n_steps + 1))
     lnvs = np.empty((cfg.n_paths, n_steps + 1))
     states = np.empty((cfg.n_paths, n_steps + 1), dtype=np.int64)
-    min_lnv = min_xp = math.inf
+    min_xp = math.inf
     for j0 in range(0, cfg.n_paths, _STREAM_BLOCK):
         nb = min(_STREAM_BLOCK, cfg.n_paths - j0)
         rng = rs.path_stream(cfg.seed, j0 // _STREAM_BLOCK)
@@ -176,9 +175,9 @@ def _scalar_reference(p, chain, weight, cfg, frozen_path=None):
                 lnv += (r[e] + pi * lam[e] * xp - 0.5 * (pn * pn) * xp) * dt + pn * sq * dwp
                 x += kappa[e] * (theta[e] - xp) * dt
                 x += chi[e] * sq * dwx
-                min_xp, min_lnv = min(min_xp, xp), min(min_lnv, lnv)
+                min_xp = min(min_xp, xp)
                 xs[i, k + 1], lnvs[i, k + 1] = max(x, 0.0), lnv
-    return xs, lnvs, states, min_lnv, min_xp
+    return xs, lnvs, states, min_xp
 
 
 def _three_state_market():
@@ -202,18 +201,18 @@ def _frozen_path(horizon=5.0):
 
 
 @pytest.mark.parametrize(
-    "three_states, frozen, driver_steps_per_year, block_size, n_paths",
+    "three_states, frozen, driver_steps_per_year, block, n_paths",
     [
         pytest.param(False, False, None, None, 23, id="refine1"),
         pytest.param(False, False, 60, None, 23, id="refine3"),
-        pytest.param(False, False, 60, 7, 23, id="refine3_block7"),
-        pytest.param(False, True, None, 7, 23, id="frozen_block7"),
-        pytest.param(True, False, 60, 7, 23, id="three_states"),
-        pytest.param(False, False, None, 7, 2 * _STREAM_BLOCK + 23, id="partial_stream_block"),
+        pytest.param(False, False, 60, _STREAM_BLOCK, 23, id="refine3_block7"),
+        pytest.param(False, True, None, _STREAM_BLOCK, 23, id="frozen_block7"),
+        pytest.param(True, False, 60, _STREAM_BLOCK, 23, id="three_states"),
+        pytest.param(False, False, None, _STREAM_BLOCK, 2 * _STREAM_BLOCK + 23, id="partial_stream_block"),
     ],
 )
 def test_simulate_paths_matches_scalar_reference(
-    three_states, frozen, driver_steps_per_year, block_size, n_paths, chain2, set1
+    three_states, frozen, driver_steps_per_year, block, n_paths, chain2, set1, monkeypatch
 ):
     p, chain, strategy = set1, chain2, rs.optimal_weight_fn(set1)
     weight = lambda t, state: rs.optimal_strategy(set1, t, state).pi_total  # noqa: E731
@@ -224,12 +223,13 @@ def test_simulate_paths_matches_scalar_reference(
         n_paths=n_paths, steps_per_year=20, seed=17, v0=10.0, x0=0.01, state0=2,
         driver_steps_per_year=driver_steps_per_year,
     )
-    bundle = rs.simulate_paths(p, chain, strategy, cfg, record="all", frozen_path=path, block_size=block_size)
-    xs, lnvs, states, min_lnv, min_xp = _scalar_reference(p, chain, weight, cfg, path)
+    if block is not None:
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+    bundle = rs.simulate_paths(p, chain, strategy, cfg, record="all", frozen_path=path)
+    xs, lnvs, states, min_xp = _scalar_reference(p, chain, weight, cfg, path)
     assert bundle.X.tobytes() == xs.tobytes()
     assert bundle.V.tobytes() == np.exp(lnvs).tobytes()
     np.testing.assert_array_equal(bundle.states, states)
-    assert bundle.min_v == math.exp(min_lnv)
     assert bundle.min_x_effective == min_xp
 
 
@@ -241,22 +241,21 @@ def test_simulate_paths_matches_scalar_reference(
         pytest.param(False, 60, id="refine3"),
     ],
 )
-def test_results_do_not_depend_on_block_size(frozen, driver_steps_per_year, chain2, set1):
+def test_results_do_not_depend_on_block_size(frozen, driver_steps_per_year, chain2, set1, monkeypatch):
     cfg = rs.SimConfig(
         n_paths=2 * _STREAM_BLOCK + 37, steps_per_year=20, seed=23, v0=10.0, x0=0.01, state0=1,
         driver_steps_per_year=driver_steps_per_year,
     )
     path = _frozen_path() if frozen else None
-    runs = [
-        rs.simulate_paths(
-            set1, chain2, rs.optimal_weight_fn(set1), cfg, record=[1.0, 2.5], frozen_path=path, block_size=size
+    runs = []
+    for size in (simulate._BLOCK, _STREAM_BLOCK, 2 * _STREAM_BLOCK):  # all paths, one and two stream blocks at once
+        monkeypatch.setattr(simulate, "_BLOCK", size)
+        runs.append(
+            rs.simulate_paths(set1, chain2, rs.optimal_weight_fn(set1), cfg, record=[1.0, 2.5], frozen_path=path)
         )
-        for size in (None, 7, _STREAM_BLOCK + 1)
-    ]
     for other in runs[1:]:
         for field in ("X", "V", "states"):
             assert getattr(other, field).tobytes() == getattr(runs[0], field).tobytes()
-        assert other.min_v == runs[0].min_v
         assert other.min_x_effective == runs[0].min_x_effective
 
 
@@ -327,14 +326,12 @@ class TestMartingaleDiagnostic:
             rs.martingale_diagnostic(set1, chain2, cfg, [])
 
 
-class TestVarianceObservable:
-    def test_single_state_has_no_jumps(self, chain1):
-        p = one_state_params()
-        cfg = rs.SimConfig(n_paths=3, steps_per_year=50, seed=8, v0=10.0, x0=0.02, state0=1)
-        bundle = rs.simulate_paths(p, chain1, rs.constant_strategy(0.5), cfg)
-        times, var = rs.variance_observable(bundle, p)
-        np.testing.assert_allclose(var, bundle.X)  # nu = 1
+def _variance(bundle, p):
+    """The instantaneous log-return variance nu(state)^2 X per path and recorded time."""
+    return p.nu[bundle.states - 1] ** 2 * bundle.X
 
+
+class TestVarianceObservable:
     def test_jump_ratio_is_squared_nu(self, chain2):
         # freeze the factor (chi = 0, equal theta) so only nu moves the series
         p = make_params(chi=0.0, theta=[0.02, 0.02])
@@ -343,7 +340,7 @@ class TestVarianceObservable:
         )
         cfg = rs.SimConfig(n_paths=2, steps_per_year=10, seed=9, v0=10.0, x0=0.02, state0=1)
         bundle = rs.simulate_paths(p, chain2, rs.constant_strategy(0.3), cfg, frozen_path=path)
-        _, var = rs.variance_observable(bundle, p)
+        var = _variance(bundle, p)
         k = bundle.column(2.0)
         assert var[0, k] / var[0, k - 1] == pytest.approx(1.3**2, rel=1e-12)
 
@@ -351,8 +348,7 @@ class TestVarianceObservable:
         p = one_state_params(nu=1.2, horizon=400.0)
         cfg = rs.SimConfig(n_paths=1, steps_per_year=250, seed=10, v0=10.0, x0=0.02, state0=1)
         bundle = rs.simulate_paths(p, chain1, rs.constant_strategy(0.0), cfg)
-        _, var = rs.variance_observable(bundle, p)
-        series = var[0]
+        series = _variance(bundle, p)[0]
         batches = series[1:].reshape(20, -1).mean(axis=1)
         se = batches.std(ddof=1) / np.sqrt(len(batches))
         assert abs(series.mean() - 1.2**2 * 0.02) < 3 * se

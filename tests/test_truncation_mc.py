@@ -16,6 +16,7 @@ import pytest
 
 import rsheston as rs
 from conftest import Q_TWO_STATE, scalar_block_chain
+from oracles import scalar_integrand
 from rsheston.markov_chain import _STREAM_BLOCK
 
 REL = 1e-12
@@ -129,7 +130,7 @@ def _xi_cases():
         return (0.03, -0.02, 0.01)[e - 1] + 0.05 * np.sin(2.0 * t + e)
 
     cases["scalar_absorbing"] = (
-        rs.RegimeIntegrand.from_scalar(u, 2.0, 3), ABSORBING, 30,
+        scalar_integrand(u, 2.0, 3), ABSORBING, 30,
         lambda path, t: rs.occupation_integral(path, u, t, 2.0),
     )
     cases["one_path"] = (cases["upsilon_set1"][0], Q_TWO_STATE, 1, cases["upsilon_set1"][3])

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import rsheston as rs
 from conftest import make_params
 from hamiltonian import hamiltonian_grid_argmax
+from oracles import scalar_integrand, timedep_strategy, value_timedep_heston
 
 UTIL_10_03 = 10.0**0.3 / 0.3  # terminal utility at v = 10, delta = 0.3
 
@@ -77,7 +78,7 @@ class TestOptimalStrategy:
 class TestValueTimedepHeston:
     def test_terminal_condition(self, set1):
         q = rs.ValueQuery(t=5.0, v=10.0, x=0.37, state=1)
-        assert rs.value_timedep_heston(set1, two_jump_path(), q) == pytest.approx(
+        assert value_timedep_heston(set1, two_jump_path(), q) == pytest.approx(
             UTIL_10_03, rel=1e-12
         )
         assert UTIL_10_03 == pytest.approx(6.6509, abs=5e-5)
@@ -87,16 +88,16 @@ class TestValueTimedepHeston:
         path = rs.RegimePath(start=0.0, horizon=5.0, jump_times=np.array([]), states=np.array([1]))
         q = rs.ValueQuery(t=1.0, v=10.0, x=0.08, state=1)
         expected = UTIL_10_03 * np.exp(0.3 * 0.03 * 4.0)
-        assert rs.value_timedep_heston(p, path, q) == pytest.approx(expected, rel=1e-12)
+        assert value_timedep_heston(p, path, q) == pytest.approx(expected, rel=1e-12)
 
     def test_wealth_simulation_oracle_on_frozen_path(self, set1):
         # simulate the frozen-regime market under the candidate weight and
         # compare expected terminal utility against the closed form
         path = two_jump_path()
         q = rs.ValueQuery(t=0.0, v=10.0, x=0.02, state=1)
-        target = rs.value_timedep_heston(set1, path, q)
+        target = value_timedep_heston(set1, path, q)
         coeffs = rs.compose_piecewise(path, set1)
-        strategy = rs.timedep_strategy(set1, coeffs)
+        strategy = timedep_strategy(set1, coeffs)
         chain = rs.validate_intensity([[-1.0909, 1.0909], [3.4413, -3.4413]])
         cfg = rs.SimConfig(
             n_paths=20_000, steps_per_year=250, seed=31, v0=10.0, x0=0.02, state0=1
@@ -115,7 +116,7 @@ class TestValueMmhGeneral:
         path0 = rs.RegimePath(start=0.0, horizon=5.0, jump_times=np.array([]), states=np.array([1]))
         q = rs.ValueQuery(t=0.0, v=10.0, x=0.02, state=1)
         est, err = rs.value_mmh_general(p, chain1, q, 40, seed=2)
-        assert est == rs.value_timedep_heston(p, path0, q)
+        assert est == value_timedep_heston(p, path0, q)
         assert err == 0.0
 
     def test_identical_regimes_match_single_state(self, chain2):
@@ -130,7 +131,7 @@ class TestValueMmhGeneral:
             variant="mmh", horizon=5.0, delta=0.3, rho=0.0,
             r=0.03, nu=1.0, kappa=4.0, theta=0.02, chi=0.35, lam_hat=1.7,
         )
-        assert est == pytest.approx(rs.value_timedep_heston(p1, path0, q), abs=1e-12)
+        assert est == pytest.approx(value_timedep_heston(p1, path0, q), abs=1e-12)
         assert err < 1e-12
 
     def test_full_wealth_simulation_oracle(self, chain2):
@@ -161,7 +162,7 @@ class TestValueSmmh:
         q = rs.ValueQuery(t=0.0, v=10.0, x=0.9, state=1)
         # B = 0: the value is utility times the rate-only regime expectation
         rate_only = rs.xi_ode(
-            chain2, rs.RegimeIntegrand.from_scalar(lambda t, e: 0.3 * (0.03 if e == 1 else 0.01), 5.0, 2)
+            chain2, scalar_integrand(lambda t, e: 0.3 * (0.03 if e == 1 else 0.01), 5.0, 2)
         )
         assert rs.value_smmh_rho(p, q, xi) == pytest.approx(UTIL_10_03 * rate_only.at(0.0, 1), rel=1e-9)
 

@@ -16,6 +16,7 @@ import pytest
 import rsheston as rs
 import rsheston.regime_expectation as regime_expectation
 from conftest import Q_TWO_STATE, make_params, random_intensity
+from oracles import scalar_integrand
 from test_sign_coverage import _chain_cases
 
 TOL = 1e-13
@@ -100,12 +101,12 @@ def test_three_state_scalar_integrand_matches_scalar_loop(chunked):
     def u(t, e):
         return coefs[e - 1, 0] + coefs[e - 1, 1] * np.cos(2.0 * t)
 
-    integrand = rs.RegimeIntegrand.from_scalar(u, 2.5, 3)
+    integrand = scalar_integrand(u, 2.5, 3)
     _assert_matches_reference(spec, integrand, 2.5 / 2000)
 
 
 def test_fn_all_shapes():
-    integrand = rs.RegimeIntegrand.from_scalar(lambda t, e: t * e, 1.0, 3)
+    integrand = scalar_integrand(lambda t, e: t * e, 1.0, 3)
     np.testing.assert_array_equal(integrand.fn_all(0.5), [0.5, 1.0, 1.5])
     np.testing.assert_array_equal(integrand.fn_all(np.array([0.0, 1.0])), [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
     p = make_params()
@@ -119,7 +120,7 @@ def test_fn_all_shapes():
 def test_steps_redone_by_halving_match_scalar_loop(chunked):
     # u(t, 1) = -100 (1 - t/2)^2 is mild near T = 2, so full steps of 0.1
     # lose positivity only partway back and are then redone by halving
-    integrand = rs.RegimeIntegrand.from_scalar(lambda t, e: -100.0 * (1.0 - t / 2.0) ** 2 if e == 1 else 0.0, 2.0, 2)
+    integrand = scalar_integrand(lambda t, e: -100.0 * (1.0 - t / 2.0) ** 2 if e == 1 else 0.0, 2.0, 2)
     spec = rs.validate_intensity([[-1.0, 1.0], [1.0, -1.0]])
     halvings = _assert_matches_reference(spec, integrand, 0.1)
     assert halvings and max(halvings) < 1.0
@@ -131,7 +132,7 @@ def test_step_redone_on_the_first_step_of_a_chunk(steps_per_chunk, monkeypatch):
     # (step 10 back from T = 2) lose positivity; a fresh sweep starts from
     # its redone value
     spec = rs.validate_intensity([[-1.0, 1.0], [1.0, -1.0]])
-    integrand = rs.RegimeIntegrand.from_scalar(
+    integrand = scalar_integrand(
         lambda t, e: -100.0 * np.exp(-(((t - 1.0) / 0.1) ** 2)) if e == 1 else 0.0, 2.0, 2
     )
     monkeypatch.setattr(regime_expectation, "_CHUNK_ENTRIES", steps_per_chunk * 4)
@@ -154,13 +155,13 @@ def test_random_chains_match_scalar_loop(n_states, steps_per_chunk, monkeypatch)
     def u(t, e):
         return level[e - 1] + swing[e - 1] * np.cos(2.0 * t)
 
-    integrand = rs.RegimeIntegrand.from_scalar(u, 2.5, n_states)
+    integrand = scalar_integrand(u, 2.5, n_states)
     _assert_matches_reference(spec, integrand, 2.5 / 1000)
 
 
 def test_step_failure_partway_through_the_horizon():
     # exp(int u) overflows once t falls below about 1.3: no step size keeps xi finite
-    integrand = rs.RegimeIntegrand.from_scalar(lambda t, e: 1e3 * max(0.0, 2.5 - t), 5.0, 2)
+    integrand = scalar_integrand(lambda t, e: 1e3 * max(0.0, 2.5 - t), 5.0, 2)
     with pytest.raises(rs.StepFailure):
         rs.xi_ode(rs.validate_intensity(Q_TWO_STATE), integrand, grid_step=1e-3)
 
