@@ -29,7 +29,6 @@ from .markov_chain import (
 from .models import (
     ExponentParams,
     HestonRegimeParams,
-    UtilitySpec,
     ValidationReport,
     Variant,
     exponent_params,

@@ -60,37 +60,24 @@ class MarkovChainSpec:
     intensity: np.ndarray
 
     @functools.cached_property
-    def _jump_table(self) -> tuple[tuple[float, list[int], list[float]], ...]:
-        """Per state: outflow rate, 1-based jump targets, cumulative target probabilities.
-
-        Built once, with the same arithmetic ``sample_path`` would use per
-        jump, so paths drawn from the table are bitwise those of the
-        per-jump construction.
-        """
-        table = []
-        for i, row in enumerate(self.intensity):
-            targets = np.flatnonzero(row > 0.0)
-            cum = np.cumsum(row[targets])
-            if len(cum):  # an absorbing state has no targets
-                cum /= cum[-1]
-            table.append((float(-row[i]), (targets + 1).tolist(), cum.tolist()))
-        return tuple(table)
-
-    @functools.cached_property
     def _jump_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``_jump_table`` as (rate, targets, cum) arrays, rows padded to one width.
+        """Per state: outflow rate, 0-based jump targets, cumulative target probabilities.
 
-        ``targets`` holds 0-based labels and ``cum`` is padded with inf, so
-        ``(cum[i] <= u).sum()`` is ``bisect_right`` on state i's row.
+        Rows are padded to one width, ``targets`` with 0 and ``cum`` with
+        inf, so ``bisect_right`` on row i and ``(cum[i] <= u).sum()`` pick
+        the same index.  An absorbing state has rate 0 and no targets.
         """
+        q = self.intensity
         l = self.n_states
-        rate = np.array([row[0] for row in self._jump_table])
         targets = np.zeros((l, l), dtype=np.int64)
         cum = np.full((l, l), np.inf)
-        for i, (_, tg, cm) in enumerate(self._jump_table):
-            targets[i, : len(tg)] = np.array(tg) - 1
-            cum[i, : len(cm)] = cm
-        return rate, targets, cum
+        for i, row in enumerate(q):
+            tg = np.flatnonzero(row > 0.0)
+            if len(tg):
+                c = np.cumsum(row[tg])
+                targets[i, : len(tg)] = tg
+                cum[i, : len(tg)] = c / c[-1]
+        return -np.diag(q), targets, cum
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,6 +106,8 @@ class RegimePath:
             raise ValueError("jump times must be strictly increasing")
         if (st[1:] == st[:-1]).any():
             raise ValueError("consecutive states must differ across a jump")
+        if (st < 1).any():
+            raise ValueError("states must be 1-based labels")
         object.__setattr__(self, "jump_times", jt)
         object.__setattr__(self, "states", st)
 
@@ -135,16 +124,6 @@ class RegimePath:
     def boundaries(self) -> np.ndarray:
         """Segment edges start = b_0 < ... < b_{K+1} = horizon."""
         return np.concatenate(([self.start], self.jump_times, [self.horizon]))
-
-    def segments(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Nonempty segments clipped to [t, horizon] as (lo, hi, state) arrays."""
-        if not self.start <= t <= self.horizon:
-            raise ValueError("need path.start <= t <= path.horizon")
-        edges = self.boundaries()
-        lo = np.maximum(edges[:-1], t)
-        hi = np.minimum(edges[1:], self.horizon)
-        keep = hi > lo
-        return lo[keep], hi[keep], self.states[keep]
 
 
 def validate_intensity(matrix) -> MarkovChainSpec:
@@ -184,8 +163,11 @@ def path_stream(seed, index: int) -> np.random.Generator:
     """Dedicated RNG stream for one path, or one block of paths.
 
     Streams are derived deterministically from (seed, index), so a run
-    is reproducible no matter how its paths are batched.
+    is reproducible no matter how its paths are batched.  A seed that is
+    not a nonnegative integer (Python or numpy) raises ValueError.
     """
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(index))))
 
 
@@ -200,11 +182,27 @@ def sample_path(
 
     Holding times use inverse-CDF exponential sampling on uniforms from
     ``rng``; the successor state uses one more uniform against the
-    state's cumulative target probabilities (``spec._jump_table``).
+    state's cumulative target probabilities (``spec._jump_arrays``).
     Absorbing states (zero outflow rate) simply hold forever.
     """
     _check_start(spec, t0, horizon, state0)
-    jump_times, states = _draw_jumps(spec, t0, horizon, state0, rng)
+    rate, targets, cum = (a.tolist() for a in spec._jump_arrays)
+    random = rng.random
+    jump_times: list[float] = []
+    states = [state0]
+    t, i = t0, state0 - 1
+    while rate[i] > 0.0:
+        u = random()
+        while u == 0.0:  # zero holding time would repeat a jump instant
+            u = random()
+        t = t - math.log1p(-u) / rate[i]
+        if t > horizon:
+            break
+        i = targets[i][bisect.bisect_right(cum[i], random())]
+        jump_times.append(t)
+        states.append(i + 1)
+        if t == horizon:  # jump exactly at the closed right endpoint
+            break
     return RegimePath(
         start=t0,
         horizon=horizon,
@@ -220,33 +218,6 @@ def _check_start(spec: MarkovChainSpec, t0: float, horizon: float, state0: int) 
         raise ValueError(f"state0 must be in 1..{spec.n_states}")
 
 
-def _draw_jumps(
-    spec: MarkovChainSpec, t0: float, horizon: float, state0: int, rng: np.random.Generator
-) -> tuple[list[float], list[int]]:
-    """The jump times and visited states of ``sample_path``, as lists."""
-    table = spec._jump_table
-    random = rng.random
-    jump_times: list[float] = []
-    states = [state0]
-    t, state = t0, state0
-    while True:
-        rate, targets, cum = table[state - 1]
-        if rate <= 0.0:
-            break
-        u = random()
-        while u == 0.0:  # zero holding time would repeat a jump instant
-            u = random()
-        t = t - math.log1p(-u) / rate
-        if t > horizon:
-            break
-        state = targets[bisect.bisect_right(cum, random())]
-        jump_times.append(t)
-        states.append(state)
-        if t == horizon:  # jump exactly at the closed right endpoint
-            break
-    return jump_times, states
-
-
 def sample_block(
     spec: MarkovChainSpec, length: float, state0: int, n_paths: int, rng: np.random.Generator
 ) -> "PathTable":
@@ -257,7 +228,7 @@ def sample_block(
     zero ones in the same order until none is left.  It then draws one
     target uniform per path whose jump lands at or before ``length``, in
     path order, and picks the successor against the state's cumulative
-    row of ``spec._jump_table``.  As in ``sample_path``, a jump exactly
+    row of ``spec._jump_arrays``.  As in ``sample_path``, a jump exactly
     at ``length`` is kept and ends the path, and an absorbing state
     never jumps.
     """

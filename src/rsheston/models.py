@@ -40,7 +40,6 @@ from .errors import AssumptionViolated
 
 __all__ = [
     "Variant",
-    "UtilitySpec",
     "HestonRegimeParams",
     "ExponentParams",
     "CheckResult",
@@ -57,28 +56,6 @@ class Variant(str, Enum):
     SMMH_RHO = "smmh_rho"
 
 
-@dataclass(frozen=True)
-class UtilitySpec:
-    """Power utility v -> v**delta / delta with delta < 1, delta != 0.
-
-    delta = 0 (log utility) is rejected outright; no limiting case is
-    implemented.
-    """
-
-    delta: float
-
-    def __post_init__(self):
-        if not self.delta < 1 or self.delta == 0:
-            raise ValueError(f"delta must satisfy delta < 1 and delta != 0, got {self.delta}")
-
-    def __call__(self, v):
-        v = np.asarray(v, dtype=float)
-        if np.any(v <= 0):
-            raise ValueError("utility is only defined for strictly positive wealth")
-        out = v**self.delta / self.delta
-        return float(out) if out.ndim == 0 else out
-
-
 def _per_state(name: str, value, l: int) -> np.ndarray:
     arr = np.atleast_1d(np.array(value, dtype=float, copy=True))
     if arr.size == 1:
@@ -91,7 +68,7 @@ def _per_state(name: str, value, l: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class HestonRegimeParams:
-    """Per-regime Heston parameters plus utility and horizon.
+    """Per-regime Heston parameters plus the utility power delta and horizon.
 
     ``kappa``, ``theta``, ``chi``, ``r``, ``nu`` are per-state tables
     (scalars broadcast).  The excess-return slope is ``lam_hat`` per
@@ -99,8 +76,10 @@ class HestonRegimeParams:
     separable variants (there lam_hat(e) = d * nu(e)).
 
     Every parameter must be finite; a non-finite one raises ValueError
-    naming it.  chi = 0 is allowed here (a deterministic factor, which
-    ``simulate_paths`` handles); the closed forms need chi > 0, and
+    naming it.  delta must satisfy delta < 1, delta != 0: log utility
+    (delta = 0) is rejected, with no limiting case implemented.  chi = 0
+    is allowed here (a deterministic factor, which ``simulate_paths``
+    handles); the closed forms need chi > 0, and
     ``validate_solution_assumptions`` fails ``factor_noise_positive``
     without it.
     """
@@ -126,7 +105,8 @@ class HestonRegimeParams:
             value = getattr(self, name)
             if value is not None and not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} must be finite, got {value}")
-        UtilitySpec(self.delta)
+        if not self.delta < 1 or self.delta == 0:
+            raise ValueError(f"delta must satisfy delta < 1 and delta != 0, got {self.delta}")
         if not -1.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must lie in [-1, 1], got {self.rho}")
         if self.horizon <= 0:

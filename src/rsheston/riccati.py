@@ -208,10 +208,10 @@ def compose_segments(p: HestonRegimeParams, segs: Segments) -> tuple[np.ndarray,
     every cell that has one, with B carried in from step j - 1; its
     checks run elementwise, and every state's parameters are checked
     whether or not a cell visits the state.  Unscaled, as
-    ``compose_piecewise``.
+    ``compose_piecewise``.  A label outside 1..l raises ValueError.
     """
-    if np.any(segs.states > p.n_states):
-        raise ValueError("path states exceed the model's state count")
+    if np.any((segs.states < 1) | (segs.states > p.n_states)):
+        raise ValueError(f"path states must be labels 1..{p.n_states}")
     kt, tt, beta, _ = exponent_params(p)
     table = _exponent_table(kt, tt, p.chi, beta)
     state = segs.states - 1

@@ -47,7 +47,7 @@ import numpy as np
 from .errors import ConfigError
 from .markov_chain import _STREAM_BLOCK, MarkovChainSpec, RegimePath, path_stream, sample_block
 from .models import HestonRegimeParams, Variant
-from .regime_expectation import XiTable, upsilon_heston, xi_ode
+from .regime_expectation import upsilon_heston, xi_ode
 from .riccati import D_leverage, d_leverage_fn
 from .value_strategy import ValueQuery, optimal_weights, value_smmh_rho
 
@@ -75,8 +75,10 @@ _OVERFLOW = "wealth overflowed; check the strategy and parameters"
 class SimConfig:
     """Simulation run parameters.
 
-    ``driver_steps_per_year`` (optional) must be an integer multiple of
-    ``steps_per_year``; see the module docstring.
+    The counts, the seed and ``state0`` must be integers (Python or
+    numpy), else ConfigError names the field.  ``driver_steps_per_year``
+    (optional) must be a positive multiple of ``steps_per_year``; see
+    the module docstring.
     """
 
     n_paths: int
@@ -88,20 +90,24 @@ class SimConfig:
     driver_steps_per_year: int | None = None
 
     def __post_init__(self):
+        optional = () if self.driver_steps_per_year is None else ("driver_steps_per_year",)
+        for name in ("n_paths", "steps_per_year", "seed", "state0", *optional):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_paths < 1:
             raise ConfigError("n_paths must be >= 1")
         if self.steps_per_year < 1:
             raise ConfigError("steps_per_year must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.v0) and self.v0 > 0.0):
             raise ConfigError(f"v0 must be finite and strictly positive, got {self.v0}")
         if not (math.isfinite(self.x0) and self.x0 >= 0.0):
             raise ConfigError(f"x0 must be finite and nonnegative, got {self.x0}")
         if self.state0 < 1:
             raise ConfigError("state0 must be a 1-based state label")
-        if self.driver_steps_per_year is not None and (
-            self.driver_steps_per_year % self.steps_per_year != 0
-        ):
-            raise ConfigError("driver_steps_per_year must be a multiple of steps_per_year")
+        if optional and (self.driver_steps_per_year < 1 or self.driver_steps_per_year % self.steps_per_year):
+            raise ConfigError("driver_steps_per_year must be a positive multiple of steps_per_year")
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,7 +199,8 @@ def simulate_paths(
     "all", "terminal", or a sequence of times in [0, T] that must lie on
     the step grid (the terminal time is always included).  With
     ``frozen_path`` the regime trajectory is fixed instead of sampled,
-    which conditions the whole run on one chain path.
+    which conditions the whole run on one chain path; its labels must
+    not exceed the model's state count.
     """
     if chain.n_states != p.n_states:
         raise ConfigError("chain and model disagree on the state count")
@@ -201,6 +208,8 @@ def simulate_paths(
         raise ConfigError(f"state0 exceeds n_states = {p.n_states}")
     if frozen_path is not None and abs(frozen_path.horizon - p.horizon) > 1e-12:
         raise ConfigError("frozen path horizon must match the model horizon")
+    if frozen_path is not None and frozen_path.states.max() > p.n_states:
+        raise ConfigError(f"frozen path labels exceed n_states = {p.n_states}")
 
     horizon = p.horizon
     n_steps = max(1, int(round(horizon * cfg.steps_per_year)))
@@ -418,7 +427,6 @@ def martingale_diagnostic(
     chain: MarkovChainSpec,
     cfg: SimConfig,
     checkpoints: Sequence[float],
-    xi: XiTable | None = None,
     strategy: Strategy | None = None,
 ) -> list[tuple[float, float, float, float]]:
     """Sample means of the value process along simulated paths.
@@ -428,14 +436,14 @@ def martingale_diagnostic(
     the optimal strategy (the default) the means are flat in t up to
     Monte Carlo noise; under any other admissible strategy they drift
     downward.  Returns rows (t, mean, std_err, z) where z measures the
-    gap to Phi(0, v0, x0, state0).
+    gap to Phi(0, v0, x0, state0).  Phi reads xi from ``xi_ode`` at its
+    default step, T/5000.
     """
     if p.variant is Variant.MMH:
         raise ConfigError("the value diagnostic is defined for the separable variants")
     if len(checkpoints) == 0:
         raise ConfigError("need at least one checkpoint")
-    if xi is None:
-        xi = xi_ode(chain, upsilon_heston(p, d_leverage_fn(p)))
+    xi = xi_ode(chain, upsilon_heston(p, d_leverage_fn(p)))
     if strategy is None:
         strategy = optimal_weight_fn(p)
     bundle = simulate_paths(p, chain, strategy, cfg, record=list(checkpoints))

@@ -1,4 +1,5 @@
 import bisect
+import itertools
 import math
 
 import numpy as np
@@ -59,8 +60,14 @@ def scalar_block_chain(chain, horizon, state0, n, rng):
     """``sample_block``'s rounds, one draw at a time on Python floats.
 
     Returns each path's jumps as (jump times, labels after each jump).
+    Its jump table is built here from the intensity, so the reference
+    shares no table code with the library.
     """
-    table = chain._jump_table
+    table = []
+    for i, row in enumerate(chain.intensity.tolist()):
+        targets = [j + 1 for j, q in enumerate(row) if q > 0.0]
+        cum = list(itertools.accumulate(row[j - 1] for j in targets))
+        table.append((-row[i], targets, [c / cum[-1] for c in cum]))
     t, state = [0.0] * n, [state0] * n
     jumps = [([], []) for _ in range(n)]
     running = [i for i in range(n) if table[state0 - 1][0] > 0.0]

@@ -5,6 +5,7 @@
 * ``value_timedep_heston`` and ``timedep_strategy`` give the value and
   the optimal weight along one frozen regime trajectory, composed by
   ``compose_piecewise`` path by path.
+* ``path_segments`` clips one regime path's segments to [t, horizon].
 * ``scalar_integrand`` wraps a per-state function u(t, e) as a
   ``RegimeIntegrand`` whose segment integrals come from adaptive
   quadrature; scipy is imported on its first segment integral.
@@ -118,6 +119,17 @@ def riccati_numeric(
     return RiccatiSolution(times=t_all, A=np.concatenate(a_vals)[::-1], B=np.concatenate(b_vals)[::-1])
 
 
+def path_segments(path: rs.RegimePath, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonempty segments of ``path`` clipped to [t, horizon] as (lo, hi, state) arrays."""
+    if not path.start <= t <= path.horizon:
+        raise ValueError("need path.start <= t <= path.horizon")
+    edges = path.boundaries()
+    lo = np.maximum(edges[:-1], t)
+    hi = np.minimum(edges[1:], path.horizon)
+    keep = hi > lo
+    return lo[keep], hi[keep], path.states[keep]
+
+
 def timedep_strategy(p: rs.HestonRegimeParams, coeffs: rs.PiecewiseAB) -> Callable[[np.ndarray], np.ndarray]:
     """Optimal weight along one frozen regime trajectory, as an (n_t, l) table.
 
@@ -143,7 +155,7 @@ def value_timedep_heston(p: rs.HestonRegimeParams, path: rs.RegimePath, q: rs.Va
     """
     q.check(p)
     coeffs = rs.compose_piecewise(path, p)
-    lo, hi, state = path.segments(q.t)
+    lo, hi, state = path_segments(path, q.t)
     vt = coeffs.vartheta
     a, b = coeffs.ab(q.t)
     log_value = (p.delta * p.r)[state - 1] @ (hi - lo) + vt * a + vt * b * q.x

@@ -256,7 +256,7 @@ def test_criterion_5_value_process_flatness(chain, set1, set1_run, xi_set1):
         n_paths=N_FULL, steps_per_year=250, seed=20240213, v0=10.0, x0=0.02, state0=1
     )
     rows = rs.martingale_diagnostic(
-        set1, chain, control_cfg, CHECKPOINTS, xi=xi_set1, strategy=rs.constant_strategy(1.0)
+        set1, chain, control_cfg, CHECKPOINTS, strategy=rs.constant_strategy(1.0)
     )
     means = [r[1] for r in rows]
     errs = [r[2] for r in rows]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import rsheston as rs
 from conftest import Q_TWO_STATE, scalar_block_chain
+from oracles import path_segments
 from rsheston.markov_chain import _STREAM_BLOCK, PathTable
 
 Q12, Q21 = 1.0909, 3.4413
@@ -145,6 +146,25 @@ def test_sample_path_matches_per_jump_reference(name):
         assert rng_a.random() == rng_b.random(), i
 
 
+@pytest.mark.parametrize("name", SAMPLER_CHAINS)
+def test_jump_arrays_match_the_intensity(name):
+    # bitwise, per state: the outflow rate, the 0-based targets of the positive
+    # rates and their cumulative probabilities, padded with inf to the row width
+    q = np.array(SAMPLER_CHAINS[name], dtype=float)
+    rate, targets, cum = rs.validate_intensity(q)._jump_arrays
+    assert rate.shape == (len(q),) and targets.shape == cum.shape == q.shape
+    for i, row in enumerate(q):
+        tg = np.flatnonzero(row > 0.0)
+        assert rate[i] == -row[i]
+        assert targets[i, : len(tg)].tolist() == tg.tolist()
+        assert cum[i, : len(tg)].tobytes() == (np.cumsum(row[tg]) / row[tg].sum()).tobytes()
+        assert np.isposinf(cum[i, len(tg) :]).all()
+    if name == "uneven_with_zero_rate":  # the zero rate 1 -> 2 is no target
+        assert targets[0, 0] == 2 and cum[0].tolist() == [1.0, math.inf, math.inf]
+    if name == "absorbing_state":
+        assert rate[1] == 0.0 and np.isposinf(cum[1]).all()
+
+
 class TestSampleBlock:
     Q = SAMPLER_CHAINS["absorbing_state"]
 
@@ -248,24 +268,24 @@ class TestSegments:
 
     def test_clips_to_query_time_and_drops_empty_segments(self):
         # t off a jump time, and the zero-length segment after the jump at the horizon
-        lo, hi, state = self.PATH.segments(0.9)
+        lo, hi, state = path_segments(self.PATH, 0.9)
         np.testing.assert_array_equal(lo, [0.9, 1.3])
         np.testing.assert_array_equal(hi, [1.3, 2.0])
         np.testing.assert_array_equal(state, [2, 3])
 
     def test_query_on_a_jump_time_starts_in_the_new_state(self):
-        lo, hi, state = self.PATH.segments(1.3)
+        lo, hi, state = path_segments(self.PATH, 1.3)
         np.testing.assert_array_equal(np.c_[lo, hi, state], [[1.3, 2.0, 3]])
-        assert all(len(a) == 0 for a in self.PATH.segments(2.0))
+        assert all(len(a) == 0 for a in path_segments(self.PATH, 2.0))
 
     def test_lengths_sum_to_the_remaining_time(self):
-        lo, hi, _ = self.PATH.segments(0.5)
+        lo, hi, _ = path_segments(self.PATH, 0.5)
         assert (hi - lo).sum() == pytest.approx(1.5, abs=1e-15)
 
     @pytest.mark.parametrize("t", [0.4, 2.1])
     def test_rejects_time_outside_the_path(self, t):
         with pytest.raises(ValueError):
-            self.PATH.segments(t)
+            path_segments(self.PATH, t)
 
 
 class TestRegimePathInvariants:
@@ -279,8 +299,24 @@ class TestRegimePathInvariants:
                 start=0.0, horizon=1.0, jump_times=np.array([0.5, 0.4]), states=np.array([1, 2, 1])
             )
 
+    @pytest.mark.parametrize("states", [[0], [1, 0], [-1, 2]])
+    def test_rejects_labels_below_one(self, states):
+        jump_times = np.array([0.5] * (len(states) - 1))
+        with pytest.raises(ValueError, match="1-based"):
+            rs.RegimePath(start=0.0, horizon=1.0, jump_times=jump_times, states=np.array(states))
+
     def test_jump_at_horizon_is_kept(self):
         path = rs.RegimePath(
             start=0.0, horizon=1.0, jump_times=np.array([1.0]), states=np.array([1, 2])
         )
         assert path.state_at(1.0) == 2
+
+
+class TestPathStream:
+    @pytest.mark.parametrize("seed", [2.5, np.float64(2.0), -1, np.int64(-3), "7", None])
+    def test_rejects_a_seed_that_is_not_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            rs.path_stream(seed, 0)
+
+    def test_numpy_and_python_integer_seeds_give_one_stream(self):
+        assert rs.path_stream(np.int64(7), 3).random() == rs.path_stream(7, 3).random()

@@ -8,8 +8,6 @@ from conftest import make_params
 class TestParameterCatalog:
     def test_log_utility_rejected(self):
         with pytest.raises(ValueError):
-            rs.UtilitySpec(0.0)
-        with pytest.raises(ValueError):
             make_params(delta=0.0)
 
     def test_risk_neutral_and_beyond_rejected(self):
@@ -54,12 +52,6 @@ class TestParameterCatalog:
 
     def test_vartheta_set1(self, set1):
         assert set1.vartheta == pytest.approx(0.7 / (0.7 + 0.3 * 0.64), rel=1e-15)
-
-    def test_utility_rejects_nonpositive_wealth(self):
-        u = rs.UtilitySpec(0.3)
-        with pytest.raises(ValueError):
-            u(0.0)
-        assert u(10.0) == pytest.approx(10.0**0.3 / 0.3)
 
 
 class TestAffineMapping:

@@ -34,7 +34,7 @@ import pytest
 
 import rsheston as rs
 from conftest import random_intensity
-from oracles import value_timedep_heston
+from oracles import path_segments, value_timedep_heston
 
 # set1's first state with the slope flipped: the case that exposed a sign bug
 PROBE = dict(
@@ -205,7 +205,7 @@ def test_closed_form_path_integral_matches_quadrature(p):
         path = rs.RegimePath(start=0.0, horizon=T, jump_times=jumps, states=np.array(states))
         times = [0.0, jumps[0], 0.41 * T, jumps[1], T]
     for t in times:
-        closed = integrand.segment_integral(*path.segments(t)).sum()
+        closed = integrand.segment_integral(*path_segments(path, t)).sum()
         quad = rs.occupation_integral(path, lambda s, e: integrand.fn_all(s)[e - 1], t, T)
         assert abs(closed - quad) <= 1e-12 * max(1.0, abs(quad)), (t, closed, quad)
 

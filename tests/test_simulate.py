@@ -40,6 +40,36 @@ class TestSimConfig:
         with pytest.raises(rs.ConfigError, match=field):
             rs.SimConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_paths", 2.5),
+            ("steps_per_year", 4.5),
+            ("seed", 2.5),
+            ("seed", -1),
+            ("state0", 1.0),
+            ("driver_steps_per_year", 20.0),
+            ("driver_steps_per_year", 0),
+            ("driver_steps_per_year", -10),
+        ],
+    )
+    def test_rejects_fractional_counts_and_bad_seeds_by_name(self, field, value):
+        kwargs = dict(n_paths=1, steps_per_year=10, seed=1, v0=1.0, x0=0.0, state0=1)
+        kwargs[field] = value
+        with pytest.raises(rs.ConfigError, match=f"^{field} must"):
+            rs.SimConfig(**kwargs)
+
+    def test_numpy_integers_run_as_python_integers(self, chain2, set1):
+        ints = dict(n_paths=3, steps_per_year=10, seed=5, state0=2, driver_steps_per_year=20)
+        runs = [
+            rs.simulate_paths(
+                set1, chain2, rs.constant_strategy(0.3), rs.SimConfig(v0=10.0, x0=0.02, **kw), record="all"
+            )
+            for kw in (ints, {k: np.int64(v) for k, v in ints.items()})
+        ]
+        assert runs[0].V.tobytes() == runs[1].V.tobytes()
+        assert runs[0].states.tobytes() == runs[1].states.tobytes()
+
 
 class TestScheme:
     def test_bond_only_is_exact(self, chain1):
@@ -353,3 +383,10 @@ class TestVarianceObservable:
         se = batches.std(ddof=1) / np.sqrt(len(batches))
         assert abs(series.mean() - 1.2**2 * 0.02) < 3 * se
 
+
+@pytest.mark.parametrize("label", [3, 4])
+def test_frozen_path_labels_above_the_state_count_are_rejected(chain2, set1, label):
+    cfg = rs.SimConfig(n_paths=2, steps_per_year=10, seed=1, v0=10.0, x0=0.02, state0=1)
+    path = rs.RegimePath(start=0.0, horizon=set1.horizon, jump_times=np.array([1.0]), states=np.array([1, label]))
+    with pytest.raises(rs.ConfigError, match="n_states = 2"):
+        rs.simulate_paths(set1, chain2, rs.constant_strategy(0.3), cfg, frozen_path=path)

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 import rsheston as rs
-from conftest import Q_TWO_STATE, scalar_block_chain
-from oracles import scalar_integrand
+from conftest import Q_TWO_STATE, make_params, scalar_block_chain
+from oracles import path_segments, scalar_integrand
 from rsheston.markov_chain import _STREAM_BLOCK
 
 REL = 1e-12
@@ -45,13 +45,13 @@ def _chain_mc_reference(spec, t, horizon, state, n_paths, seed, log_weight):
 
 def _log_path_value(p, path, t, x):
     coeffs = rs.compose_piecewise(path, p)
-    lo, hi, state = path.segments(t)
+    lo, hi, state = path_segments(path, t)
     a, b = coeffs.ab(t)
     return (p.delta * p.r)[state - 1] @ (hi - lo) + coeffs.vartheta * a + coeffs.vartheta * b * x
 
 
 def _upsilon_path_integral(p, path, t):
-    lo, hi, state = path.segments(t)
+    lo, hi, state = path_segments(path, t)
     big_d = rs.D_leverage_integral(p, np.append(lo, hi[-1:]))
     delta_r, kap_th = p.delta * p.r, p.kappa * p.theta
     return float(delta_r[state - 1] @ (hi - lo) + kap_th[state - 1] @ (big_d[:-1] - big_d[1:]))
@@ -220,3 +220,29 @@ def test_mmh_routes_raise_where_composition_does(name):
         rs.value_mmh_general(p, chain, rs.ValueQuery(t=0.0, v=10.0, x=0.02, state=1), 20, seed=3)
     with pytest.raises(rs.DomainViolation):
         rs.value_mmh_table(p, chain, [0.0, 0.5 * p.horizon, p.horizon], 10.0, 0.02, 20, seed=3)
+
+
+@pytest.mark.parametrize("label", [0, 3])
+def test_compose_segments_rejects_labels_outside_the_states(label):
+    # label 0 would index the last state's parameters
+    segs = rs.Segments(first=np.array([0, 1]), lo=np.array([0.0]), hi=np.array([1.0]), states=np.array([label]))
+    with pytest.raises(ValueError, match="path states"):
+        rs.compose_segments(make_params(horizon=1.0), segs)
+
+
+@pytest.mark.parametrize("seed", [2.5, -1])
+def test_chain_mc_routes_reject_a_seed_that_is_not_a_nonnegative_integer(seed):
+    chain = rs.validate_intensity(Q_TWO_STATE)
+    sep = make_params()
+    mmh = make_params(variant="mmh", d=None, lam_hat=[1.7, 2.21], rho=0.0)
+    integrand = rs.upsilon_heston(sep, rs.d_leverage_fn(sep))
+    q = rs.ValueQuery(t=0.0, v=10.0, x=0.02, state=1)
+    calls = [
+        lambda: rs.xi_mc(chain, integrand, 0.0, 1, 20, seed),
+        lambda: rs.xi_mc_table(chain, integrand, [0.0], 20, seed),
+        lambda: rs.value_mmh_general(mmh, chain, q, 20, seed),
+        lambda: rs.value_mmh_table(mmh, chain, [0.0], 10.0, 0.02, 20, seed),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            call()
