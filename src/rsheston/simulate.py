@@ -14,26 +14,50 @@ frozen at the step start):
                      + pi nu sqrt(xp) dW_P
 * dW_P = rho dW_X + sqrt(1 - rho^2) dW_perp.
 
+A weight reads neither V nor X, so given the chain and dW_X the dW_perp
+terms of ln V sum to a Gaussian: over any run of steps its mean is 0
+and its variance (1 - rho^2) dt times the sum of (pi nu)^2 xp.  The
+steps therefore draw dW_X only.  Each path carries
+
+      m <- m + [r + pi lam_hat xp - pi^2 nu^2 xp / 2] dt + rho pi nu sqrt(xp) dW_X
+      S <- S + (pi nu)^2 xp
+
+and at each record time draws one N(0, 1), Z, for the orthogonal part
+of the interval since the previous record (S' is S at that record):
+
+      W <- W + sqrt((1 - rho^2) dt (S - S')) Z,   V = exp(m + W).
+
+(state, X, V) at the record times then has exactly the law of the
+per-step scheme.  ``m`` and ``s^2 = (1 - rho^2) dt S`` are the mean and
+variance of ln V given the chain and the factor path, and
+``PathBundle`` keeps them.  The estimators average
+E[V^delta | chain, X] = exp(delta m + delta^2 s^2 / 2) in place of
+V^delta: conditional Monte Carlo (Glasserman, *Monte Carlo Methods in
+Financial Engineering*, 2004, section 4.5), never noisier than the
+plain mean.
+
 What depends only on (step, state) is tabulated once per run, per step
-k and state e: r, pi lam_hat, (pi nu)^2 / 2, pi nu, kappa, theta and
-chi, with pi = strategy(t_k, e).  Each entry is the product the wealth
-and factor updates would form left to right, so a step gathers one row
-per path and updates X and ln V in place without changing a bit of the
-result.
+k and state e, with pi = strategy(t_k, e) and h = sqrt(dt / refine) the
+scale of one driver normal: r dt, (pi lam_hat - (pi nu)^2 / 2) dt,
+rho h pi nu, (pi nu)^2, kappa dt, kappa theta dt and chi h.  A step
+gathers one row per path and updates m, S and X in place.
 
 Paths come in stream blocks of 256: block j (paths 256 j onward) owns
-the RNG stream derived from (seed, j).  It draws the chain trajectories
-of all its paths first (``sample_block``) and then their normal
-increments, step-major: driver step by driver step, the pair (dW_X,
-dW_perp) of every path in the block.  The stream layout does not depend
-on ``_BLOCK``, which only sets how many paths (whole stream blocks) are
-stepped together to bound memory, so results are bitwise reproducible
-regardless of batching.
-Setting ``driver_steps_per_year`` draws the Brownian increments on a
-finer grid and sums them per step as they are drawn: two runs at
-different step sizes but the same driver resolution then share their
-Brownian paths exactly, which makes discretization-convergence
-comparisons nearly noise-free.
+two RNG streams derived from (seed, j), ``path_stream(seed, j)`` and
+the first child of its seed sequence (``Generator.spawn``).  The first
+draws the chain trajectories of all the block's paths
+(``sample_block``) and then their dW_X normals, step-major: driver step
+by driver step, one normal per path.  The second draws the record
+normals, record time by record time, one per path.  So X and the states
+do not depend on ``record``, and the record normals do not depend on
+the step size.  Neither layout depends on ``_BLOCK``, which only sets
+how many paths (whole stream blocks) are stepped together to bound
+memory, so results are bitwise reproducible regardless of batching.
+Setting ``driver_steps_per_year`` draws dW_X on a finer grid and sums
+it per step as it is drawn: two runs at different step sizes but the
+same driver resolution then share their Brownian paths and their record
+normals exactly, which makes discretization-convergence comparisons
+nearly noise-free.
 """
 
 from __future__ import annotations
@@ -116,10 +140,15 @@ class PathBundle:
 
     ``states`` holds 1-based labels, ``X`` the truncated factor (the
     value actually driving variance, hence nonnegative) and ``V``
-    wealth; the asset price is not simulated.  ``min_x_effective``, the
-    least truncated factor of any path, is tracked over every step, not
-    only recorded ones.  RNG provenance: under ``seed``, stream j belongs
-    to paths 256 j to 256 j + 255 (see the module docstring).
+    wealth; the asset price is not simulated.  ``log_v_mean`` and
+    ``log_v_var`` are the mean and variance of ln V given the chain and
+    the factor path up to each record time (m and s^2 in the module
+    docstring); the drawn ``V`` is one sample of that Gaussian.  The
+    moments at the terminal time do not depend on ``record``.
+    ``min_x_effective``, the least truncated factor of any path, is
+    tracked over every step, not only recorded ones.  RNG provenance:
+    under ``seed``, the streams of block j belong to paths 256 j to
+    256 j + 255 (see the module docstring).
     """
 
     grid: np.ndarray
@@ -127,6 +156,8 @@ class PathBundle:
     states: np.ndarray
     X: np.ndarray
     V: np.ndarray
+    log_v_mean: np.ndarray
+    log_v_var: np.ndarray
     seed: int
     min_x_effective: float
 
@@ -227,47 +258,53 @@ def simulate_paths(
 
     l = p.n_states
     pi = np.broadcast_to(np.asarray(strategy(grid[:-1]), dtype=float), (n_steps, l))
-    # coef[k, :, e]: r, pi lam_hat, (pi nu)^2 / 2, pi nu, kappa, theta, chi
-    # at step k in state e (see the module docstring)
+    # coef[k, :, e]: r dt, (pi lam_hat - (pi nu)^2 / 2) dt, rho h pi nu, (pi nu)^2,
+    # kappa dt, kappa theta dt, chi h at step k in state e (see the module docstring)
     coef = np.empty((n_steps, 7, l))
     with np.errstate(over="ignore", invalid="ignore"):  # a weight too large to step is rejected below
         pi_nu = pi * p.nu
-        coef[:, 0] = p.r
-        coef[:, 1] = pi * p.excess_slope
-        coef[:, 2] = 0.5 * pi_nu**2
-        coef[:, 3] = pi_nu
-        coef[:, 4:] = np.stack([p.kappa, p.theta, p.chi])
+        pi_nu2 = pi_nu**2
+        coef[:, 0] = p.r * dt
+        coef[:, 1] = (pi * p.excess_slope - 0.5 * pi_nu2) * dt
+        coef[:, 2] = (p.rho * sq_dtd) * pi_nu
+        coef[:, 3] = pi_nu2
+        coef[:, 4:] = np.stack([p.kappa * dt, p.kappa * p.theta * dt, p.chi * sq_dtd])
     if not np.isfinite(coef).all():
         raise FloatingPointError(_OVERFLOW)
-    rho, sq1mr = p.rho, math.sqrt(max(0.0, 1.0 - p.rho**2))
+    orth = max(0.0, 1.0 - p.rho**2) * dt  # the variance of ln V's dW_perp part is orth * S
 
     n_paths = cfg.n_paths
     m = len(rec_idx)
     out_states = np.empty((n_paths, m), dtype=np.int16)
     out_x = np.empty((n_paths, m))
     out_v = np.empty((n_paths, m))
+    out_mean = np.empty((n_paths, m))
+    out_var = np.empty((n_paths, m))
     min_xeff = math.inf
 
     sb = _STREAM_BLOCK
     chunk = max(1, _DRIVER_CHUNK // refine)  # steps per normal draw
-    buf = np.empty(chunk * refine * 2 * sb)
+    buf = np.empty(chunk * refine * sb)
     state0 = cfg.state0 if frozen_path is None else int(frozen_path.state_at(grid[0]))
     for i0 in range(0, n_paths, _BLOCK):
         i1 = min(i0 + _BLOCK, n_paths)
         b = i1 - i0
-        streams = [(j0 - i0, min(sb, i1 - j0), path_stream(cfg.seed, j0 // sb)) for j0 in range(i0, i1, sb)]
+        streams = []
+        for j0 in range(i0, i1, sb):
+            rng = path_stream(cfg.seed, j0 // sb)
+            streams.append((j0 - i0, min(sb, i1 - j0), rng, rng.spawn(1)[0]))
         changes = _state_changes(chain, frozen_path, grid, state0, b, streams)
         dwx = np.empty((chunk, b))
-        dwp = np.empty((chunk, b))
 
-        e = np.full(b, state0 - 1, dtype=np.int16)
+        e = np.full(b, state0 - 1, dtype=np.intp)
         x = np.full(b, cfg.x0)
-        lnv = np.full(b, math.log(cfg.v0))
+        lnv_mean = np.full(b, math.log(cfg.v0))
+        s_sum, s_rec, w, z_rec = np.zeros((4, b))  # S, S at the last record, W, record normals
         g = np.empty((7, b))
-        rr, pl, h, pn, kap, th, ch = g
+        a, bx, c, pn2, kdt, kthdt, ch = g
         xp, sq, acc, tmp = np.empty((4, b))
         lo_xp = np.full(b, math.inf)
-        # an overflowing path is caught at the end of its draw chunk
+        # an overflowing path is caught at the next record time
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(n_steps + 1):
                 if k in changes:
@@ -275,40 +312,48 @@ def simulate_paths(
                     e[idx] = labels
                 if k in rec_slot:
                     s = rec_slot[k]
+                    for off, nb, _, rec_rng in streams:
+                        rec_rng.standard_normal(out=z_rec[off : off + nb])
+                    # W += sqrt(orth (S - S')) Z, then ln V = m + W
+                    np.subtract(s_sum, s_rec, out=tmp)
+                    tmp *= orth
+                    np.sqrt(tmp, out=tmp)
+                    tmp *= z_rec
+                    w += tmp
+                    s_rec[:] = s_sum
+                    np.add(lnv_mean, w, out=tmp)
+                    if not np.isfinite(tmp).all():
+                        raise FloatingPointError(_OVERFLOW)
                     out_states[i0:i1, s] = e + 1
                     out_x[i0:i1, s] = np.maximum(x, 0.0)
-                    out_v[i0:i1, s] = np.exp(lnv)
+                    out_v[i0:i1, s] = np.exp(tmp)
+                    out_mean[i0:i1, s] = lnv_mean
+                    np.multiply(s_sum, orth, out=out_var[i0:i1, s])
                 if k == n_steps:
                     break
-                c = k % chunk
-                if c == 0:
-                    _draw_increments(streams, min(chunk, n_steps - k), refine, buf, sq_dtd, rho, sq1mr, dwx, dwp)
+                j = k % chunk
+                if j == 0:
+                    _draw_increments(streams, min(chunk, n_steps - k), refine, buf, dwx)
                 # the labels are valid indices; mode="clip" lets take write into g unbuffered
                 np.take(coef[k], e, axis=1, out=g, mode="clip")
                 np.maximum(x, 0.0, out=xp)
                 np.sqrt(xp, out=sq)
-                # lnv += (rr + pl * xp - h * xp) * dt + pn * sq * dwp[c]
-                np.multiply(pl, xp, out=acc)
-                acc += rr
-                np.multiply(h, xp, out=tmp)
-                acc -= tmp
-                acc *= dt
-                np.multiply(pn, sq, out=tmp)
-                tmp *= dwp[c]
+                sq *= dwx[j]
+                # m += (a + bx * xp) + c * sq, S += pn2 * xp
+                np.multiply(bx, xp, out=acc)
+                acc += a
+                np.multiply(c, sq, out=tmp)
                 acc += tmp
-                lnv += acc
-                # x += kap * (th - xp) * dt, then x += ch * sq * dwx[c]: drift first,
-                # since fixed-seed outputs depend on the order
-                np.subtract(th, xp, out=acc)
-                acc *= kap
-                acc *= dt
+                lnv_mean += acc
+                np.multiply(pn2, xp, out=tmp)
+                s_sum += tmp
+                # x += kthdt - kdt * xp, then x += ch * sq
+                np.multiply(kdt, xp, out=acc)
+                np.subtract(kthdt, acc, out=acc)
                 x += acc
                 np.multiply(ch, sq, out=acc)
-                acc *= dwx[c]
                 x += acc
                 np.minimum(lo_xp, xp, out=lo_xp)
-                if (c == chunk - 1 or k == n_steps - 1) and not np.isfinite(lnv).all():
-                    raise FloatingPointError(_OVERFLOW)
         min_xeff = min(min_xeff, float(lo_xp.min()))
 
     return PathBundle(
@@ -317,6 +362,8 @@ def simulate_paths(
         states=out_states,
         X=out_x,
         V=out_v,
+        log_v_mean=out_mean,
+        log_v_var=out_var,
         seed=cfg.seed,
         min_x_effective=min_xeff,
     )
@@ -338,7 +385,7 @@ def _state_changes(chain, frozen_path, grid, state0, b, streams) -> dict[int, tu
         # later jumps in the same step overwrite earlier ones
         return {k: (slice(None), label - 1) for k, label in zip(steps, frozen_path.states[1:].tolist())}
     paths, times, labels = [], [], []
-    for off, nb, rng in streams:
+    for off, nb, rng, _ in streams:
         table = sample_block(chain, grid[-1], state0, nb, rng)
         jump = np.ones(len(table.lo), dtype=bool)
         jump[table.first[:-1]] = False
@@ -353,7 +400,7 @@ def _state_changes(chain, frozen_path, grid, state0, b, streams) -> dict[int, tu
     key, steps, paths, labels = key[order], steps[order], paths[order], labels[order]
     last = np.ones(len(key), dtype=bool)
     last[:-1] = key[1:] != key[:-1]
-    steps, paths, labels = steps[last], paths[last], labels[last].astype(np.int16)
+    steps, paths, labels = steps[last], paths[last], labels[last].astype(np.intp)
     cuts = np.flatnonzero(np.diff(steps)) + 1
     return {
         int(ks[0]): (ps, ls)
@@ -362,31 +409,47 @@ def _state_changes(chain, frozen_path, grid, state0, b, streams) -> dict[int, tu
     }
 
 
-def _draw_increments(streams, n, refine, buf, sq_dtd, rho, sq1mr, dwx, dwp) -> None:
-    """Fill rows :n of dwx and dwp with the next n steps' increments of every stream block.
+def _draw_increments(streams, n, refine, buf, dwx) -> None:
+    """Fill rows :n of dwx with the next n steps' dW_X normals of every stream block.
 
-    Each stream draws its (driver step, pair, path) normals into ``buf``;
+    Each stream draws its (driver step, path) normals into ``buf``;
     consecutive calls continue the stream exactly where the last one
-    stopped, so chunking does not change a single draw.
+    stopped, so chunking does not change a single draw.  A row holds
+    each path's sum of the step's ``refine`` driver normals; their scale
+    sqrt(dt / refine) sits in the coefficient table.
     """
-    for off, nb, rng in streams:
-        z = buf[: n * refine * 2 * nb].reshape(n * refine, 2, nb)
+    for off, nb, rng, _ in streams:
+        z = buf[: n * refine * nb].reshape(n, refine, nb)
         rng.standard_normal(out=z)
-        zx, zp = z[:, 0], z[:, 1]
-        if refine > 1:
-            zx = zx.reshape(n, refine, nb).sum(axis=1)
-            zp = zp.reshape(n, refine, nb).sum(axis=1)
-        cols = slice(off, off + nb)
-        np.multiply(zx, sq_dtd, out=dwx[:n, cols])
-        dwp[:n, cols] = rho * dwx[:n, cols] + sq1mr * (zp * sq_dtd)
+        z.sum(axis=1, out=dwx[:n, off : off + nb])
+
+
+def _conditional_power(bundle: PathBundle, col: int, delta: float, log_factor=0.0) -> np.ndarray:
+    """E[V^delta | chain, X] exp(log_factor) per path at record column ``col``.
+
+    That is exp(delta m + delta^2 s^2 / 2 + log_factor) with m and s^2
+    the bundle's conditional moments of ln V.  A non-finite value raises
+    FloatingPointError, without a numpy warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.exp(
+            delta * bundle.log_v_mean[:, col] + (0.5 * delta * delta) * bundle.log_v_var[:, col] + log_factor
+        )
+    if not np.isfinite(out).all():
+        raise FloatingPointError(_OVERFLOW)
+    return out
 
 
 def expected_utility_mc(bundle: PathBundle, delta: float) -> tuple[float, float]:
-    """Sample mean and standard error of U(V(T)) over the bundle.
+    """Conditional Monte Carlo mean and standard error of U(V(T)) = V(T)^delta / delta.
 
+    Averages E[U(V(T)) | chain, X] = exp(delta m + delta^2 s^2 / 2) / delta
+    over the paths, with m and s^2 the conditional mean and variance of
+    ln V(T) (``PathBundle.log_v_mean``, ``.log_v_var``).  Its variance is
+    at most that of the plain mean of ``terminal_wealth**delta / delta``.
     With a single path the standard error is NaN (absent).
     """
-    u = bundle.terminal_wealth**delta / delta
+    u = _conditional_power(bundle, -1, delta) / delta
     mean = float(u.mean())
     if len(u) == 1:
         return mean, float("nan")
@@ -410,15 +473,17 @@ def terminal_wealth_histogram(bundle: PathBundle, bin_edges) -> HistogramTable:
     if len(edges) < 2 or np.any(np.diff(edges) <= 0):
         raise ValueError("bin_edges must be strictly increasing with >= 2 entries")
     w = bundle.terminal_wealth
-    counts = np.array(
-        [int(np.count_nonzero((w >= edges[i]) & (w < edges[i + 1]))) for i in range(len(edges) - 1)]
-    )
+    n_bins = len(edges) - 1
+    # bin i holds edges[i] <= w < edges[i + 1]; below edges[0] is dropped
+    i = np.searchsorted(edges, w, side="right") - 1
+    counts = np.bincount(i[(i >= 0) & (i < n_bins)], minlength=n_bins)
+    q05, q95 = np.quantile(w, [0.05, 0.95]).tolist()
     return HistogramTable(
         bin_edges=edges,
         counts=counts,
         overflow=int(np.count_nonzero(w >= edges[-1])),
-        q05=float(np.quantile(w, 0.05)),
-        q95=float(np.quantile(w, 0.95)),
+        q05=q05,
+        q95=q95,
     )
 
 
@@ -438,6 +503,13 @@ def martingale_diagnostic(
     downward.  Returns rows (t, mean, std_err, z) where z measures the
     gap to Phi(0, v0, x0, state0).  Phi reads xi from ``xi_ode`` at its
     default step, T/5000.
+
+    Phi = V^delta / delta * xi(t, e) exp(D(t) X), and every factor but
+    V^delta is a function of the chain and the factor path, so each path
+    contributes its conditional mean: V^delta is replaced by
+    exp(delta m + delta^2 s^2 / 2), as in ``expected_utility_mc``.  A
+    checkpoint where all paths agree to rounding (the t = 0 anchor) has
+    std_err 0, and z 0 if its mean is Phi(0, ...) to rounding, else inf.
     """
     if p.variant is Variant.MMH:
         raise ConfigError("the value diagnostic is defined for the separable variants")
@@ -452,20 +524,15 @@ def martingale_diagnostic(
     rows = []
     for t in checkpoints:
         col = bundle.column(float(t))
-        d_t = D_leverage(p, float(t))
-        xi_row = xi.row(float(t))
-        phi = (
-            bundle.V[:, col] ** p.delta
-            * util
-            * xi_row[bundle.states[:, col] - 1]
-            * np.exp(d_t * bundle.X[:, col])
-        )
+        log_factor = D_leverage(p, float(t)) * bundle.X[:, col]
+        xi_e = xi.row(float(t))[bundle.states[:, col] - 1]
+        phi = util * xi_e * _conditional_power(bundle, col, p.delta, log_factor)
         mean = float(phi.mean())
         err = 0.0 if len(phi) == 1 else float(phi.std(ddof=1) / math.sqrt(len(phi)))
-        if err <= 1e-13 * max(1.0, abs(mean)):
+        if err <= 1e-13 * abs(mean):
             # all paths coincide (e.g. the t = 0 anchor); rounding noise is not noise
             err = 0.0
-            z = 0.0 if abs(mean - phi0) <= 1e-9 * max(1.0, abs(phi0)) else math.inf
+            z = 0.0 if abs(mean - phi0) <= 1e-9 * abs(phi0) else math.inf
         else:
             z = (mean - phi0) / err
         rows.append((float(t), mean, err, z))

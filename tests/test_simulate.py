@@ -156,14 +156,17 @@ class TestScheme:
         assert abs(coarse[0] - fine[0]) < coarse[1]
 
 
-def _scalar_reference(p, chain, weight, cfg, frozen_path=None):
+def _scalar_reference(p, chain, weight, cfg, record, frozen_path=None):
     """The module docstring's scheme, one path and one step at a time on Python floats.
 
-    Redraws what ``simulate_paths`` draws from each stream block's stream,
-    the chain of every path in the block first and then all of its normals
-    in one call, and keeps its operation order; ``weight(t, state)`` is the
-    strategy as a scalar function.  Returns (X, ln V, states) at every grid
-    time plus the running minimum of the truncated factor.
+    Redraws what ``simulate_paths`` draws from each stream block's two
+    streams: from the first, the chain of every path in the block and
+    then all of its dW_X normals in one call; from the second, one normal
+    per path at each record time.  It keeps the library's operation
+    order; ``weight(t, state)`` is the strategy as a scalar function and
+    ``record`` lists the recorded grid indices.  Returns X, ln V, the
+    conditional mean and variance of ln V and the states at the record
+    times, plus the running minimum of the truncated factor.
     """
     horizon = p.horizon
     n_steps = max(1, int(round(horizon * cfg.steps_per_year)))
@@ -172,42 +175,50 @@ def _scalar_reference(p, chain, weight, cfg, frozen_path=None):
     grid[-1] = horizon
     refine = (cfg.driver_steps_per_year or cfg.steps_per_year) // cfg.steps_per_year
     sq_dtd = math.sqrt(dt / refine)
-    rho, sq1mr = p.rho, math.sqrt(max(0.0, 1.0 - p.rho**2))
+    rho, orth = p.rho, max(0.0, 1.0 - p.rho**2) * dt
     r, lam, nu = p.r.tolist(), p.excess_slope.tolist(), p.nu.tolist()
     kappa, theta, chi = p.kappa.tolist(), p.theta.tolist(), p.chi.tolist()
-    xs = np.empty((cfg.n_paths, n_steps + 1))
-    lnvs = np.empty((cfg.n_paths, n_steps + 1))
-    states = np.empty((cfg.n_paths, n_steps + 1), dtype=np.int64)
+    shape = (cfg.n_paths, len(record))
+    xs, lnvs, means, variances = (np.empty(shape) for _ in range(4))
+    states = np.empty(shape, dtype=np.int64)
     min_xp = math.inf
     for j0 in range(0, cfg.n_paths, _STREAM_BLOCK):
         nb = min(_STREAM_BLOCK, cfg.n_paths - j0)
         rng = rs.path_stream(cfg.seed, j0 // _STREAM_BLOCK)
+        rec_rng = rng.spawn(1)[0]
         if frozen_path is None:
             paths = scalar_block_chain(chain, horizon, cfg.state0, nb, rng)
         else:
             paths = [(frozen_path.jump_times.tolist(), frozen_path.states[1:].tolist())] * nb
-        z = rng.standard_normal((n_steps * refine, 2, nb)).tolist()
+        z = rng.standard_normal((n_steps * refine, nb)).tolist()
+        z_rec = [rec_rng.standard_normal(nb).tolist() for _ in record]
         for c, (jumps, after) in enumerate(paths):
             i = j0 + c
             labels = [cfg.state0 if frozen_path is None else int(frozen_path.states[0]), *after]
-            states[i] = [labels[bisect.bisect_right(jumps, t)] for t in grid]
-            x, lnv = cfg.x0, math.log(cfg.v0)
-            xs[i, 0], lnvs[i, 0] = max(x, 0.0), lnv
-            for k in range(n_steps):
-                zx = sum(row[0][c] for row in z[k * refine:(k + 1) * refine]) * sq_dtd
-                zp = sum(row[1][c] for row in z[k * refine:(k + 1) * refine]) * sq_dtd
-                dwx, dwp = zx, rho * zx + sq1mr * zp
-                e = states[i, k] - 1
+            x, m, big_s, s_rec, w = cfg.x0, math.log(cfg.v0), 0.0, 0.0, 0.0
+            slot = 0
+            for k in range(n_steps + 1):
+                e = labels[bisect.bisect_right(jumps, grid[k])] - 1
+                if k == record[slot]:
+                    w += math.sqrt((big_s - s_rec) * orth) * z_rec[slot][c]
+                    s_rec = big_s
+                    xs[i, slot], lnvs[i, slot] = max(x, 0.0), m + w
+                    means[i, slot], variances[i, slot], states[i, slot] = m, big_s * orth, e + 1
+                    slot += 1
+                if k == n_steps:
+                    break
+                zsum = sum(row[c] for row in z[k * refine:(k + 1) * refine])
                 pi = weight(grid[k], e + 1)
-                xp = max(x, 0.0)
-                sq = math.sqrt(xp)
                 pn = pi * nu[e]
-                lnv += (r[e] + pi * lam[e] * xp - 0.5 * (pn * pn) * xp) * dt + pn * sq * dwp
-                x += kappa[e] * (theta[e] - xp) * dt
-                x += chi[e] * sq * dwx
+                pn2 = pn * pn
+                xp = max(x, 0.0)
+                sq = math.sqrt(xp) * zsum
+                m += (r[e] * dt + (pi * lam[e] - 0.5 * pn2) * dt * xp) + (rho * sq_dtd) * pn * sq
+                big_s += pn2 * xp
+                x += kappa[e] * theta[e] * dt - kappa[e] * dt * xp
+                x += chi[e] * sq_dtd * sq
                 min_xp = min(min_xp, xp)
-                xs[i, k + 1], lnvs[i, k + 1] = max(x, 0.0), lnv
-    return xs, lnvs, states, min_xp
+    return xs, lnvs, means, variances, states, min_xp
 
 
 def _three_state_market():
@@ -231,18 +242,21 @@ def _frozen_path(horizon=5.0):
 
 
 @pytest.mark.parametrize(
-    "three_states, frozen, driver_steps_per_year, block, n_paths",
+    "three_states, frozen, driver_steps_per_year, block, n_paths, record",
     [
-        pytest.param(False, False, None, None, 23, id="refine1"),
-        pytest.param(False, False, 60, None, 23, id="refine3"),
-        pytest.param(False, False, 60, _STREAM_BLOCK, 23, id="refine3_block7"),
-        pytest.param(False, True, None, _STREAM_BLOCK, 23, id="frozen_block7"),
-        pytest.param(True, False, 60, _STREAM_BLOCK, 23, id="three_states"),
-        pytest.param(False, False, None, _STREAM_BLOCK, 2 * _STREAM_BLOCK + 23, id="partial_stream_block"),
+        pytest.param(False, False, None, None, 23, "all", id="refine1"),
+        pytest.param(False, False, 60, None, 23, "all", id="refine3"),
+        pytest.param(False, False, 60, _STREAM_BLOCK, 23, "all", id="refine3_block7"),
+        pytest.param(False, True, None, _STREAM_BLOCK, 23, "all", id="frozen_block7"),
+        pytest.param(True, False, 60, _STREAM_BLOCK, 23, "all", id="three_states"),
+        pytest.param(False, False, None, _STREAM_BLOCK, 2 * _STREAM_BLOCK + 23, "all", id="partial_stream_block"),
+        pytest.param(False, False, 60, _STREAM_BLOCK, _STREAM_BLOCK + 23, [1.0, 2.5], id="record_times_refine3"),
+        pytest.param(False, True, None, None, 23, [2.5, 1.0], id="record_times_frozen"),
+        pytest.param(True, False, None, _STREAM_BLOCK, _STREAM_BLOCK + 23, "terminal", id="terminal_three_states"),
     ],
 )
 def test_simulate_paths_matches_scalar_reference(
-    three_states, frozen, driver_steps_per_year, block, n_paths, chain2, set1, monkeypatch
+    three_states, frozen, driver_steps_per_year, block, n_paths, record, chain2, set1, monkeypatch
 ):
     p, chain, strategy = set1, chain2, rs.optimal_weight_fn(set1)
     weight = lambda t, state: rs.optimal_strategy(set1, t, state).pi_total  # noqa: E731
@@ -255,10 +269,17 @@ def test_simulate_paths_matches_scalar_reference(
     )
     if block is not None:
         monkeypatch.setattr(simulate, "_BLOCK", block)
-    bundle = rs.simulate_paths(p, chain, strategy, cfg, record="all", frozen_path=path)
-    xs, lnvs, states, min_xp = _scalar_reference(p, chain, weight, cfg, path)
+    bundle = rs.simulate_paths(p, chain, strategy, cfg, record=record, frozen_path=path)
+    n_steps = round(p.horizon * 20)
+    if record == "all":
+        record_idx = list(range(n_steps + 1))
+    else:
+        record_idx = sorted({round(t * 20) for t in ([] if record == "terminal" else record)} | {n_steps})
+    xs, lnvs, means, variances, states, min_xp = _scalar_reference(p, chain, weight, cfg, record_idx, path)
     assert bundle.X.tobytes() == xs.tobytes()
     assert bundle.V.tobytes() == np.exp(lnvs).tobytes()
+    assert bundle.log_v_mean.tobytes() == means.tobytes()
+    assert bundle.log_v_var.tobytes() == variances.tobytes()
     np.testing.assert_array_equal(bundle.states, states)
     assert bundle.min_x_effective == min_xp
 
@@ -284,9 +305,62 @@ def test_results_do_not_depend_on_block_size(frozen, driver_steps_per_year, chai
             rs.simulate_paths(set1, chain2, rs.optimal_weight_fn(set1), cfg, record=[1.0, 2.5], frozen_path=path)
         )
     for other in runs[1:]:
-        for field in ("X", "V", "states"):
+        for field in ("X", "V", "log_v_mean", "log_v_var", "states"):
             assert getattr(other, field).tobytes() == getattr(runs[0], field).tobytes()
         assert other.min_x_effective == runs[0].min_x_effective
+
+
+def test_factor_and_states_do_not_depend_on_record(chain2, set1):
+    # X, the states and the conditional moments of ln V come from the first stream only
+    cfg = rs.SimConfig(n_paths=_STREAM_BLOCK + 37, steps_per_year=20, seed=29, v0=10.0, x0=0.01, state0=1)
+    runs = [
+        rs.simulate_paths(set1, chain2, rs.optimal_weight_fn(set1), cfg, record=record)
+        for record in ("all", [1.0, 2.5], "terminal")
+    ]
+    for bundle in runs[1:]:
+        cols = [runs[0].column(t) for t in bundle.record_times]
+        for field in ("X", "log_v_mean", "log_v_var", "states"):
+            assert getattr(bundle, field).tobytes() == np.ascontiguousarray(getattr(runs[0], field)[:, cols]).tobytes()
+
+
+def test_record_normals_do_not_depend_on_the_step_size(chain2, set1):
+    # the record normals come from each block's second stream, one per path and record time
+    n_paths, record = _STREAM_BLOCK + 37, [1.0, 2.5]
+    expected = []
+    for j0 in range(0, n_paths, _STREAM_BLOCK):
+        rec = rs.path_stream(31, j0 // _STREAM_BLOCK).spawn(1)[0]
+        nb = min(_STREAM_BLOCK, n_paths - j0)
+        expected.append(np.stack([rec.standard_normal(nb) for _ in range(len(record) + 1)], axis=1))
+    expected = np.concatenate(expected)
+    for steps_per_year in (250, 500):
+        cfg = rs.SimConfig(
+            n_paths=n_paths, steps_per_year=steps_per_year, seed=31, v0=10.0, x0=0.02, state0=1,
+            driver_steps_per_year=500,
+        )
+        bundle = rs.simulate_paths(set1, chain2, rs.optimal_weight_fn(set1), cfg, record=record)
+        # each record interval adds sqrt(its conditional variance) Z to ln V - m
+        dw = np.diff(np.log(bundle.V) - bundle.log_v_mean, axis=1, prepend=0.0)
+        z = dw / np.sqrt(np.diff(bundle.log_v_var, axis=1, prepend=0.0))
+        np.testing.assert_allclose(z, expected, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("case", ["set1", "set2", "set1_smmh_rho0"])
+def test_conditional_estimator_is_no_noisier_and_matches_the_closed_form(case, chain2):
+    p = {
+        "set1": make_params(),
+        "set2": make_params(delta=-1.0),
+        "set1_smmh_rho0": make_params(variant="smmh", rho=0.0),
+    }[case]
+    cfg = rs.SimConfig(n_paths=20_000, steps_per_year=250, seed=20261020, v0=10.0, x0=0.02, state0=1)
+    bundle = rs.simulate_paths(p, chain2, rs.optimal_weight_fn(p), cfg, record="terminal")
+    conditional, conditional_err = rs.expected_utility_mc(bundle, p.delta)
+    u = bundle.terminal_wealth**p.delta / p.delta
+    plain, plain_err = u.mean(), u.std(ddof=1) / math.sqrt(len(u))
+    xi = rs.xi_ode(chain2, rs.upsilon_heston(p, rs.d_leverage_fn(p)))
+    target = rs.value_smmh_rho(p, rs.ValueQuery(t=0.0, v=10.0, x=0.02, state=1), xi)
+    assert conditional_err <= plain_err
+    assert abs(conditional - target) <= 3 * conditional_err, (conditional, conditional_err, target)
+    assert abs(plain - target) <= 3 * plain_err, (plain, plain_err, target)
 
 
 def test_weight_table_matches_scalar_route(set1, set2):
@@ -298,6 +372,21 @@ def test_weight_table_matches_scalar_route(set1, set2):
 
 
 class TestHistogram:
+    def test_matches_the_per_bin_definition(self):
+        edges = np.array([0.0, 1.0, 2.5, 4.0])
+        on_edges = [0.0, 1.0, 2.5, 4.0, -0.0, np.nextafter(1.0, 0.0), np.nextafter(4.0, 0.0)]
+        w = np.concatenate([on_edges, [-1.0, -1e-300, 7.0, np.inf], np.random.default_rng(3).uniform(-1.0, 8.0, 500)])
+        one = np.ones((len(w), 1))
+        bundle = rs.PathBundle(
+            grid=np.array([0.0, 1.0]), record_times=np.array([1.0]), states=one.astype(np.int16), X=one,
+            V=w[:, None], log_v_mean=one, log_v_var=one, seed=0, min_x_effective=1.0,
+        )
+        hist = rs.terminal_wealth_histogram(bundle, edges)
+        counts = [np.count_nonzero((w >= lo) & (w < hi)) for lo, hi in zip(edges[:-1], edges[1:])]
+        assert hist.counts.tolist() == counts
+        assert hist.overflow == np.count_nonzero(w >= edges[-1])
+        assert sum(counts) + hist.overflow == len(w) - np.count_nonzero(w < edges[0])
+
     def test_single_path_single_count(self, chain1):
         p = one_state_params()
         cfg = rs.SimConfig(n_paths=1, steps_per_year=10, seed=3, v0=10.0, x0=0.02, state0=1)
@@ -354,6 +443,14 @@ class TestMartingaleDiagnostic:
         cfg = rs.SimConfig(n_paths=10, steps_per_year=10, seed=1, v0=1.0, x0=0.02, state0=1)
         with pytest.raises(rs.ConfigError, match="at least one checkpoint"):
             rs.martingale_diagnostic(set1, chain2, cfg, [])
+
+    def test_tiny_means_keep_their_noise(self, chain2, set1):
+        # a weight of 200 drives Phi far below 1 while the paths still differ
+        cfg = rs.SimConfig(n_paths=200, steps_per_year=250, seed=20240211, v0=10.0, x0=0.02, state0=1)
+        rows = rs.martingale_diagnostic(set1, chain2, cfg, [0.0, 2.5, 5.0], strategy=rs.constant_strategy(200.0))
+        assert rows[0][2:] == (0.0, 0.0)
+        for t, mean, err, z in rows[1:]:
+            assert 0.0 < mean < 1e-30 and err > 0.0 and math.isfinite(z), (t, mean, err, z)
 
 
 def _variance(bundle, p):
