@@ -112,7 +112,7 @@ class RunConfig:
     v0: float
     x0: float
     state0: int
-    grid_step: float
+    grid_step: float | None  # None: xi_ode picks its mesh to its error tolerance
     n_paths_xi: int
     seed: int
     n_paths: int
@@ -243,7 +243,7 @@ def load_config(path) -> RunConfig:
         v0=v0,
         x0=x0,
         state0=state0,
-        grid_step=_number(solver, "grid_step", default=params.horizon / 5000.0),
+        grid_step=_number(solver, "grid_step") if "grid_step" in solver else None,
         n_paths_xi=n_paths_xi,
         seed=seed,
         n_paths=_number(sim, "n_paths", int, default=100000),
@@ -294,7 +294,8 @@ def cmd_solve(args) -> int:
         if args.xi_method == "mc":
             xi = xi_mc_table(cfg.chain, integrand, times, cfg.n_paths_xi, cfg.seed)
         else:
-            xi = xi_ode(cfg.chain, integrand, cfg.grid_step)
+            xi = xi_ode(cfg.chain, integrand, cfg.grid_step, times=times)
+        # every time is a table node on either route, so this reads the nodes
         xi_vals = np.column_stack([np.interp(times, xi.times, xi.values[:, e]) for e in range(p.n_states)])
         d_vals = D_leverage(p, times)
         # the separable value (v0**delta/delta) xi(t, e) exp{D(t) x0}, as value_smmh_rho

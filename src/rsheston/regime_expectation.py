@@ -11,6 +11,12 @@ Two independent routes are provided and cross-checked in the tests:
       d/dt xi(t, e_i) = -u(t, e_i) xi(t, e_i) - sum_j q_ij xi(t, e_j),
       xi(T, e_i) = 1.
 
+  The mesh passes through 0, T and every time the caller asks for, so
+  those are table nodes.  By default every step is bisected, from
+  steps of at most T/50, until the step-doubling estimate of the
+  relative error is at most ``_RTOL`` = 1e-10; the table carries that
+  estimate, and a mesh that would need more than ``_MAX_STEPS`` steps
+  raises StepFailure.  An explicit step fixes the mesh instead.
   The system is linear, so each RK4 step is one l x l propagator; a
   chunk of them is built at once by batched matrix products from one
   evaluation of u at all of the chunk's stage times, and applied by a
@@ -38,6 +44,9 @@ from .riccati import D_leverage, D_leverage_integral
 __all__ = ["RegimeIntegrand", "XiTable", "upsilon_heston", "xi_mc", "xi_ode", "xi_mc_table"]
 
 _MIN_STEP = 1e-10
+_RTOL = 1e-10  # relative error the default xi_ode mesh is refined to
+_LEVEL0_STEPS = 50  # the default mesh starts from steps of at most T/50
+_MAX_STEPS = 1 << 18  # the default mesh gives up (StepFailure) beyond this many steps
 _CHUNK_SEGMENTS = 1 << 18  # table segments times grid times per truncation chunk: bounds its memory
 _CHUNK_ENTRIES = 1 << 12  # xi_ode steps times l * l entries per chunk: bounds propagators and up-sweep (as many)
 
@@ -98,13 +107,16 @@ class XiTable:
     """Sampled xi values on a time grid, one column per state.
 
     Linear interpolation in t is used between grid nodes; the terminal
-    row is exactly 1.  ``std_err`` is populated for the MC method.
+    row is exactly 1.  ``std_err`` is populated for the MC method, and
+    ``error_estimate`` (the step-doubling estimate of the largest
+    relative error) for ``xi_ode`` at its default mesh.
     """
 
     times: np.ndarray
     values: np.ndarray
     method: str
     std_err: np.ndarray | None = None
+    error_estimate: float | None = None
 
     @property
     def n_states(self) -> int:
@@ -211,48 +223,87 @@ def _truncation_mc(
     return mean, err
 
 
-def xi_ode(spec: MarkovChainSpec, integrand: RegimeIntegrand, grid_step: float | None = None) -> XiTable:
+def xi_ode(
+    spec: MarkovChainSpec, integrand: RegimeIntegrand, grid_step: float | None = None, times=()
+) -> XiTable:
     """Backward RK4 solution of the coupled linear system for xi.
 
-    The system is linear, y' = M(t) y with M = -diag(u(t)) - Q, so one
-    classic RK4 step from t_k to t_{k+1} = t_k - h is an l x l matrix
-    P_k with y_{k+1} = P_k y_k.  Steps are taken in chunks of bounded
-    memory: one ``fn_all`` call gives u at every stage time of the chunk
-    (t_k, t_k - h/2, t_{k+1}), the chunk's propagators are formed by
-    batched matmuls, and ``_propagate`` applies them by an up-sweep and
-    down-sweep scan (about 2m products in 2 log2(m) batched calls).  The
-    products are reassociated against step-by-step application, which
-    moves the result by rounding only (about 1e-14 relative; the
-    propagators are nonnegative at the step sizes in use, so nothing
-    cancels).
+    The mesh runs through the knots {0, T} and ``times``: each time is a
+    table node bitwise, so reading the table there interpolates nothing.
+    A time that is not in [0, T] raises DomainViolation.  Each gap
+    between neighbouring knots is split into equal steps:
 
-    The default grid step is horizon/5000, and every step is shortened so
-    that whole steps span the horizon; a step that is not finite, not
-    positive or longer than the horizon raises ValueError.  A step whose
-    result is not finite and positive is redone from the previous value
-    by local halving (``_advance``); below a step of 1e-10 the
-    integration aborts with StepFailure.
+    * with ``grid_step`` given, ceil(gap / grid_step) of them (with no
+      ``times``, the uniform grid T/n, n = ceil(T / grid_step)); a step
+      that is not finite, not positive or longer than the horizon raises
+      ValueError, and the table carries no error estimate;
+    * by default, steps of at most T/50 first; then every step is
+      bisected and the system solved again until the step-doubling
+      (Richardson) estimate of the finer solution's relative error,
+      max |y_fine - y_coarse| / (15 |y_fine|) over the coarser mesh's
+      nodes, is at most ``_RTOL`` (Hairer, Norsett and Wanner, Solving
+      ODEs I, section II.4; RK4 is of order 4, 2**4 - 1 = 15).  The
+      finer table is returned with that estimate as ``error_estimate``.
+      Needing more than ``_MAX_STEPS`` steps raises StepFailure.
+
+    The system is linear, y' = M(t) y with M = -diag(u(t)) - Q, so one
+    classic RK4 step of length h_k from t_k to t_{k+1} = t_k - h_k is an
+    l x l matrix P_k with y_{k+1} = P_k y_k.  Steps are taken in chunks
+    of bounded memory: one ``fn_all`` call gives u at every stage time
+    of the chunk (t_k, t_k - h_k/2, t_{k+1}), the chunk's propagators
+    are formed by batched matmuls, and ``_propagate`` applies them by an
+    up-sweep and down-sweep scan (about 2m products in 2 log2(m) batched
+    calls).  The products are reassociated against step-by-step
+    application, which moves the result by rounding only (about 1e-14
+    relative; the propagators are nonnegative at the step sizes in use,
+    so nothing cancels).  A step whose result is not finite and positive
+    is redone from the previous value by local halving (``_advance``);
+    below a step of 1e-10 the integration aborts with StepFailure.
     """
     horizon = integrand.horizon
-    if grid_step is None:
-        grid_step = horizon / 5000.0
-    if not 0.0 < grid_step <= horizon:  # also rejects nan and inf
+    if grid_step is not None and not 0.0 < grid_step <= horizon:  # also rejects nan and inf
         raise ValueError(f"grid_step must be finite, positive and at most the horizon {horizon}, got {grid_step}")
     if integrand.n_states != spec.n_states:
         raise ValueError("integrand and chain disagree on the state count")
-    q = spec.intensity
+    times = np.asarray(times, dtype=float).ravel()
+    outside = times[~((times >= 0.0) & (times <= horizon))]  # also catches nan
+    if len(outside):
+        raise DomainViolation(f"time {outside[0]} is outside [0, T] = [0, {horizon}]")
+    knots = np.sort(np.concatenate(([0.0, horizon], times)))[::-1]  # T first: the solve runs backward
+    knots = knots[np.append(True, knots[1:] < knots[:-1])]  # each time once; np.unique would import numpy.ma
+    gaps = knots[:-1] - knots[1:]
+    step = horizon / _LEVEL0_STEPS if grid_step is None else grid_step
+    counts = np.maximum(1, np.ceil(gaps / step - 1e-12)).astype(np.int64)
+    nodes, values = _solve(spec.intensity, integrand.fn_all, knots, counts)
+    estimate = None
+    while grid_step is None:
+        counts = 2 * counts
+        if counts.sum() > _MAX_STEPS:
+            raise StepFailure(
+                f"xi_ode stopped at {len(nodes) - 1} steps (cap {_MAX_STEPS}) with a relative error estimate"
+                f" of {estimate}, above {_RTOL:g}"
+            )
+        coarse = values
+        nodes, values = _solve(spec.intensity, integrand.fn_all, knots, counts)
+        estimate = float((np.abs(values[::2] - coarse) / (15.0 * np.abs(values[::2]))).max())
+        if estimate <= _RTOL:
+            break
+    return XiTable(times=nodes[::-1].copy(), values=values[::-1].copy(), method="ODE", error_estimate=estimate)
+
+
+def _solve(q: np.ndarray, fn_all, knots: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes from T down to 0, and xi on them, with counts[i] equal steps from knots[i] to knots[i + 1]."""
+    n, l = int(counts.sum()), len(q)
+    h = np.repeat((knots[:-1] - knots[1:]) / counts, counts)
+    within = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)  # step index inside its gap
+    nodes = np.append(np.repeat(knots[:-1], counts) - h * within, knots[-1])
+    stage_times = np.empty(2 * n + 1)  # t_0, t_0 - h_0/2, t_1, t_1 - h_1/2, ..., t_n
+    stage_times[::2] = nodes
+    stage_times[1::2] = nodes[:-1] - 0.5 * h
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return -integrand.fn_all(t) * y - q @ y
+        return -fn_all(t) * y - q @ y
 
-    l = spec.n_states
-    n = max(1, int(np.ceil(horizon / grid_step - 1e-12)))
-    h = horizon / n
-    times = horizon - h * np.arange(n + 1)
-    times[-1] = 0.0
-    stage_times = np.empty(2 * n + 1)  # t_0, t_0 - h/2, t_1, t_1 - h/2, ..., t_n
-    stage_times[::2] = times
-    stage_times[1::2] = times[:-1] - 0.5 * h
     eye = np.eye(l)
     values = np.empty((n + 1, l))
     values[0] = 1.0
@@ -260,19 +311,20 @@ def xi_ode(spec: MarkovChainSpec, integrand: RegimeIntegrand, grid_step: float |
     with np.errstate(over="ignore", invalid="ignore"):  # a lost step is caught and redone below
         for k0 in range(0, n, chunk):
             k1 = min(n, k0 + chunk)
-            u = integrand.fn_all(stage_times[2 * k0 : 2 * k1 + 1])
+            u = fn_all(stage_times[2 * k0 : 2 * k1 + 1])
             m = np.repeat(-q[None], len(u), axis=0)  # M = -Q - diag(u) at the chunk's stage times
             for e in range(l):  # one 1-d strided update per state, much faster than one 2-d update
                 m[:, e, e] -= u[:, e]
             a1, a2, a4 = m[:-1:2], m[1::2], m[2::2]
-            s2 = a2 @ (eye - 0.5 * h * a1)
-            s3 = a2 @ (eye - 0.5 * h * s2)
-            s4 = a4 @ (eye - h * s3)
-            _propagate(eye - h / 6.0 * (a1 + 2.0 * s2 + 2.0 * s3 + s4), values, k0, times, h, rhs)
-    return XiTable(times=times[::-1].copy(), values=values[::-1].copy(), method="ODE")
+            hk = h[k0:k1, None, None]
+            s2 = a2 @ (eye - 0.5 * hk * a1)
+            s3 = a2 @ (eye - 0.5 * hk * s2)
+            s4 = a4 @ (eye - hk * s3)
+            _propagate(eye - hk / 6.0 * (a1 + 2.0 * s2 + 2.0 * s3 + s4), values, k0, nodes, h, rhs)
+    return nodes, values
 
 
-def _propagate(props, values, k0, times, h, rhs) -> None:
+def _propagate(props, values, k0, nodes, h, rhs) -> None:
     """Fill values[k0 + 1 : k0 + len(props) + 1] by y_{k+1} = P_k y_k.
 
     Each pass applies the remaining propagators from y_k by ``_sweep``
@@ -287,7 +339,7 @@ def _propagate(props, values, k0, times, h, rhs) -> None:
         if new.min() > 0.0 and new.max() < np.inf:  # all finite and positive; false on nan
             return
         k += int(np.argmin(((new > 0.0) & (new < np.inf)).all(axis=1))) + 1  # redo the first lost step
-        values[k] = _advance(values[k - 1], times[k - 1], -h, rhs)
+        values[k] = _advance(values[k - 1], nodes[k - 1], -h[k - 1], rhs)
 
 
 def _sweep(props: np.ndarray, out: np.ndarray) -> None:

@@ -502,7 +502,9 @@ def martingale_diagnostic(
     Monte Carlo noise; under any other admissible strategy they drift
     downward.  Returns rows (t, mean, std_err, z) where z measures the
     gap to Phi(0, v0, x0, state0).  Phi reads xi from ``xi_ode`` at its
-    default step, T/5000.
+    default tolerance, on a mesh through the checkpoints, so xi is never
+    interpolated between nodes; a checkpoint outside [0, T] raises
+    DomainViolation there.
 
     Phi = V^delta / delta * xi(t, e) exp(D(t) X), and every factor but
     V^delta is a function of the chain and the factor path, so each path
@@ -515,7 +517,7 @@ def martingale_diagnostic(
         raise ConfigError("the value diagnostic is defined for the separable variants")
     if len(checkpoints) == 0:
         raise ConfigError("need at least one checkpoint")
-    xi = xi_ode(chain, upsilon_heston(p, d_leverage_fn(p)))
+    xi = xi_ode(chain, upsilon_heston(p, d_leverage_fn(p)), times=checkpoints)
     if strategy is None:
         strategy = optimal_weight_fn(p)
     bundle = simulate_paths(p, chain, strategy, cfg, record=list(checkpoints))

@@ -244,7 +244,7 @@ class TestRunConfigValidation:
     @pytest.mark.parametrize("grid_step", ["nan", "inf", "10"])
     def test_bad_grid_step_exits_one(self, grid_step, tmp_path, set1_path, capsys):
         bad = tmp_path / "grid.cfg"
-        bad.write_text(set1_path.read_text().replace("grid_step = 0.001", f"grid_step = {grid_step}"))
+        bad.write_text(set1_path.read_text().replace("[solver]\n", f"[solver]\ngrid_step = {grid_step}\n"))
         out = tmp_path / "x.csv"
         assert cli.main(["solve", str(bad), "--t-grid", "3", "--out", str(out)]) == 1
         assert "grid_step" in capsys.readouterr().err
@@ -271,7 +271,7 @@ def _solve_reference(cfg_path, t_grid: int) -> str:
     if mmh:
         phi_mmh, _ = rs.value_mmh_table(p, cfg.chain, times, cfg.v0, cfg.x0, cfg.n_paths_xi, cfg.seed)
     else:
-        xi = rs.xi_ode(cfg.chain, rs.upsilon_heston(p, rs.d_leverage_fn(p)), cfg.grid_step)
+        xi = rs.xi_ode(cfg.chain, rs.upsilon_heston(p, rs.d_leverage_fn(p)), cfg.grid_step, times=times)
 
     def fmt(x):
         return "" if np.isnan(x) else f"{float(x):.17g}"

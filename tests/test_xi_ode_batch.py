@@ -87,6 +87,11 @@ def test_paper_sets_match_scalar_loop(overrides):
     _assert_matches_reference(rs.validate_intensity(Q_TWO_STATE), _heston(p), p.horizon / 5000)
 
 
+def test_explicit_step_that_does_not_divide_the_horizon_matches_scalar_loop():
+    # 5 / 0.0013 = 3846.2: ceil gives 3847 equal steps, as on a mesh with no requested times
+    _assert_matches_reference(rs.validate_intensity(Q_TWO_STATE), _heston(make_params()), 0.0013)
+
+
 def test_negative_slope_draw_matches_scalar_loop():
     p, chain = _chain_cases()[0]
     assert p.d < 0 and p.n_states >= 2
