@@ -112,7 +112,6 @@ class RunConfig:
     v0: float
     x0: float
     state0: int
-    grid_step: float | None  # None: xi_ode picks its mesh to its error tolerance
     n_paths_xi: int
     seed: int
     n_paths: int
@@ -194,7 +193,7 @@ def load_config(path) -> RunConfig:
         known.add("d")
     known.update(f"{key}{suffix}" for key in per_state for suffix in ["", *(f".{e}" for e in range(1, l + 1))])
     read = dict(model=known, chain=chain_sec, initial={"v0", "x0", "state0"})
-    read.update(solver={"grid_step", "n_paths_xi", "seed"}, sim={"n_paths", "steps_per_year"})
+    read.update(solver={"n_paths_xi", "seed"}, sim={"n_paths", "steps_per_year"})
     for name, sec in sections.items():
         if name not in read:
             raise ConfigError(f"unknown section [{name}]")
@@ -243,7 +242,6 @@ def load_config(path) -> RunConfig:
         v0=v0,
         x0=x0,
         state0=state0,
-        grid_step=_number(solver, "grid_step") if "grid_step" in solver else None,
         n_paths_xi=n_paths_xi,
         seed=seed,
         n_paths=_number(sim, "n_paths", int, default=100000),
@@ -294,7 +292,7 @@ def cmd_solve(args) -> int:
         if args.xi_method == "mc":
             xi = xi_mc_table(cfg.chain, integrand, times, cfg.n_paths_xi, cfg.seed)
         else:
-            xi = xi_ode(cfg.chain, integrand, cfg.grid_step, times=times)
+            xi = xi_ode(cfg.chain, integrand, times=times)
         # every time is a table node on either route, so this reads the nodes
         xi_vals = np.column_stack([np.interp(times, xi.times, xi.values[:, e]) for e in range(p.n_states)])
         d_vals = D_leverage(p, times)
@@ -469,3 +467,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -26,7 +26,7 @@ class DomainViolation(RsHestonError):
 
 
 class StepFailure(RsHestonError):
-    """ODE integration lost positivity or finiteness at the minimum step, or its tolerance at the step cap."""
+    """ODE integration met no finite, positive solution within its tolerance at the step cap."""
 
 
 class ConfigError(RsHestonError):

@@ -12,25 +12,22 @@ Two independent routes are provided and cross-checked in the tests:
       xi(T, e_i) = 1.
 
   The mesh passes through 0, T and every time the caller asks for, so
-  those are table nodes.  By default every step is bisected, from
-  steps of at most T/50, until the step-doubling estimate of the
-  relative error is at most ``_RTOL`` = 1e-10; the table carries that
-  estimate, and a mesh that would need more than ``_MAX_STEPS`` steps
-  raises StepFailure.  An explicit step fixes the mesh instead.
+  those are table nodes.  Every step is bisected, from steps of at most
+  T/50, until the step-doubling estimate of the relative error is at
+  most ``_RTOL`` = 1e-10 on a table that is finite and positive; the
+  table carries that estimate, and a mesh that would need more than
+  ``_MAX_STEPS`` steps raises StepFailure.
   The system is linear, so each RK4 step is one l x l propagator; a
   chunk of them is built at once by batched matrix products from one
   evaluation of u at all of the chunk's stage times, and applied by a
   work-efficient scan: an up-sweep of pairwise matrix products and a
   down-sweep of matrix-vector products, about 2m products for m steps
   in about 2 log2(m) batched calls.
-
-Positivity of xi is preserved by redoing a failing step from its start
-value with scalar RK4 steps, halved locally; losing positivity at the
-minimum step signals an integrand far outside the intended regime.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,10 +40,9 @@ from .riccati import D_leverage, D_leverage_integral
 
 __all__ = ["RegimeIntegrand", "XiTable", "upsilon_heston", "xi_mc", "xi_ode", "xi_mc_table"]
 
-_MIN_STEP = 1e-10
-_RTOL = 1e-10  # relative error the default xi_ode mesh is refined to
-_LEVEL0_STEPS = 50  # the default mesh starts from steps of at most T/50
-_MAX_STEPS = 1 << 18  # the default mesh gives up (StepFailure) beyond this many steps
+_RTOL = 1e-10  # relative error the xi_ode mesh is refined to
+_LEVEL0_STEPS = 50  # the mesh starts from steps of at most T/50
+_MAX_STEPS = 1 << 18  # the mesh gives up (StepFailure) beyond this many steps
 _CHUNK_SEGMENTS = 1 << 18  # table segments times grid times per truncation chunk: bounds its memory
 _CHUNK_ENTRIES = 1 << 12  # xi_ode steps times l * l entries per chunk: bounds propagators and up-sweep (as many)
 
@@ -106,10 +102,11 @@ def upsilon_heston(p: HestonRegimeParams, coeff_fn: Callable[[float], float]) ->
 class XiTable:
     """Sampled xi values on a time grid, one column per state.
 
-    Linear interpolation in t is used between grid nodes; the terminal
-    row is exactly 1.  ``std_err`` is populated for the MC method, and
+    Linear interpolation in t is used between grid nodes, so the times
+    must not decrease (ValueError otherwise); the terminal row is
+    exactly 1.  ``std_err`` is populated for the MC method, and
     ``error_estimate`` (the step-doubling estimate of the largest
-    relative error) for ``xi_ode`` at its default mesh.
+    relative error) for ``xi_ode``.
     """
 
     times: np.ndarray
@@ -117,6 +114,10 @@ class XiTable:
     method: str
     std_err: np.ndarray | None = None
     error_estimate: float | None = None
+
+    def __post_init__(self):
+        if np.any(np.diff(self.times) < 0.0):
+            raise ValueError("XiTable times must not decrease")
 
     @property
     def n_states(self) -> int:
@@ -173,7 +174,7 @@ def xi_mc_table(
     for every state); each grid time t reads every path cut at T - t and
     shifted by t.  Every cell is therefore the matching ``xi_mc`` call
     (common random numbers across cells).  A time outside [0, T] raises
-    DomainViolation.
+    DomainViolation, and times that decrease raise ValueError.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     values, errs = _xi_cells(spec, integrand, times, range(1, spec.n_states + 1), n_paths, seed)
@@ -223,46 +224,36 @@ def _truncation_mc(
     return mean, err
 
 
-def xi_ode(
-    spec: MarkovChainSpec, integrand: RegimeIntegrand, grid_step: float | None = None, times=()
-) -> XiTable:
+def xi_ode(spec: MarkovChainSpec, integrand: RegimeIntegrand, *, times=()) -> XiTable:
     """Backward RK4 solution of the coupled linear system for xi.
 
     The mesh runs through the knots {0, T} and ``times``: each time is a
     table node bitwise, so reading the table there interpolates nothing.
     A time that is not in [0, T] raises DomainViolation.  Each gap
-    between neighbouring knots is split into equal steps:
-
-    * with ``grid_step`` given, ceil(gap / grid_step) of them (with no
-      ``times``, the uniform grid T/n, n = ceil(T / grid_step)); a step
-      that is not finite, not positive or longer than the horizon raises
-      ValueError, and the table carries no error estimate;
-    * by default, steps of at most T/50 first; then every step is
-      bisected and the system solved again until the step-doubling
-      (Richardson) estimate of the finer solution's relative error,
-      max |y_fine - y_coarse| / (15 |y_fine|) over the coarser mesh's
-      nodes, is at most ``_RTOL`` (Hairer, Norsett and Wanner, Solving
-      ODEs I, section II.4; RK4 is of order 4, 2**4 - 1 = 15).  The
-      finer table is returned with that estimate as ``error_estimate``.
-      Needing more than ``_MAX_STEPS`` steps raises StepFailure.
+    between neighbouring knots is split into equal steps of at most T/50
+    first; then every step is bisected and the system solved again until
+    the finer table is finite and positive and the step-doubling
+    (Richardson) estimate of its relative error, max |y_fine - y_coarse|
+    / (15 |y_fine|) over the coarser mesh's nodes, is at most ``_RTOL``
+    (Hairer, Norsett and Wanner, Solving ODEs I, section II.4; RK4 is of
+    order 4, 2**4 - 1 = 15).  That table is returned with the estimate as
+    ``error_estimate``.  There is no other mesh policy and no step
+    argument.  StepFailure is raised only at the cap: when a system,
+    divergent ones included, needs more than ``_MAX_STEPS`` steps.
 
     The system is linear, y' = M(t) y with M = -diag(u(t)) - Q, so one
     classic RK4 step of length h_k from t_k to t_{k+1} = t_k - h_k is an
     l x l matrix P_k with y_{k+1} = P_k y_k.  Steps are taken in chunks
     of bounded memory: one ``fn_all`` call gives u at every stage time
     of the chunk (t_k, t_k - h_k/2, t_{k+1}), the chunk's propagators
-    are formed by batched matmuls, and ``_propagate`` applies them by an
+    are formed by batched matmuls, and ``_sweep`` applies them by an
     up-sweep and down-sweep scan (about 2m products in 2 log2(m) batched
     calls).  The products are reassociated against step-by-step
     application, which moves the result by rounding only (about 1e-14
     relative; the propagators are nonnegative at the step sizes in use,
-    so nothing cancels).  A step whose result is not finite and positive
-    is redone from the previous value by local halving (``_advance``);
-    below a step of 1e-10 the integration aborts with StepFailure.
+    so nothing cancels).
     """
     horizon = integrand.horizon
-    if grid_step is not None and not 0.0 < grid_step <= horizon:  # also rejects nan and inf
-        raise ValueError(f"grid_step must be finite, positive and at most the horizon {horizon}, got {grid_step}")
     if integrand.n_states != spec.n_states:
         raise ValueError("integrand and chain disagree on the state count")
     times = np.asarray(times, dtype=float).ravel()
@@ -272,11 +263,10 @@ def xi_ode(
     knots = np.sort(np.concatenate(([0.0, horizon], times)))[::-1]  # T first: the solve runs backward
     knots = knots[np.append(True, knots[1:] < knots[:-1])]  # each time once; np.unique would import numpy.ma
     gaps = knots[:-1] - knots[1:]
-    step = horizon / _LEVEL0_STEPS if grid_step is None else grid_step
-    counts = np.maximum(1, np.ceil(gaps / step - 1e-12)).astype(np.int64)
+    counts = np.maximum(1, np.ceil(gaps / (horizon / _LEVEL0_STEPS) - 1e-12)).astype(np.int64)
     nodes, values = _solve(spec.intensity, integrand.fn_all, knots, counts)
-    estimate = None
-    while grid_step is None:
+    estimate = math.inf
+    while True:
         counts = 2 * counts
         if counts.sum() > _MAX_STEPS:
             raise StepFailure(
@@ -285,10 +275,10 @@ def xi_ode(
             )
         coarse = values
         nodes, values = _solve(spec.intensity, integrand.fn_all, knots, counts)
-        estimate = float((np.abs(values[::2] - coarse) / (15.0 * np.abs(values[::2]))).max())
+        positive = values.min() > 0.0 and values.max() < np.inf  # finite and positive; false on nan
+        estimate = float((np.abs(values[::2] - coarse) / (15.0 * values[::2])).max()) if positive else math.inf
         if estimate <= _RTOL:
-            break
-    return XiTable(times=nodes[::-1].copy(), values=values[::-1].copy(), method="ODE", error_estimate=estimate)
+            return XiTable(times=nodes[::-1].copy(), values=values[::-1].copy(), method="ODE", error_estimate=estimate)
 
 
 def _solve(q: np.ndarray, fn_all, knots: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -300,15 +290,11 @@ def _solve(q: np.ndarray, fn_all, knots: np.ndarray, counts: np.ndarray) -> tupl
     stage_times = np.empty(2 * n + 1)  # t_0, t_0 - h_0/2, t_1, t_1 - h_1/2, ..., t_n
     stage_times[::2] = nodes
     stage_times[1::2] = nodes[:-1] - 0.5 * h
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return -fn_all(t) * y - q @ y
-
     eye = np.eye(l)
     values = np.empty((n + 1, l))
     values[0] = 1.0
     chunk = max(1, _CHUNK_ENTRIES // (l * l))
-    with np.errstate(over="ignore", invalid="ignore"):  # a lost step is caught and redone below
+    with np.errstate(over="ignore", invalid="ignore"):  # xi_ode refines a table that is not finite
         for k0 in range(0, n, chunk):
             k1 = min(n, k0 + chunk)
             u = fn_all(stage_times[2 * k0 : 2 * k1 + 1])
@@ -320,26 +306,8 @@ def _solve(q: np.ndarray, fn_all, knots: np.ndarray, counts: np.ndarray) -> tupl
             s2 = a2 @ (eye - 0.5 * hk * a1)
             s3 = a2 @ (eye - 0.5 * hk * s2)
             s4 = a4 @ (eye - hk * s3)
-            _propagate(eye - hk / 6.0 * (a1 + 2.0 * s2 + 2.0 * s3 + s4), values, k0, nodes, h, rhs)
+            _sweep(eye - hk / 6.0 * (a1 + 2.0 * s2 + 2.0 * s3 + s4), values[k0 : k1 + 1])
     return nodes, values
-
-
-def _propagate(props, values, k0, nodes, h, rhs) -> None:
-    """Fill values[k0 + 1 : k0 + len(props) + 1] by y_{k+1} = P_k y_k.
-
-    Each pass applies the remaining propagators from y_k by ``_sweep``
-    (about 2m products in 2 log2(m) batched calls for m of them) and is
-    checked as a whole; the first step that is not finite and positive
-    is redone by ``_advance`` and a new pass starts after it.
-    """
-    k, stop = k0, k0 + len(props)
-    while k < stop:
-        _sweep(props[k - k0 :], values[k : stop + 1])
-        new = values[k + 1 : stop + 1]
-        if new.min() > 0.0 and new.max() < np.inf:  # all finite and positive; false on nan
-            return
-        k += int(np.argmin(((new > 0.0) & (new < np.inf)).all(axis=1))) + 1  # redo the first lost step
-        values[k] = _advance(values[k - 1], nodes[k - 1], -h[k - 1], rhs)
 
 
 def _sweep(props: np.ndarray, out: np.ndarray) -> None:
@@ -361,24 +329,3 @@ def _sweep(props: np.ndarray, out: np.ndarray) -> None:
         firsts, s = levels[i][: len(levels[i]) - 1 : 2], 1 << i  # the first of each pair
         end = 2 * s * len(firsts)
         np.matmul(firsts, out[:end : 2 * s, :, None], out=out[s:end : 2 * s, :, None])
-
-
-def _advance(y: np.ndarray, t: float, h: float, rhs) -> np.ndarray:
-    """One backward step, bisected locally until positivity holds.
-
-    Bisection recurses into the failing half first, so a genuinely
-    divergent system reaches the minimum step quickly instead of
-    retrying ever-finer uniform refinements of the whole step.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):  # one classic RK4 step
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y_new = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if np.all(np.isfinite(y_new)) and np.all(y_new > 0.0):
-        return y_new
-    if abs(h) * 0.5 < _MIN_STEP:
-        raise StepFailure("positivity or finiteness lost at the minimum step size")
-    y_mid = _advance(y, t, 0.5 * h, rhs)
-    return _advance(y_mid, t + 0.5 * h, 0.5 * h, rhs)

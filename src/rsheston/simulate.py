@@ -512,6 +512,7 @@ def martingale_diagnostic(
     exp(delta m + delta^2 s^2 / 2), as in ``expected_utility_mc``.  A
     checkpoint where all paths agree to rounding (the t = 0 anchor) has
     std_err 0, and z 0 if its mean is Phi(0, ...) to rounding, else inf.
+    With a single path std_err and z are NaN (absent) at every checkpoint.
     """
     if p.variant is Variant.MMH:
         raise ConfigError("the value diagnostic is defined for the separable variants")
@@ -530,8 +531,8 @@ def martingale_diagnostic(
         xi_e = xi.row(float(t))[bundle.states[:, col] - 1]
         phi = util * xi_e * _conditional_power(bundle, col, p.delta, log_factor)
         mean = float(phi.mean())
-        err = 0.0 if len(phi) == 1 else float(phi.std(ddof=1) / math.sqrt(len(phi)))
-        if err <= 1e-13 * abs(mean):
+        err = math.nan if len(phi) == 1 else float(phi.std(ddof=1) / math.sqrt(len(phi)))
+        if err <= 1e-13 * abs(mean):  # false on nan: one path gives a NaN z too
             # all paths coincide (e.g. the t = 0 anchor); rounding noise is not noise
             err = 0.0
             z = 0.0 if abs(mean - phi0) <= 1e-9 * abs(phi0) else math.inf

@@ -6,6 +6,8 @@
   the optimal weight along one frozen regime trajectory, composed by
   ``compose_piecewise`` path by path.
 * ``path_segments`` clips one regime path's segments to [t, horizon].
+* ``xi_ode_uniform`` solves xi on a given number of equal RK4 steps,
+  finer than ``xi_ode``'s own mesh, for references.
 * ``scalar_integrand`` wraps a per-state function u(t, e) as a
   ``RegimeIntegrand`` whose segment integrals come from adaptive
   quadrature; scipy is imported on its first segment integral.
@@ -21,6 +23,7 @@ import numpy as np
 
 import rsheston as rs
 from rsheston.markov_chain import quad
+from rsheston.regime_expectation import _solve
 
 _B_ESCAPE = 1e8
 
@@ -160,6 +163,17 @@ def value_timedep_heston(p: rs.HestonRegimeParams, path: rs.RegimePath, q: rs.Va
     a, b = coeffs.ab(q.t)
     log_value = (p.delta * p.r)[state - 1] @ (hi - lo) + vt * a + vt * b * q.x
     return float(q.v**p.delta / p.delta * np.exp(log_value))
+
+
+def xi_ode_uniform(spec: rs.MarkovChainSpec, integrand: rs.RegimeIntegrand, n_steps: int) -> rs.XiTable:
+    """xi on ``n_steps`` equal backward RK4 steps over [0, T], without error control.
+
+    The integrator inside ``xi_ode`` on a mesh the caller chooses, for
+    references finer than ``xi_ode``'s own mesh.
+    """
+    knots = np.array([integrand.horizon, 0.0])
+    nodes, values = _solve(spec.intensity, integrand.fn_all, knots, np.array([n_steps]))
+    return rs.XiTable(times=nodes[::-1].copy(), values=values[::-1].copy(), method="ODE")
 
 
 def scalar_integrand(fn: Callable[[float, int], float], horizon: float, n_states: int) -> rs.RegimeIntegrand:

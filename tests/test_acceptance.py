@@ -13,7 +13,7 @@ import pytest
 import rsheston as rs
 from conftest import Q_TWO_STATE, make_params, random_intensity
 from hamiltonian import hamiltonian_grid_argmax
-from oracles import riccati_numeric, scalar_integrand, value_timedep_heston
+from oracles import riccati_numeric, scalar_integrand, value_timedep_heston, xi_ode_uniform
 from riccati_properties import run_suite
 
 REF_UTILITY_SET1 = 7.4261
@@ -44,7 +44,7 @@ def set2():
 
 @pytest.fixture(scope="module")
 def xi_set1(chain, set1):
-    return rs.xi_ode(chain, rs.upsilon_heston(set1, rs.d_leverage_fn(set1)), grid_step=0.001)
+    return rs.xi_ode(chain, rs.upsilon_heston(set1, rs.d_leverage_fn(set1)))
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +71,7 @@ def set2_run(chain, set2):
 def test_criterion_1_closed_form_reference_value(chain, set1):
     started = time.perf_counter()
     integrand = rs.upsilon_heston(set1, rs.d_leverage_fn(set1))
-    xi = rs.xi_ode(chain, integrand, grid_step=0.001)
+    xi = rs.xi_ode(chain, integrand)
     q = rs.ValueQuery(t=0.0, v=10.0, x=0.02, state=1)
     phi_ode = rs.value_smmh_rho(set1, q, xi)
 
@@ -125,7 +125,7 @@ def test_criterion_3_oracle_equivalence(set1):
             return c0[e - 1] + c1[e - 1] * np.sin(omega * t)
 
         integrand = scalar_integrand(u, horizon, l)
-        table = rs.xi_ode(spec, integrand, grid_step=horizon / 4000)
+        table = rs.xi_ode(spec, integrand)
         state = int(rng.integers(1, l + 1))
         est, err = rs.xi_mc(spec, integrand, 0.0, state, 1500, seed=9000 + trial)
         if abs(est - table.at(0.0, state)) > 3 * max(err, 1e-12):
@@ -267,7 +267,7 @@ def test_criterion_6_reduction_tests(set1, xi_set1, chain):
         variant="smmh_rho", horizon=5.0, delta=0.3, rho=-0.8,
         r=0.03, nu=1.0, kappa=4.0, theta=0.02, chi=0.35, d=1.7,
     )
-    xi1 = rs.xi_ode(chain1, rs.upsilon_heston(p1, rs.d_leverage_fn(p1)), grid_step=0.001)
+    xi1 = xi_ode_uniform(chain1, rs.upsilon_heston(p1, rs.d_leverage_fn(p1)), 5000)  # 1e-10 needs a finer mesh
     path0 = rs.RegimePath(start=0.0, horizon=5.0, jump_times=np.array([]), states=np.array([1]))
     worst_rel = 0.0
     for t in (0.0, 1.25, 3.6):

@@ -1,5 +1,9 @@
 import csv
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,6 +164,17 @@ class TestValidateCommand:
     def test_missing_file_exits_two(self, tmp_path):
         assert cli.main(["validate", str(tmp_path / "nope.cfg")]) == 2
 
+    def test_runs_as_a_module(self, set1_path):
+        done = subprocess.run(
+            [sys.executable, "-m", "rsheston.cli", "validate", str(set1_path)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        )
+        assert done.returncode == 0, done.stderr
+        assert "overall: pass" in done.stdout
+
 
 class TestRunConfigValidation:
     @pytest.mark.parametrize(
@@ -241,13 +256,13 @@ class TestRunConfigValidation:
         assert "--seed" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("grid_step", ["nan", "inf", "10"])
+    @pytest.mark.parametrize("grid_step", ["nan", "inf", "10", "0.0005"])
     def test_bad_grid_step_exits_one(self, grid_step, tmp_path, set1_path, capsys):
         bad = tmp_path / "grid.cfg"
         bad.write_text(set1_path.read_text().replace("[solver]\n", f"[solver]\ngrid_step = {grid_step}\n"))
         out = tmp_path / "x.csv"
         assert cli.main(["solve", str(bad), "--t-grid", "3", "--out", str(out)]) == 1
-        assert "grid_step" in capsys.readouterr().err
+        assert "key 'grid_step' is not read" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -271,7 +286,7 @@ def _solve_reference(cfg_path, t_grid: int) -> str:
     if mmh:
         phi_mmh, _ = rs.value_mmh_table(p, cfg.chain, times, cfg.v0, cfg.x0, cfg.n_paths_xi, cfg.seed)
     else:
-        xi = rs.xi_ode(cfg.chain, rs.upsilon_heston(p, rs.d_leverage_fn(p)), cfg.grid_step, times=times)
+        xi = rs.xi_ode(cfg.chain, rs.upsilon_heston(p, rs.d_leverage_fn(p)), times=times)
 
     def fmt(x):
         return "" if np.isnan(x) else f"{float(x):.17g}"
@@ -460,6 +475,13 @@ class TestDiagnoseCommand:
         assert code == 0
         _, rows = read_csv(out)
         assert float(rows[0]["z_score"]) == 0.0
+
+    def test_single_path_has_no_stderr_or_z(self, set1_path, tmp_path):
+        out = tmp_path / "diag1.csv"
+        argv = ["diagnose", str(set1_path), "--checkpoints", "0,2.5,5", "--paths", "1", "--out", str(out)]
+        assert cli.main(argv) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 3 and all(row["std_err"] == row["z_score"] == "" for row in rows), rows
 
     def test_header_records_the_seed_in_effect(self, set1_path, tmp_path):
         out = tmp_path / "diag.csv"

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import rsheston as rs
+import rsheston.regime_expectation as regime_expectation
 from conftest import Q_TWO_STATE, make_params, random_intensity
-from oracles import scalar_integrand
+from oracles import scalar_integrand, xi_ode_uniform
 from rsheston.markov_chain import PathTable
 
 
@@ -99,7 +102,7 @@ class TestXiOde:
     def test_decoupled_states_without_switching(self):
         spec = rs.validate_intensity(np.zeros((2, 2)))
         integrand = scalar_integrand(lambda t, e: 0.02 * e, 3.0, 2)
-        table = rs.xi_ode(spec, integrand, grid_step=1e-3)
+        table = rs.xi_ode(spec, integrand)
         # no switching: xi is the plain exponential of each state's own integral
         assert table.at(0.0, 1) == pytest.approx(np.exp(0.02 * 3.0), rel=1e-10)
         assert table.at(0.0, 2) == pytest.approx(np.exp(0.04 * 3.0), rel=1e-10)
@@ -112,7 +115,7 @@ class TestXiOde:
         # constant coefficients: xi(t) = expm((T-t)(diag(u) + Q)) 1
         u = np.array([0.05, -0.03])
         integrand = scalar_integrand(lambda t, e: u[e - 1], 2.0, 2)
-        table = rs.xi_ode(chain2, integrand, grid_step=1e-3)
+        table = rs.xi_ode(chain2, integrand, times=[0.77, 1.5])
         m = np.diag(u) + chain2.intensity
         vals, vecs = np.linalg.eig(m)
         for t in (0.0, 0.77, 1.5):
@@ -143,24 +146,25 @@ class TestXiOde:
 
     def test_grid_refinement_is_converged(self, chain2, set1):
         integrand = rs.upsilon_heston(set1, rs.d_leverage_fn(set1))
-        coarse = rs.xi_ode(chain2, integrand, grid_step=5.0 / 5000)
-        fine = rs.xi_ode(chain2, integrand, grid_step=5.0 / 10000)
+        coarse = rs.xi_ode(chain2, integrand)
+        fine = xi_ode_uniform(chain2, integrand, 10000)
         assert abs(coarse.at(0.0, 1) - fine.at(0.0, 1)) < 1e-8
 
     def test_step_failure_on_divergent_integrand(self, chain2):
         integrand = flat_integrand(-1e8, 5.0, 2)  # xi ~ exp(1e8 (T-t)) overflows
-        with pytest.raises(rs.StepFailure):
-            rs.xi_ode(chain2, integrand, grid_step=1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the lost levels raise no numpy warning on the way to the cap
+            with pytest.raises(rs.StepFailure, match=f"cap {regime_expectation._MAX_STEPS}"):
+                rs.xi_ode(chain2, integrand)
 
     @pytest.mark.parametrize("grid_step", [np.nan, np.inf, 10.0, 0.0, -1e-3])
     def test_rejects_step_outside_the_horizon(self, chain2, grid_step):
-        # a step longer than T once became one RK4 step over the whole horizon
-        with pytest.raises(ValueError, match="grid_step"):
+        # xi_ode takes no step, of any length: times is keyword-only, so an
+        # old positional step raises instead of becoming a requested time
+        with pytest.raises(TypeError):
+            rs.xi_ode(chain2, flat_integrand(0.01, 5.0, 2), grid_step)
+        with pytest.raises(TypeError, match="grid_step"):
             rs.xi_ode(chain2, flat_integrand(0.01, 5.0, 2), grid_step=grid_step)
-
-    def test_step_equal_to_the_horizon_is_one_step(self, chain2):
-        table = rs.xi_ode(chain2, flat_integrand(0.01, 5.0, 2), grid_step=5.0)
-        np.testing.assert_array_equal(table.times, [0.0, 5.0])
 
     def test_agreement_across_random_models(self):
         rng = np.random.default_rng(11)
@@ -174,7 +178,7 @@ class TestXiOde:
                 return coefs[e - 1, 0] + coefs[e - 1, 1] * np.sin(t)
 
             integrand = scalar_integrand(u, horizon, l)
-            table = rs.xi_ode(spec, integrand, grid_step=horizon / 4000)
+            table = rs.xi_ode(spec, integrand)
             est, err = rs.xi_mc(spec, integrand, 0.0, 1, 1500, seed=100 + trial)
             assert abs(est - table.at(0.0, 1)) < 3 * max(err, 1e-12)
 
@@ -201,28 +205,33 @@ class TestXiTable:
         assert table.std_err[0, 0] > 0.0
         assert table.std_err[-1, 0] == 0.0
 
+    def test_rejects_decreasing_times(self, chain2):
+        # interpolation reads times in increasing order: a reversed table would refuse its own nodes
+        with pytest.raises(ValueError, match="must not decrease"):
+            rs.xi_mc_table(chain2, flat_integrand(0.01, 2.0, 2), [2.0, 0.0], 50, seed=1)
+
     def test_interpolation_onto_grid_nodes_is_exact(self, chain2, set1):
         integrand = rs.upsilon_heston(set1, rs.d_leverage_fn(set1))
-        table = rs.xi_ode(chain2, integrand, grid_step=0.5)
+        table = rs.xi_ode(chain2, integrand)
         k = 3
         assert table.at(float(table.times[k]), 2) == table.values[k, 1]
 
     @pytest.mark.parametrize("state", [0, 3, -1, 1.5])
     def test_at_rejects_a_state_outside_the_table(self, chain2, state):
-        table = rs.xi_ode(chain2, flat_integrand(0.01, 2.0, 2), grid_step=0.5)
+        table = rs.xi_ode(chain2, flat_integrand(0.01, 2.0, 2))
         with pytest.raises(ValueError, match="state"):
             table.at(0.0, state)
 
     @pytest.mark.parametrize("t", [-3.0, -1e-9, 2.0 + 1e-9, 99.0, float("nan")])
     def test_at_rejects_a_time_outside_the_table_like_row(self, chain2, t):
-        table = rs.xi_ode(chain2, flat_integrand(0.01, 2.0, 2), grid_step=0.5)
+        table = rs.xi_ode(chain2, flat_integrand(0.01, 2.0, 2))
         with pytest.raises(ValueError, match="outside the tabulated range"):
             table.row(t)
         with pytest.raises(ValueError, match="outside the tabulated range"):
             table.at(t, 1)
 
     def test_at_accepts_the_ends_within_slack(self, chain2):
-        table = rs.xi_ode(chain2, flat_integrand(0.01, 2.0, 2), grid_step=0.5)
+        table = rs.xi_ode(chain2, flat_integrand(0.01, 2.0, 2))
         assert table.at(-1e-13, 1) == table.values[0, 0]
         assert table.at(2.0 + 1e-13, 2) == 1.0
         assert table.at(np.float64(1.0), np.int64(2)) == table.row(1.0)[1]

@@ -431,6 +431,12 @@ class TestMartingaleDiagnostic:
         mean, _ = rs.expected_utility_mc(bundle, set1.delta)
         assert rows[-1][1] == pytest.approx(mean, rel=1e-12)
 
+    def test_single_path_has_no_stderr_or_z(self, chain2, set1):
+        # as expected_utility_mc: one path measures no spread, at the anchor or after it
+        cfg = rs.SimConfig(n_paths=1, steps_per_year=20, seed=6, v0=10.0, x0=0.02, state0=1)
+        rows = rs.martingale_diagnostic(set1, chain2, cfg, [0.0, 2.5, 5.0])
+        assert all(math.isfinite(mean) and math.isnan(err) and math.isnan(z) for _, mean, err, z in rows), rows
+
     def test_requires_leverage_variant(self, chain2):
         cfg = rs.SimConfig(n_paths=10, steps_per_year=10, seed=1, v0=1.0, x0=0.02, state0=1)
         p_mmh = make_params(variant="mmh", d=None, rho=0.0, lam_hat=[1.7, 2.21])

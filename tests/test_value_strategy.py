@@ -197,21 +197,21 @@ class TestValueSmmhRho:
     def test_wealth_scaling_homogeneity(self, c, v):
         chain = rs.validate_intensity([[-1.0909, 1.0909], [3.4413, -3.4413]])
         p = make_params()
-        xi = rs.xi_ode(chain, rs.upsilon_heston(p, rs.d_leverage_fn(p)), grid_step=0.01)
+        xi = rs.xi_ode(chain, rs.upsilon_heston(p, rs.d_leverage_fn(p)), times=[1.0])
         base = rs.value_smmh_rho(p, rs.ValueQuery(t=1.0, v=v, x=0.05, state=1), xi)
         scaled = rs.value_smmh_rho(p, rs.ValueQuery(t=1.0, v=c * v, x=0.05, state=1), xi)
         assert scaled == pytest.approx(c**0.3 * base, rel=1e-9)
 
     def test_value_sign_tracks_delta(self, chain2, set1, set2):
         q = rs.ValueQuery(t=0.7, v=3.0, x=0.11, state=2)
-        xi1 = rs.xi_ode(chain2, rs.upsilon_heston(set1, rs.d_leverage_fn(set1)), grid_step=0.01)
-        xi2 = rs.xi_ode(chain2, rs.upsilon_heston(set2, rs.d_leverage_fn(set2)), grid_step=0.01)
+        xi1 = rs.xi_ode(chain2, rs.upsilon_heston(set1, rs.d_leverage_fn(set1)), times=[q.t])
+        xi2 = rs.xi_ode(chain2, rs.upsilon_heston(set2, rs.d_leverage_fn(set2)), times=[q.t])
         assert rs.value_smmh_rho(set1, q, xi1) > 0
         assert rs.value_smmh_rho(set2, q, xi2) < 0
 
     def test_rejects_wrong_variant(self, chain2, set1):
         p = make_params(variant="mmh", d=None, rho=0.0, lam_hat=[1.7, 2.21])
-        xi = rs.xi_ode(chain2, rs.upsilon_heston(set1, rs.d_leverage_fn(set1)), grid_step=0.01)
+        xi = rs.xi_ode(chain2, rs.upsilon_heston(set1, rs.d_leverage_fn(set1)))
         with pytest.raises(rs.DomainViolation):
             rs.value_smmh_rho(p, rs.ValueQuery(t=0.0, v=1.0, x=0.0, state=1), xi)
 

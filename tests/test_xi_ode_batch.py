@@ -1,13 +1,11 @@
 """xi_ode's batch of RK4 step propagators against the step-by-step loop.
 
 The reference below is the loop xi_ode ran before it formed one l x l
-propagator per step: four right-hand-side evaluations per step, each
-step's result checked and, on a loss of positivity or finiteness,
-bisected locally down to a minimum step.  Forming the propagators and
-applying them by an up-sweep/down-sweep scan reorders the floating-point
-operations and nothing else, so the two agree to 1e-13 relative, also
-where steps are redone by halving.  The scan itself is checked against
-sequential matrix-vector products.
+propagator per step: four right-hand-side evaluations per step, on the
+nodes of xi_ode's own table.  Forming the propagators and applying them
+by an up-sweep/down-sweep scan reorders the floating-point operations
+and nothing else, so the two agree to 1e-13 relative.  The scan itself
+is checked against sequential matrix-vector products.
 """
 
 import numpy as np
@@ -30,44 +28,24 @@ def _rk4_step(y, t, h, rhs):
     return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _advance(y, t, h, rhs, halvings):
-    with np.errstate(over="ignore", invalid="ignore"):
-        y_new = _rk4_step(y, t, h, rhs)
-    if np.all(np.isfinite(y_new)) and np.all(y_new > 0.0):
-        return y_new
-    if abs(h) * 0.5 < 1e-10:
-        raise rs.StepFailure("positivity or finiteness lost at the minimum step size")
-    halvings.append(t)
-    y_mid = _advance(y, t, 0.5 * h, rhs, halvings)
-    return _advance(y_mid, t + 0.5 * h, 0.5 * h, rhs, halvings)
-
-
-def _reference_xi_ode(spec, integrand, grid_step, halvings):
-    """Times and values of the scalar loop, oldest-first like XiTable."""
+def _reference_on_nodes(spec, integrand, times):
+    """Values of the scalar loop, one backward RK4 step between neighbouring times (oldest first)."""
     q = spec.intensity
 
     def rhs(t, y):
         return -integrand.fn_all(t) * y - q @ y
 
-    horizon = integrand.horizon
-    n = max(1, int(np.ceil(horizon / grid_step - 1e-12)))
-    h = horizon / n
-    times = horizon - h * np.arange(n + 1)
-    times[-1] = 0.0
-    values = np.empty((n + 1, spec.n_states))
-    values[0] = 1.0
-    for k in range(n):
-        values[k + 1] = _advance(values[k], times[k], -h, rhs, halvings)
-    return times[::-1], values[::-1]
+    values = np.empty((len(times), spec.n_states))
+    values[-1] = 1.0
+    for k in range(len(times) - 1, 0, -1):
+        values[k - 1] = _rk4_step(values[k], times[k], times[k - 1] - times[k], rhs)
+    return values
 
 
-def _assert_matches_reference(spec, integrand, grid_step):
-    halvings = []
-    times, values = _reference_xi_ode(spec, integrand, grid_step, halvings)
-    table = rs.xi_ode(spec, integrand, grid_step)
-    np.testing.assert_array_equal(table.times, times)
+def _assert_matches_reference(spec, integrand, times=()):
+    table = rs.xi_ode(spec, integrand, times=times)
+    values = _reference_on_nodes(spec, integrand, table.times)
     assert np.abs(table.values / values - 1.0).max() <= TOL
-    return halvings
 
 
 @pytest.fixture(params=["one_chunk", "chunks_of_7_steps"])
@@ -84,18 +62,18 @@ def _heston(p):
 @pytest.mark.parametrize("overrides", [{}, dict(delta=-1.0)], ids=["set1", "set2"])
 def test_paper_sets_match_scalar_loop(overrides):
     p = make_params(**overrides)
-    _assert_matches_reference(rs.validate_intensity(Q_TWO_STATE), _heston(p), p.horizon / 5000)
+    _assert_matches_reference(rs.validate_intensity(Q_TWO_STATE), _heston(p))
 
 
-def test_explicit_step_that_does_not_divide_the_horizon_matches_scalar_loop():
-    # 5 / 0.0013 = 3846.2: ceil gives 3847 equal steps, as on a mesh with no requested times
-    _assert_matches_reference(rs.validate_intensity(Q_TWO_STATE), _heston(make_params()), 0.0013)
+def test_requested_times_that_split_the_horizon_unevenly_match_scalar_loop():
+    # gaps 1.004 and 3.996 take steps of different lengths
+    _assert_matches_reference(rs.validate_intensity(Q_TWO_STATE), _heston(make_params()), times=[1.004])
 
 
 def test_negative_slope_draw_matches_scalar_loop():
     p, chain = _chain_cases()[0]
     assert p.d < 0 and p.n_states >= 2
-    _assert_matches_reference(chain, _heston(p), p.horizon / 5000)
+    _assert_matches_reference(chain, _heston(p))
 
 
 def test_three_state_scalar_integrand_matches_scalar_loop(chunked):
@@ -107,7 +85,7 @@ def test_three_state_scalar_integrand_matches_scalar_loop(chunked):
         return coefs[e - 1, 0] + coefs[e - 1, 1] * np.cos(2.0 * t)
 
     integrand = scalar_integrand(u, 2.5, 3)
-    _assert_matches_reference(spec, integrand, 2.5 / 2000)
+    _assert_matches_reference(spec, integrand)
 
 
 def test_fn_all_shapes():
@@ -120,29 +98,6 @@ def test_fn_all_shapes():
     batch = heston.fn_all(times)
     assert batch.shape == (7, 2)
     np.testing.assert_allclose(batch, [heston.fn_all(float(t)) for t in times], rtol=1e-15, atol=0.0)
-
-
-def test_steps_redone_by_halving_match_scalar_loop(chunked):
-    # u(t, 1) = -100 (1 - t/2)^2 is mild near T = 2, so full steps of 0.1
-    # lose positivity only partway back and are then redone by halving
-    integrand = scalar_integrand(lambda t, e: -100.0 * (1.0 - t / 2.0) ** 2 if e == 1 else 0.0, 2.0, 2)
-    spec = rs.validate_intensity([[-1.0, 1.0], [1.0, -1.0]])
-    halvings = _assert_matches_reference(spec, integrand, 0.1)
-    assert halvings and max(halvings) < 1.0
-
-
-@pytest.mark.parametrize("steps_per_chunk", [10, 5])
-def test_step_redone_on_the_first_step_of_a_chunk(steps_per_chunk, monkeypatch):
-    # a narrow dip of u(t, 1) at t = 1 makes only the step from 1.0 to 0.9
-    # (step 10 back from T = 2) lose positivity; a fresh sweep starts from
-    # its redone value
-    spec = rs.validate_intensity([[-1.0, 1.0], [1.0, -1.0]])
-    integrand = scalar_integrand(
-        lambda t, e: -100.0 * np.exp(-(((t - 1.0) / 0.1) ** 2)) if e == 1 else 0.0, 2.0, 2
-    )
-    monkeypatch.setattr(regime_expectation, "_CHUNK_ENTRIES", steps_per_chunk * 4)
-    halvings = _assert_matches_reference(spec, integrand, 0.1)
-    assert halvings and all(0.9 < t <= 1.0 for t in halvings)
 
 
 @pytest.mark.parametrize("steps_per_chunk", [None, 7, 1], ids=["default_chunks", "chunks_of_7_steps", "one_step"])
@@ -161,14 +116,14 @@ def test_random_chains_match_scalar_loop(n_states, steps_per_chunk, monkeypatch)
         return level[e - 1] + swing[e - 1] * np.cos(2.0 * t)
 
     integrand = scalar_integrand(u, 2.5, n_states)
-    _assert_matches_reference(spec, integrand, 2.5 / 1000)
+    _assert_matches_reference(spec, integrand)
 
 
 def test_step_failure_partway_through_the_horizon():
     # exp(int u) overflows once t falls below about 1.3: no step size keeps xi finite
     integrand = scalar_integrand(lambda t, e: 1e3 * max(0.0, 2.5 - t), 5.0, 2)
     with pytest.raises(rs.StepFailure):
-        rs.xi_ode(rs.validate_intensity(Q_TWO_STATE), integrand, grid_step=1e-3)
+        rs.xi_ode(rs.validate_intensity(Q_TWO_STATE), integrand)
 
 
 def _sequential(props, y0):
@@ -198,7 +153,7 @@ def test_sweep_matches_sequential_products(m, l):
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("j", [0, 1, 4, 7, 8, 12])
 def test_sweep_values_up_to_a_non_finite_propagator_are_kept(j, bad):
-    # _propagate redoes the first failing step from out[j] and trusts out[: j + 1]
+    # a propagator that is not finite spoils the values after it and no others
     rng = np.random.default_rng(20261020 + j)
     props = _propagators(rng, 13, 2)
     props[j] = bad

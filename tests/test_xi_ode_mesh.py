@@ -1,12 +1,11 @@
 """xi_ode's mesh through the requested times, and its default tolerance.
 
-By default xi_ode bisects every step until the step-doubling estimate of
-its relative error is at most ``_RTOL``.  The default table is checked
-at its nodes against an explicit solve 64 times finer on the paper's two
-sets and on every sign-coverage draw of tests/test_sign_coverage.py,
-the near-bound ones included (which need the most steps).  The
-requested times are table nodes bitwise, with or without an explicit
-step.
+xi_ode bisects every step until the step-doubling estimate of its
+relative error is at most ``_RTOL``.  Its table is checked at its nodes
+against a uniform solve 64 times finer on the paper's two sets and on
+every sign-coverage draw of tests/test_sign_coverage.py, the near-bound
+ones included (which need the most steps).  The requested times are
+table nodes bitwise.
 """
 
 import numpy as np
@@ -16,7 +15,7 @@ import rsheston as rs
 import rsheston.regime_expectation as regime_expectation
 import rsheston.simulate as simulate
 from conftest import Q_TWO_STATE, make_params, random_intensity
-from oracles import scalar_integrand
+from oracles import scalar_integrand, xi_ode_uniform
 from test_sign_coverage import NEAR_BOUND, PATH_CASES
 
 
@@ -43,7 +42,7 @@ def test_default_meets_its_tolerance(p, q):
     chain = rs.validate_intensity(q)
     table = rs.xi_ode(chain, _heston(p))
     n = len(table.times) - 1
-    fine = rs.xi_ode(chain, _heston(p), grid_step=p.horizon / (64 * n))
+    fine = xi_ode_uniform(chain, _heston(p), 64 * n)
     np.testing.assert_array_equal(fine.times[::64], table.times)
     err = np.abs(table.values / fine.values[::64] - 1.0).max()
     assert err <= 10 * regime_expectation._RTOL
@@ -54,19 +53,22 @@ T_GRIDS = {f"t_grid{k}": np.linspace(0.0, 5.0, k) for k in (51, 7, 2)}
 T_GRIDS["checkpoints"] = [0.0, 1.004, 2.5, 5.0]
 
 
-@pytest.mark.parametrize("grid_step", [None, 0.01])
 @pytest.mark.parametrize("times", T_GRIDS.values(), ids=T_GRIDS.keys())
-def test_requested_times_are_nodes(times, grid_step, chain2, set1):
-    table = rs.xi_ode(chain2, _heston(set1), grid_step, times=times)
+def test_requested_times_are_nodes(times, chain2, set1):
+    table = rs.xi_ode(chain2, _heston(set1), times=times)
     assert np.isin(times, table.times).all()
     assert np.all(np.diff(table.times) > 0.0)
-    assert (table.error_estimate is None) == (grid_step is not None)
+    assert table.error_estimate <= regime_expectation._RTOL
 
 
-def test_explicit_step_splits_each_gap(chain2, set1):
-    # gaps 3.996 and 1.004 at steps of at most 0.5: 8 and 3 equal steps
-    table = rs.xi_ode(chain2, _heston(set1), 0.5, times=[1.004])
-    np.testing.assert_allclose(np.diff(table.times), [1.004 / 3] * 3 + [3.996 / 8] * 8, rtol=1e-14)
+def test_each_gap_is_split_into_equal_steps(chain2, set1):
+    # gaps 1.004 and 3.996 start at steps of at most T/50 = 0.1: 11 and 40, then bisected alike
+    table = rs.xi_ode(chain2, _heston(set1), times=[1.004])
+    factor = (len(table.times) - 1) // 51  # 2**k after k bisections
+    assert factor * 51 == len(table.times) - 1
+    expected = [1.004 / (11 * factor)] * (11 * factor) + [3.996 / (40 * factor)] * (40 * factor)
+    # node rounding (about 1e-15 near t = 5) is a few parts in 1e13 of a step
+    np.testing.assert_allclose(np.diff(table.times), expected, rtol=1e-12)
 
 
 def test_diagnostic_reads_xi_at_its_checkpoints(chain2, set1, monkeypatch):
