@@ -50,6 +50,7 @@ from .simulate import (
     PathBundle,
     SimConfig,
     constant_strategy,
+    expected_utility_controlled,
     expected_utility_mc,
     martingale_diagnostic,
     optimal_weight_fn,

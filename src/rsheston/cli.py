@@ -54,6 +54,7 @@ from .riccati import D_leverage, d_leverage_fn
 from .simulate import (
     SimConfig,
     constant_strategy,
+    expected_utility_controlled,
     expected_utility_mc,
     martingale_diagnostic,
     optimal_weight_fn,
@@ -319,13 +320,17 @@ def cmd_simulate(args) -> int:
     sim_cfg = cfg.sim_config(n_paths=args.paths, steps_per_year=args.steps_per_year, seed=args.seed)
     started = time.perf_counter()
     bundle = simulate_paths(p, cfg.chain, optimal_weight_fn(p), sim_cfg, record="terminal")
-    mean, err = expected_utility_mc(bundle, p.delta)
+    mean, err = expected_utility_controlled(bundle, p.delta)
+    mean_cond, err_cond = expected_utility_mc(bundle, p.delta)
     runtime = time.perf_counter() - started
     out = Path(args.out)
     with open(out, "w", encoding="utf-8") as fh:
-        writer = _csv_writer(fh, cfg, sim_cfg.seed, ["n_paths", "steps_per_year", "mean", "std_err", "runtime_s"])
+        writer = _csv_writer(
+            fh, cfg, sim_cfg.seed,
+            ["n_paths", "steps_per_year", "mean", "std_err", "mean_conditional", "std_err_conditional", "runtime_s"],
+        )
         writer.writerow(
-            [sim_cfg.n_paths, sim_cfg.steps_per_year, _fmt(mean), _fmt(err), _fmt(runtime)]
+            [sim_cfg.n_paths, sim_cfg.steps_per_year, *map(_fmt, (mean, err, mean_cond, err_cond, runtime))]
         )
     edges = np.linspace(0.0, args.overflow_at, args.bins + 1)
     hist = terminal_wealth_histogram(bundle, edges)

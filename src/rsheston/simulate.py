@@ -36,6 +36,19 @@ V^delta: conditional Monte Carlo (Glasserman, *Monte Carlo Methods in
 Financial Engineering*, 2004, section 4.5), never noisier than the
 plain mean.
 
+The rho part of m's increments, C = sum_k rho pi nu sqrt(xp) dW_X, is a
+martingale whose increments are Gaussian given the past, with
+quadratic variation <C> = rho^2 dt S.  Each path carries
+
+      C <- C + rho pi nu sqrt(xp) dW_X
+
+(the product the m update already forms), and ``PathBundle`` keeps C
+and <C> at each record time; <C> comes from S, so it is exact at
+|rho| = 1 too, where s^2 is 0.  G = exp(delta C - delta^2 <C> / 2) - 1
+then has mean exactly 0 under the scheme, and
+``expected_utility_controlled`` regresses it out of the conditional
+values as a control variate (Glasserman, section 4.1).
+
 What depends only on (step, state) is tabulated once per run, per step
 k and state e, with pi = strategy(t_k, e) and h = sqrt(dt / refine) the
 scale of one driver normal: r dt, (pi lam_hat - (pi nu)^2 / 2) dt,
@@ -80,6 +93,7 @@ __all__ = [
     "PathBundle",
     "simulate_paths",
     "expected_utility_mc",
+    "expected_utility_controlled",
     "terminal_wealth_histogram",
     "HistogramTable",
     "martingale_diagnostic",
@@ -145,6 +159,9 @@ class PathBundle:
     the factor path up to each record time (m and s^2 in the module
     docstring); the drawn ``V`` is one sample of that Gaussian.  The
     moments at the terminal time do not depend on ``record``.
+    ``rho_part`` and ``rho_part_qv`` are the martingale C and its
+    quadratic variation <C> = rho^2 dt S (module docstring), which
+    depend on neither ``record`` nor the record normals.
     ``min_x_effective``, the least truncated factor of any path, is
     tracked over every step, not only recorded ones.  RNG provenance:
     under ``seed``, the streams of block j belong to paths 256 j to
@@ -158,6 +175,8 @@ class PathBundle:
     V: np.ndarray
     log_v_mean: np.ndarray
     log_v_var: np.ndarray
+    rho_part: np.ndarray
+    rho_part_qv: np.ndarray
     seed: int
     min_x_effective: float
 
@@ -272,6 +291,7 @@ def simulate_paths(
     if not np.isfinite(coef).all():
         raise FloatingPointError(_OVERFLOW)
     orth = max(0.0, 1.0 - p.rho**2) * dt  # the variance of ln V's dW_perp part is orth * S
+    rho2dt = p.rho**2 * dt  # <C> = rho2dt * S
 
     n_paths = cfg.n_paths
     m = len(rec_idx)
@@ -280,6 +300,8 @@ def simulate_paths(
     out_v = np.empty((n_paths, m))
     out_mean = np.empty((n_paths, m))
     out_var = np.empty((n_paths, m))
+    out_c = np.empty((n_paths, m))
+    out_cqv = np.empty((n_paths, m))
     min_xeff = math.inf
 
     sb = _STREAM_BLOCK
@@ -299,7 +321,7 @@ def simulate_paths(
         e = np.full(b, state0 - 1, dtype=np.intp)
         x = np.full(b, cfg.x0)
         lnv_mean = np.full(b, math.log(cfg.v0))
-        s_sum, s_rec, w, z_rec = np.zeros((4, b))  # S, S at the last record, W, record normals
+        s_sum, s_rec, w, z_rec, c_sum = np.zeros((5, b))  # S, S at the last record, W, record normals, C
         g = np.empty((7, b))
         a, bx, c, pn2, kdt, kthdt, ch = g
         xp, sq, acc, tmp = np.empty((4, b))
@@ -329,6 +351,8 @@ def simulate_paths(
                     out_v[i0:i1, s] = np.exp(tmp)
                     out_mean[i0:i1, s] = lnv_mean
                     np.multiply(s_sum, orth, out=out_var[i0:i1, s])
+                    out_c[i0:i1, s] = c_sum
+                    np.multiply(s_sum, rho2dt, out=out_cqv[i0:i1, s])
                 if k == n_steps:
                     break
                 j = k % chunk
@@ -339,11 +363,12 @@ def simulate_paths(
                 np.maximum(x, 0.0, out=xp)
                 np.sqrt(xp, out=sq)
                 sq *= dwx[j]
-                # m += (a + bx * xp) + c * sq, S += pn2 * xp
+                # m += (a + bx * xp) + c * sq, C += c * sq, S += pn2 * xp
                 np.multiply(bx, xp, out=acc)
                 acc += a
                 np.multiply(c, sq, out=tmp)
                 acc += tmp
+                c_sum += tmp
                 lnv_mean += acc
                 np.multiply(pn2, xp, out=tmp)
                 s_sum += tmp
@@ -364,6 +389,8 @@ def simulate_paths(
         V=out_v,
         log_v_mean=out_mean,
         log_v_var=out_var,
+        rho_part=out_c,
+        rho_part_qv=out_cqv,
         seed=cfg.seed,
         min_x_effective=min_xeff,
     )
@@ -454,6 +481,37 @@ def expected_utility_mc(bundle: PathBundle, delta: float) -> tuple[float, float]
     if len(u) == 1:
         return mean, float("nan")
     return mean, float(u.std(ddof=1) / math.sqrt(len(u)))
+
+
+def expected_utility_controlled(bundle: PathBundle, delta: float) -> tuple[float, float]:
+    """``expected_utility_mc`` with the rho part of ln V(T) as a control variate.
+
+    Regresses G = exp(delta C - delta^2 <C> / 2) - 1, whose mean is
+    exactly 0 (``PathBundle.rho_part``, ``.rho_part_qv``), out of the
+    conditional values Y = exp(delta m + delta^2 s^2 / 2) / delta: with
+    beta the in-sample least-squares slope of Y on G, the estimate is
+    the mean of Y - beta G and the standard error the residual standard
+    deviation (n - 2 degrees of freedom) over sqrt(n).  The in-sample
+    slope biases the estimate by O(1 / n).  With fewer than three paths,
+    or when G does not vary (rho = 0, a zero weight), beta is 0 and the
+    result is exactly ``expected_utility_mc``'s.  A non-finite G raises
+    FloatingPointError, without a numpy warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.expm1(delta * bundle.rho_part[:, -1] - (0.5 * delta * delta) * bundle.rho_part_qv[:, -1])
+        centred = g - g.mean()
+        spread = float(centred @ centred)
+    if not (np.isfinite(g).all() and math.isfinite(spread)):
+        raise FloatingPointError(_OVERFLOW)
+    if len(g) < 3 or spread == 0.0:
+        return expected_utility_mc(bundle, delta)
+    u = _conditional_power(bundle, -1, delta) / delta
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = u - (float(centred @ u) / spread) * g
+        mean, err = float(resid.mean()), float(resid.std(ddof=2) / math.sqrt(len(u)))
+    if not (math.isfinite(mean) and math.isfinite(err)):
+        raise FloatingPointError(_OVERFLOW)
+    return mean, err
 
 
 @dataclass(frozen=True, eq=False)

@@ -34,11 +34,11 @@ def draw_valid(rng: np.random.Generator):
 
 
 def _b_on_grid(kappa, theta, chi, alpha, beta, taus):
-    return np.array([rs.char_fn_coeffs(kappa, theta, chi, alpha, beta, t)[1] for t in taus])
+    return rs.char_fn_coeffs(kappa, theta, chi, alpha, beta, taus)[1]
 
 
 def _a_on_grid(kappa, theta, chi, alpha, beta, taus):
-    return np.array([rs.char_fn_coeffs(kappa, theta, chi, alpha, beta, t)[0] for t in taus])
+    return rs.char_fn_coeffs(kappa, theta, chi, alpha, beta, taus)[0]
 
 
 def check_draw(rng: np.random.Generator) -> list[str]:

@@ -404,6 +404,8 @@ class TestSimulateCommand:
         assert comment.startswith("# config_sha256=")
         assert rows[0]["n_paths"] == "300"
         assert float(rows[0]["std_err"]) > 0
+        # the controlled estimate is never noisier than the conditional one beside it
+        assert float(rows[0]["std_err"]) <= float(rows[0]["std_err_conditional"])
         _, hist_rows = read_csv(tmp_path / "sim_hist.csv")
         assert len(hist_rows) == 11  # 10 bins + overflow row
         assert hist_rows[-1]["bin_hi"] == "inf"
@@ -448,7 +450,8 @@ class TestSimulateCommand:
         cli.main(["simulate", str(set1_path), "--paths", "1", "--steps-per-year", "20",
                   "--out", str(out)])
         _, rows = read_csv(out)
-        assert rows[0]["std_err"] == ""
+        assert rows[0]["std_err"] == rows[0]["std_err_conditional"] == ""
+        assert rows[0]["mean"] == rows[0]["mean_conditional"]
 
     @pytest.mark.parametrize("flag", ["--paths", "--steps-per-year"])
     def test_zero_count_flag_exits_one(self, flag, set1_path, tmp_path, capsys):

@@ -21,8 +21,10 @@ rho * d < 0 can approach.  The two draws with delta < 0 and rho * d > 0
 have no bound within reach and are left out.
 
 Draws on 1-3 states check the closed-form path integral of
-upsilon_heston against quadrature for every sign combination, and
-draws on 2-3 states with d < 0 check xi_mc against xi_ode.
+upsilon_heston against quadrature for every sign combination, and the
+full-market simulation's controlled expected utility against
+value_smmh_rho; draws on 2-3 states with d < 0 check xi_mc against
+xi_ode.
 """
 
 import dataclasses
@@ -33,7 +35,7 @@ import numpy as np
 import pytest
 
 import rsheston as rs
-from conftest import random_intensity
+from conftest import Q_TWO_STATE, random_intensity
 from oracles import path_segments, value_timedep_heston
 
 # set1's first state with the slope flipped: the case that exposed a sign bug
@@ -208,6 +210,27 @@ def test_closed_form_path_integral_matches_quadrature(p):
         closed = integrand.segment_integral(*path_segments(path, t)).sum()
         quad = rs.occupation_integral(path, lambda s, e: integrand.fn_all(s)[e - 1], t, T)
         assert abs(closed - quad) <= 1e-12 * max(1.0, abs(quad)), (t, closed, quad)
+
+
+PATH_CHAINS = {
+    1: [[0.0]],
+    2: Q_TWO_STATE,
+    3: [[-1.5, 1.5, 0.0], [0.2, -2.7, 2.5], [4.0, 0.3, -4.3]],
+}
+
+
+@pytest.mark.parametrize("p", PATH_CASES, ids=range(len(PATH_CASES)))
+def test_controlled_expected_utility_matches_the_closed_form(p):
+    # 250 steps per year: at 50 the controlled estimator resolves the Euler bias
+    chain = rs.validate_intensity(PATH_CHAINS[p.n_states])
+    cfg = rs.SimConfig(n_paths=20_000, steps_per_year=250, seed=20261021, v0=10.0, x0=0.02, state0=1)
+    bundle = rs.simulate_paths(p, chain, rs.optimal_weight_fn(p), cfg, record="terminal")
+    controlled, controlled_err = rs.expected_utility_controlled(bundle, p.delta)
+    _, conditional_err = rs.expected_utility_mc(bundle, p.delta)
+    xi = rs.xi_ode(chain, rs.upsilon_heston(p, rs.d_leverage_fn(p)))
+    target = rs.value_smmh_rho(p, rs.ValueQuery(t=0.0, v=10.0, x=0.02, state=1), xi)
+    assert controlled_err <= conditional_err
+    assert abs(controlled - target) <= 3 * controlled_err, (controlled, controlled_err, target)
 
 
 def _chain_cases():

@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import math
 
 import numpy as np
@@ -165,8 +166,9 @@ def _scalar_reference(p, chain, weight, cfg, record, frozen_path=None):
     per path at each record time.  It keeps the library's operation
     order; ``weight(t, state)`` is the strategy as a scalar function and
     ``record`` lists the recorded grid indices.  Returns X, ln V, the
-    conditional mean and variance of ln V and the states at the record
-    times, plus the running minimum of the truncated factor.
+    conditional mean and variance of ln V, the rho part C of ln V and
+    its quadratic variation <C> = rho^2 dt S and the states at the
+    record times, plus the running minimum of the truncated factor.
     """
     horizon = p.horizon
     n_steps = max(1, int(round(horizon * cfg.steps_per_year)))
@@ -179,7 +181,7 @@ def _scalar_reference(p, chain, weight, cfg, record, frozen_path=None):
     r, lam, nu = p.r.tolist(), p.excess_slope.tolist(), p.nu.tolist()
     kappa, theta, chi = p.kappa.tolist(), p.theta.tolist(), p.chi.tolist()
     shape = (cfg.n_paths, len(record))
-    xs, lnvs, means, variances = (np.empty(shape) for _ in range(4))
+    xs, lnvs, means, variances, cs, cqvs = (np.empty(shape) for _ in range(6))
     states = np.empty(shape, dtype=np.int64)
     min_xp = math.inf
     for j0 in range(0, cfg.n_paths, _STREAM_BLOCK):
@@ -195,7 +197,7 @@ def _scalar_reference(p, chain, weight, cfg, record, frozen_path=None):
         for c, (jumps, after) in enumerate(paths):
             i = j0 + c
             labels = [cfg.state0 if frozen_path is None else int(frozen_path.states[0]), *after]
-            x, m, big_s, s_rec, w = cfg.x0, math.log(cfg.v0), 0.0, 0.0, 0.0
+            x, m, big_s, s_rec, w, big_c = cfg.x0, math.log(cfg.v0), 0.0, 0.0, 0.0, 0.0
             slot = 0
             for k in range(n_steps + 1):
                 e = labels[bisect.bisect_right(jumps, grid[k])] - 1
@@ -204,6 +206,7 @@ def _scalar_reference(p, chain, weight, cfg, record, frozen_path=None):
                     s_rec = big_s
                     xs[i, slot], lnvs[i, slot] = max(x, 0.0), m + w
                     means[i, slot], variances[i, slot], states[i, slot] = m, big_s * orth, e + 1
+                    cs[i, slot], cqvs[i, slot] = big_c, big_s * (rho**2 * dt)
                     slot += 1
                 if k == n_steps:
                     break
@@ -213,12 +216,14 @@ def _scalar_reference(p, chain, weight, cfg, record, frozen_path=None):
                 pn2 = pn * pn
                 xp = max(x, 0.0)
                 sq = math.sqrt(xp) * zsum
-                m += (r[e] * dt + (pi * lam[e] - 0.5 * pn2) * dt * xp) + (rho * sq_dtd) * pn * sq
+                rho_step = (rho * sq_dtd) * pn * sq
+                m += (r[e] * dt + (pi * lam[e] - 0.5 * pn2) * dt * xp) + rho_step
+                big_c += rho_step
                 big_s += pn2 * xp
                 x += kappa[e] * theta[e] * dt - kappa[e] * dt * xp
                 x += chi[e] * sq_dtd * sq
                 min_xp = min(min_xp, xp)
-    return xs, lnvs, means, variances, states, min_xp
+    return xs, lnvs, means, variances, cs, cqvs, states, min_xp
 
 
 def _three_state_market():
@@ -275,11 +280,15 @@ def test_simulate_paths_matches_scalar_reference(
         record_idx = list(range(n_steps + 1))
     else:
         record_idx = sorted({round(t * 20) for t in ([] if record == "terminal" else record)} | {n_steps})
-    xs, lnvs, means, variances, states, min_xp = _scalar_reference(p, chain, weight, cfg, record_idx, path)
+    xs, lnvs, means, variances, cs, cqvs, states, min_xp = _scalar_reference(
+        p, chain, weight, cfg, record_idx, path
+    )
     assert bundle.X.tobytes() == xs.tobytes()
     assert bundle.V.tobytes() == np.exp(lnvs).tobytes()
     assert bundle.log_v_mean.tobytes() == means.tobytes()
     assert bundle.log_v_var.tobytes() == variances.tobytes()
+    assert bundle.rho_part.tobytes() == cs.tobytes()
+    assert bundle.rho_part_qv.tobytes() == cqvs.tobytes()
     np.testing.assert_array_equal(bundle.states, states)
     assert bundle.min_x_effective == min_xp
 
@@ -305,13 +314,13 @@ def test_results_do_not_depend_on_block_size(frozen, driver_steps_per_year, chai
             rs.simulate_paths(set1, chain2, rs.optimal_weight_fn(set1), cfg, record=[1.0, 2.5], frozen_path=path)
         )
     for other in runs[1:]:
-        for field in ("X", "V", "log_v_mean", "log_v_var", "states"):
+        for field in ("X", "V", "log_v_mean", "log_v_var", "rho_part", "rho_part_qv", "states"):
             assert getattr(other, field).tobytes() == getattr(runs[0], field).tobytes()
         assert other.min_x_effective == runs[0].min_x_effective
 
 
 def test_factor_and_states_do_not_depend_on_record(chain2, set1):
-    # X, the states and the conditional moments of ln V come from the first stream only
+    # X, the states, the conditional moments of ln V and C come from the first stream only
     cfg = rs.SimConfig(n_paths=_STREAM_BLOCK + 37, steps_per_year=20, seed=29, v0=10.0, x0=0.01, state0=1)
     runs = [
         rs.simulate_paths(set1, chain2, rs.optimal_weight_fn(set1), cfg, record=record)
@@ -319,7 +328,7 @@ def test_factor_and_states_do_not_depend_on_record(chain2, set1):
     ]
     for bundle in runs[1:]:
         cols = [runs[0].column(t) for t in bundle.record_times]
-        for field in ("X", "log_v_mean", "log_v_var", "states"):
+        for field in ("X", "log_v_mean", "log_v_var", "rho_part", "rho_part_qv", "states"):
             assert getattr(bundle, field).tobytes() == np.ascontiguousarray(getattr(runs[0], field)[:, cols]).tobytes()
 
 
@@ -361,6 +370,52 @@ def test_conditional_estimator_is_no_noisier_and_matches_the_closed_form(case, c
     assert conditional_err <= plain_err
     assert abs(conditional - target) <= 3 * conditional_err, (conditional, conditional_err, target)
     assert abs(plain - target) <= 3 * plain_err, (plain, plain_err, target)
+    controlled, controlled_err = rs.expected_utility_controlled(bundle, p.delta)
+    assert controlled_err <= conditional_err
+    assert abs(controlled - target) <= 3 * controlled_err, (controlled, controlled_err, target)
+    if p.rho == 0.0:
+        # G is identically 0, so nothing is regressed out
+        assert (controlled, controlled_err) == (conditional, conditional_err)
+
+
+class TestControlledEstimator:
+    def test_zero_weight_gives_the_conditional_estimate(self, chain2, set1):
+        cfg = rs.SimConfig(n_paths=300, steps_per_year=20, seed=3, v0=10.0, x0=0.02, state0=1)
+        bundle = rs.simulate_paths(set1, chain2, rs.constant_strategy(0.0), cfg, record="terminal")
+        assert not bundle.rho_part.any() and not bundle.rho_part_qv.any()
+        controlled = rs.expected_utility_controlled(bundle, set1.delta)
+        assert controlled == rs.expected_utility_mc(bundle, set1.delta)
+
+    def test_single_path_gives_the_conditional_estimate(self, chain2, set1):
+        cfg = rs.SimConfig(n_paths=1, steps_per_year=20, seed=3, v0=10.0, x0=0.02, state0=1)
+        bundle = rs.simulate_paths(set1, chain2, rs.optimal_weight_fn(set1), cfg, record="terminal")
+        mean, err = rs.expected_utility_controlled(bundle, set1.delta)
+        assert mean == rs.expected_utility_mc(bundle, set1.delta)[0]
+        assert math.isnan(err)
+
+    def test_perfect_correlation_keeps_the_quadratic_variation(self, chain1):
+        # at rho = -1 the conditional variance of ln V is 0, but <C> is not
+        p = one_state_params(rho=-1.0)
+        cfg = rs.SimConfig(n_paths=50, steps_per_year=20, seed=4, v0=10.0, x0=0.02, state0=1)
+        bundle = rs.simulate_paths(p, chain1, rs.constant_strategy(0.8), cfg)
+        dt = bundle.grid[1]
+        steps = np.cumsum(p.rho**2 * (0.8 * p.nu[0]) ** 2 * bundle.X[:, :-1] * dt, axis=1)
+        assert not bundle.log_v_var.any()
+        assert np.isfinite(bundle.rho_part_qv).all() and (bundle.rho_part_qv[:, 1:] > 0).all()
+        assert bundle.rho_part_qv[:, 0].tolist() == [0.0] * 50
+        np.testing.assert_allclose(bundle.rho_part_qv[:, 1:], steps, rtol=1e-12, atol=0.0)
+        # with no orthogonal noise, ln V is its conditional mean
+        np.testing.assert_allclose(np.log(bundle.V), bundle.log_v_mean, rtol=0.0, atol=1e-13)
+        mean, err = rs.expected_utility_controlled(bundle, p.delta)
+        assert math.isfinite(mean) and 0.0 < err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_control_raises_without_numpy_warnings(self, chain2, set1):
+        cfg = rs.SimConfig(n_paths=8, steps_per_year=20, seed=5, v0=10.0, x0=0.02, state0=1)
+        bundle = rs.simulate_paths(set1, chain2, rs.optimal_weight_fn(set1), cfg, record="terminal")
+        huge = dataclasses.replace(bundle, rho_part=bundle.rho_part + 1e4)
+        with pytest.raises(FloatingPointError, match="wealth overflowed"):
+            rs.expected_utility_controlled(huge, set1.delta)
 
 
 def test_weight_table_matches_scalar_route(set1, set2):
@@ -379,7 +434,7 @@ class TestHistogram:
         one = np.ones((len(w), 1))
         bundle = rs.PathBundle(
             grid=np.array([0.0, 1.0]), record_times=np.array([1.0]), states=one.astype(np.int16), X=one,
-            V=w[:, None], log_v_mean=one, log_v_var=one, seed=0, min_x_effective=1.0,
+            V=w[:, None], log_v_mean=one, log_v_var=one, rho_part=one, rho_part_qv=one, seed=0, min_x_effective=1.0,
         )
         hist = rs.terminal_wealth_histogram(bundle, edges)
         counts = [np.count_nonzero((w >= lo) & (w < hi)) for lo, hi in zip(edges[:-1], edges[1:])]
