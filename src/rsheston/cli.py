@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, RsHestonError
+from .errors import ConfigError, FellerViolated, ParseError, RsHestonError
 from .markov_chain import MarkovChainSpec, validate_intensity
 from .models import (
     HestonRegimeParams,
@@ -264,6 +264,14 @@ def _csv_writer(fh, cfg: RunConfig, seed: int, columns):
     return writer
 
 
+def _load_solvable(path) -> RunConfig:
+    """``load_config``, then FellerViolated or AssumptionViolated if a check fails."""
+    cfg = load_config(path)
+    validate_feller(cfg.params).raise_if_failed(FellerViolated)
+    validate_solution_assumptions(cfg.params).raise_if_failed()
+    return cfg
+
+
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
     feller = validate_feller(cfg.params)
@@ -276,12 +284,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _load_solvable(args.config)
     p = cfg.params
     if p.variant is Variant.MMH and args.xi_method is not None:
         raise ConfigError("--xi-method applies to smmh and smmh_rho only; mmh is solved by chain Monte Carlo")
-    validate_feller(cfg.params).raise_if_failed()
-    validate_solution_assumptions(p).raise_if_failed()
     times = np.linspace(0.0, p.horizon, args.t_grid)
     util = cfg.v0**p.delta / p.delta
     if p.variant is Variant.MMH:
@@ -313,10 +319,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _load_solvable(args.config)
     p = cfg.params
-    validate_feller(cfg.params).raise_if_failed()
-    validate_solution_assumptions(p).raise_if_failed()
     sim_cfg = cfg.sim_config(n_paths=args.paths, steps_per_year=args.steps_per_year, seed=args.seed)
     started = time.perf_counter()
     bundle = simulate_paths(p, cfg.chain, optimal_weight_fn(p), sim_cfg, record="terminal")
@@ -361,10 +365,8 @@ def _parse_strategy(spec_str: str, p: HestonRegimeParams):
 
 
 def cmd_diagnose(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _load_solvable(args.config)
     p = cfg.params
-    validate_feller(cfg.params).raise_if_failed()
-    validate_solution_assumptions(p).raise_if_failed()
     sim_cfg = cfg.sim_config(n_paths=args.paths, seed=args.seed)
     rows = martingale_diagnostic(
         p, cfg.chain, sim_cfg, args.checkpoints, strategy=_parse_strategy(args.strategy, p)
@@ -438,8 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="full Monte Carlo expected utility and histogram")
     sp.add_argument("config")
-    sp.add_argument("--paths", type=int, default=None)
-    sp.add_argument("--steps-per-year", type=int, default=None)
+    sp.add_argument("--paths", type=_int_at_least(1), default=None)
+    sp.add_argument("--steps-per-year", type=_int_at_least(1), default=None)
     sp.add_argument("--seed", type=_int_at_least(0), default=None)
     sp.add_argument("--out", default="simulate.csv")
     sp.add_argument("--bins", type=_int_at_least(1), default=30)
@@ -450,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("config")
     sp.add_argument("--checkpoints", type=_finite_floats, default="0,1,2,3,4,5")
     sp.add_argument("--strategy", default="optimal")
-    sp.add_argument("--paths", type=int, default=None)
+    sp.add_argument("--paths", type=_int_at_least(1), default=None)
     sp.add_argument("--seed", type=_int_at_least(0), default=None)
     sp.add_argument("--out", default="diagnose.csv")
     sp.set_defaults(fn=cmd_diagnose)

@@ -199,7 +199,8 @@ def _truncation_mc(
     cell independent of the rest of the grid.  ``log_weight(segs)``
     returns one value per cell of ``segs``.  A time outside [0, T]
     (up to 1e-12 above T) raises DomainViolation; times at or after the
-    horizon give exactly (1, 0); one path gives a standard error of 0.
+    horizon give exactly (1, 0); before it, one path gives a NaN
+    standard error (absent).
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -219,8 +220,7 @@ def _truncation_mc(
         rows = live[k : k + step]
         w = np.exp(log_weight(table.truncate(times[rows], horizon))).reshape(len(rows), len(starts), n_paths)
         mean[rows] = w.mean(axis=2)
-        if n_paths > 1:
-            err[rows] = w.std(axis=2, ddof=1) / np.sqrt(n_paths)
+        err[rows] = w.std(axis=2, ddof=1) / np.sqrt(n_paths) if n_paths > 1 else math.nan
     return mean, err
 
 

@@ -22,15 +22,15 @@ steps therefore draw dW_X only.  Each path carries
       m <- m + [r + pi lam_hat xp - pi^2 nu^2 xp / 2] dt + rho pi nu sqrt(xp) dW_X
       S <- S + (pi nu)^2 xp
 
-and at each record time draws one N(0, 1), Z, for the orthogonal part
-of the interval since the previous record (S' is S at that record):
+``m`` and ``s^2 = (1 - rho^2) dt S`` are the mean and variance of ln V
+given the chain and the factor path, and ``PathBundle`` keeps them at
+each record time.  Wealth itself is drawn once per path, at the
+horizon, from one more N(0, 1), Z:
 
-      W <- W + sqrt((1 - rho^2) dt (S - S')) Z,   V = exp(m + W).
+      V(T) = exp(m + sqrt(s^2) Z),
 
-(state, X, V) at the record times then has exactly the law of the
-per-step scheme.  ``m`` and ``s^2 = (1 - rho^2) dt S`` are the mean and
-variance of ln V given the chain and the factor path, and
-``PathBundle`` keeps them.  The estimators average
+so (state, X, V) at T has exactly the law of the per-step scheme.  Only
+the terminal-wealth histogram reads V.  The estimators average
 E[V^delta | chain, X] = exp(delta m + delta^2 s^2 / 2) in place of
 V^delta: conditional Monte Carlo (Glasserman, *Monte Carlo Methods in
 Financial Engineering*, 2004, section 4.5), never noisier than the
@@ -56,21 +56,17 @@ rho h pi nu, (pi nu)^2, kappa dt, kappa theta dt and chi h.  A step
 gathers one row per path and updates m, S and X in place.
 
 Paths come in stream blocks of 256: block j (paths 256 j onward) owns
-two RNG streams derived from (seed, j), ``path_stream(seed, j)`` and
-the first child of its seed sequence (``Generator.spawn``).  The first
-draws the chain trajectories of all the block's paths
-(``sample_block``) and then their dW_X normals, step-major: driver step
-by driver step, one normal per path.  The second draws the record
-normals, record time by record time, one per path.  So X and the states
-do not depend on ``record``, and the record normals do not depend on
-the step size.  Neither layout depends on ``_BLOCK``, which only sets
-how many paths (whole stream blocks) are stepped together to bound
-memory, so results are bitwise reproducible regardless of batching.
-Setting ``driver_steps_per_year`` draws dW_X on a finer grid and sums
-it per step as it is drawn: two runs at different step sizes but the
-same driver resolution then share their Brownian paths and their record
-normals exactly, which makes discretization-convergence comparisons
-nearly noise-free.
+one RNG stream, ``path_stream(seed, j)``.  It draws the chain
+trajectories of all the block's paths (``sample_block``), then their
+dW_X normals, step-major: driver step by driver step, one normal per
+path; then each path's Z.  So nothing drawn depends on ``record``.  Nor
+does it depend on ``_BLOCK``, which only sets how many paths (whole
+stream blocks) are stepped together to bound memory, so results are
+bitwise reproducible regardless of batching.  Setting
+``driver_steps_per_year`` draws dW_X on a finer grid and sums it per
+step as it is drawn: two runs at different step sizes but the same
+driver grid then share their Brownian paths and their Z exactly, which
+makes discretization-convergence comparisons nearly noise-free.
 """
 
 from __future__ import annotations
@@ -152,19 +148,19 @@ class SimConfig:
 class PathBundle:
     """Simulated trajectories sampled at ``record_times``.
 
-    ``states`` holds 1-based labels, ``X`` the truncated factor (the
-    value actually driving variance, hence nonnegative) and ``V``
-    wealth; the asset price is not simulated.  ``log_v_mean`` and
-    ``log_v_var`` are the mean and variance of ln V given the chain and
-    the factor path up to each record time (m and s^2 in the module
-    docstring); the drawn ``V`` is one sample of that Gaussian.  The
-    moments at the terminal time do not depend on ``record``.
-    ``rho_part`` and ``rho_part_qv`` are the martingale C and its
-    quadratic variation <C> = rho^2 dt S (module docstring), which
-    depend on neither ``record`` nor the record normals.
+    ``states`` holds 1-based labels and ``X`` the truncated factor (the
+    value actually driving variance, hence nonnegative); the asset price
+    is not simulated.  ``log_v_mean`` and ``log_v_var`` are the mean and
+    variance of ln V given the chain and the factor path up to each
+    record time (m and s^2 in the module docstring).  ``rho_part`` and
+    ``rho_part_qv`` are the martingale C and its quadratic variation
+    <C> = rho^2 dt S (module docstring).  ``terminal_wealth`` holds one
+    draw of V(T) per path, exp(m + sqrt(s^2) Z) at the horizon.
+    Whatever ``record`` lists, the values at each recorded time and
+    ``terminal_wealth`` are the same.
     ``min_x_effective``, the least truncated factor of any path, is
     tracked over every step, not only recorded ones.  RNG provenance:
-    under ``seed``, the streams of block j belong to paths 256 j to
+    under ``seed``, the stream of block j belongs to paths 256 j to
     256 j + 255 (see the module docstring).
     """
 
@@ -172,7 +168,7 @@ class PathBundle:
     record_times: np.ndarray
     states: np.ndarray
     X: np.ndarray
-    V: np.ndarray
+    terminal_wealth: np.ndarray
     log_v_mean: np.ndarray
     log_v_var: np.ndarray
     rho_part: np.ndarray
@@ -182,11 +178,7 @@ class PathBundle:
 
     @property
     def n_paths(self) -> int:
-        return self.V.shape[0]
-
-    @property
-    def terminal_wealth(self) -> np.ndarray:
-        return self.V[:, -1]
+        return len(self.terminal_wealth)
 
     def column(self, t: float) -> int:
         hits = np.flatnonzero(np.abs(self.record_times - t) <= 1e-9)
@@ -297,7 +289,7 @@ def simulate_paths(
     m = len(rec_idx)
     out_states = np.empty((n_paths, m), dtype=np.int16)
     out_x = np.empty((n_paths, m))
-    out_v = np.empty((n_paths, m))
+    out_w = np.empty(n_paths)
     out_mean = np.empty((n_paths, m))
     out_var = np.empty((n_paths, m))
     out_c = np.empty((n_paths, m))
@@ -311,22 +303,19 @@ def simulate_paths(
     for i0 in range(0, n_paths, _BLOCK):
         i1 = min(i0 + _BLOCK, n_paths)
         b = i1 - i0
-        streams = []
-        for j0 in range(i0, i1, sb):
-            rng = path_stream(cfg.seed, j0 // sb)
-            streams.append((j0 - i0, min(sb, i1 - j0), rng, rng.spawn(1)[0]))
+        streams = [(j0 - i0, min(sb, i1 - j0), path_stream(cfg.seed, j0 // sb)) for j0 in range(i0, i1, sb)]
         changes = _state_changes(chain, frozen_path, grid, state0, b, streams)
         dwx = np.empty((chunk, b))
 
         e = np.full(b, state0 - 1, dtype=np.intp)
         x = np.full(b, cfg.x0)
         lnv_mean = np.full(b, math.log(cfg.v0))
-        s_sum, s_rec, w, z_rec, c_sum = np.zeros((5, b))  # S, S at the last record, W, record normals, C
+        s_sum, c_sum = np.zeros((2, b))  # S, C
         g = np.empty((7, b))
         a, bx, c, pn2, kdt, kthdt, ch = g
         xp, sq, acc, tmp = np.empty((4, b))
         lo_xp = np.full(b, math.inf)
-        # an overflowing path is caught at the next record time
+        # an overflow leaves m or S non-finite to the end, so it is caught at the horizon
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(n_steps + 1):
                 if k in changes:
@@ -334,21 +323,8 @@ def simulate_paths(
                     e[idx] = labels
                 if k in rec_slot:
                     s = rec_slot[k]
-                    for off, nb, _, rec_rng in streams:
-                        rec_rng.standard_normal(out=z_rec[off : off + nb])
-                    # W += sqrt(orth (S - S')) Z, then ln V = m + W
-                    np.subtract(s_sum, s_rec, out=tmp)
-                    tmp *= orth
-                    np.sqrt(tmp, out=tmp)
-                    tmp *= z_rec
-                    w += tmp
-                    s_rec[:] = s_sum
-                    np.add(lnv_mean, w, out=tmp)
-                    if not np.isfinite(tmp).all():
-                        raise FloatingPointError(_OVERFLOW)
                     out_states[i0:i1, s] = e + 1
                     out_x[i0:i1, s] = np.maximum(x, 0.0)
-                    out_v[i0:i1, s] = np.exp(tmp)
                     out_mean[i0:i1, s] = lnv_mean
                     np.multiply(s_sum, orth, out=out_var[i0:i1, s])
                     out_c[i0:i1, s] = c_sum
@@ -379,6 +355,15 @@ def simulate_paths(
                 np.multiply(ch, sq, out=acc)
                 x += acc
                 np.minimum(lo_xp, xp, out=lo_xp)
+            # ln V(T) = m + sqrt(s^2) Z: each stream block's next nb normals, after its dW_X ones
+            for off, nb, rng in streams:
+                rng.standard_normal(out=tmp[off : off + nb])
+            np.sqrt(out_var[i0:i1, -1], out=acc)
+            acc *= tmp
+            acc += lnv_mean
+            if not np.isfinite(acc).all():
+                raise FloatingPointError(_OVERFLOW)
+            np.exp(acc, out=out_w[i0:i1])
         min_xeff = min(min_xeff, float(lo_xp.min()))
 
     return PathBundle(
@@ -386,7 +371,7 @@ def simulate_paths(
         record_times=rec_times,
         states=out_states,
         X=out_x,
-        V=out_v,
+        terminal_wealth=out_w,
         log_v_mean=out_mean,
         log_v_var=out_var,
         rho_part=out_c,
@@ -412,7 +397,7 @@ def _state_changes(chain, frozen_path, grid, state0, b, streams) -> dict[int, tu
         # later jumps in the same step overwrite earlier ones
         return {k: (slice(None), label - 1) for k, label in zip(steps, frozen_path.states[1:].tolist())}
     paths, times, labels = [], [], []
-    for off, nb, rng, _ in streams:
+    for off, nb, rng in streams:
         table = sample_block(chain, grid[-1], state0, nb, rng)
         jump = np.ones(len(table.lo), dtype=bool)
         jump[table.first[:-1]] = False
@@ -445,7 +430,7 @@ def _draw_increments(streams, n, refine, buf, dwx) -> None:
     each path's sum of the step's ``refine`` driver normals; their scale
     sqrt(dt / refine) sits in the coefficient table.
     """
-    for off, nb, rng, _ in streams:
+    for off, nb, rng in streams:
         z = buf[: n * refine * nb].reshape(n, refine, nb)
         rng.standard_normal(out=z)
         z.sum(axis=1, out=dwx[:n, off : off + nb])
@@ -530,16 +515,16 @@ def terminal_wealth_histogram(bundle: PathBundle, bin_edges) -> HistogramTable:
     edges = np.asarray(bin_edges, dtype=float)
     if len(edges) < 2 or np.any(np.diff(edges) <= 0):
         raise ValueError("bin_edges must be strictly increasing with >= 2 entries")
-    w = bundle.terminal_wealth
+    wealth = bundle.terminal_wealth
     n_bins = len(edges) - 1
-    # bin i holds edges[i] <= w < edges[i + 1]; below edges[0] is dropped
-    i = np.searchsorted(edges, w, side="right") - 1
+    # bin i holds edges[i] <= wealth < edges[i + 1]; below edges[0] is dropped
+    i = np.searchsorted(edges, wealth, side="right") - 1
     counts = np.bincount(i[(i >= 0) & (i < n_bins)], minlength=n_bins)
-    q05, q95 = np.quantile(w, [0.05, 0.95]).tolist()
+    q05, q95 = np.quantile(wealth, [0.05, 0.95]).tolist()
     return HistogramTable(
         bin_edges=edges,
         counts=counts,
-        overflow=int(np.count_nonzero(w >= edges[-1])),
+        overflow=int(np.count_nonzero(wealth >= edges[-1])),
         q05=q05,
         q95=q95,
     )

@@ -17,6 +17,7 @@ Neither component depends on wealth or on the current factor level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ValueQuery:
-    """Evaluation point (t, wealth, factor level, state label)."""
+    """Evaluation point (t, wealth, factor level, state label).
+
+    Wealth must be finite and positive and the factor level finite and
+    nonnegative, else ValueError.
+    """
 
     t: float
     v: float
@@ -48,10 +53,10 @@ class ValueQuery:
     state: int
 
     def __post_init__(self):
-        if self.v <= 0.0:
-            raise ValueError("wealth must be strictly positive")
-        if self.x < 0.0:
-            raise ValueError("factor level must be nonnegative")
+        if not (math.isfinite(self.v) and self.v > 0.0):
+            raise ValueError(f"wealth must be finite and strictly positive, got {self.v}")
+        if not (math.isfinite(self.x) and self.x >= 0.0):
+            raise ValueError(f"factor level must be finite and nonnegative, got {self.x}")
         if self.state < 1:
             raise ValueError("state labels start at 1")
 

@@ -146,6 +146,18 @@ class TestValidateCommand:
         assert cli.main(["validate", str(bad)]) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["solve", "simulate", "diagnose"])
+    def test_feller_violation_stops_every_run_command(self, command, tmp_path, set1_path, capsys):
+        bad = tmp_path / "feller.cfg"
+        bad.write_text(set1_path.read_text().replace("chi = 0.35", "chi = 1.0"))
+        with pytest.raises(rs.FellerViolated, match="feller state 1"):
+            cli._load_solvable(bad)
+        out = tmp_path / "run.csv"
+        flags = ["--t-grid", "3"] if command == "solve" else ["--paths", "2"]
+        assert cli.main([command, str(bad), *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: feller state 1: 0.16 >= 1 [FAIL]")
+        assert not out.exists()
+
     def test_zero_factor_noise_exits_one(self, tmp_path, set1_path, capsys):
         bad = tmp_path / "chi0.cfg"
         bad.write_text(set1_path.read_text().replace("chi = 0.35", "chi = 0.0"))
@@ -453,20 +465,30 @@ class TestSimulateCommand:
         assert rows[0]["std_err"] == rows[0]["std_err_conditional"] == ""
         assert rows[0]["mean"] == rows[0]["mean_conditional"]
 
-    @pytest.mark.parametrize("flag", ["--paths", "--steps-per-year"])
-    def test_zero_count_flag_exits_one(self, flag, set1_path, tmp_path, capsys):
-        # a zero must reach SimConfig's check, not fall back to the config default
-        argv = ["simulate", str(set1_path), "--paths", "2", "--steps-per-year", "2",
-                flag, "0", "--out", str(tmp_path / "sim0.csv")]
-        assert cli.main(argv) == 1
-        assert "must be >= 1" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "command, flag", [("simulate", "--paths"), ("simulate", "--steps-per-year"), ("diagnose", "--paths")]
+    )
+    def test_zero_count_flag_is_usage_error(self, command, flag, set1_path, tmp_path, capsys):
+        # a zero is refused like a negative seed, not replaced by the config default
+        out = tmp_path / "run0.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, str(set1_path), "--paths", "2", flag, "0", "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"{flag}: must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_set2_mean_lands_near_reported_value(self, set2_path, tmp_path):
         out = tmp_path / "sim2.csv"
         cli.main(["simulate", str(set2_path), "--paths", "2000", "--out", str(out)])
         _, rows = read_csv(out)
         mean, err = float(rows[0]["mean"]), float(rows[0]["std_err"])
-        assert abs(mean - (-0.0802)) < 3 * err
+        # the ODE route's phi(0, state 1) is the target, and it rounds to the paper's -0.0802
+        cfg = cli.load_config(set2_path)
+        p = cfg.params
+        xi = rs.xi_ode(cfg.chain, rs.upsilon_heston(p, rs.d_leverage_fn(p)))
+        phi = rs.value_smmh_rho(p, rs.ValueQuery(t=0.0, v=cfg.v0, x=cfg.x0, state=1), xi)
+        assert abs(phi - (-0.0802)) <= 5e-5, phi
+        assert abs(mean - phi) < 3 * err, (mean, err, phi)
 
 
 class TestDiagnoseCommand:

@@ -68,7 +68,7 @@ class TestSimConfig:
             )
             for kw in (ints, {k: np.int64(v) for k, v in ints.items()})
         ]
-        assert runs[0].V.tobytes() == runs[1].V.tobytes()
+        assert runs[0].terminal_wealth.tobytes() == runs[1].terminal_wealth.tobytes()
         assert runs[0].states.tobytes() == runs[1].states.tobytes()
 
 
@@ -99,14 +99,14 @@ class TestScheme:
         bundle = rs.simulate_paths(set1, chain2, rs.optimal_weight_fn(set1), cfg)
         assert bundle.min_x_effective >= 0.0
         assert bundle.X.min() >= 0.0
-        assert bundle.V.min() > 0.0
+        assert bundle.terminal_wealth.min() > 0.0
 
     def test_determinism_is_block_size_free(self, chain2, set1, monkeypatch):
         cfg = rs.SimConfig(n_paths=400, steps_per_year=30, seed=8, v0=10.0, x0=0.02, state0=1)
         a = rs.simulate_paths(set1, chain2, rs.optimal_weight_fn(set1), cfg, record="terminal")
         monkeypatch.setattr(simulate, "_BLOCK", _STREAM_BLOCK)
         b = rs.simulate_paths(set1, chain2, rs.optimal_weight_fn(set1), cfg, record="terminal")
-        np.testing.assert_array_equal(a.V, b.V)
+        np.testing.assert_array_equal(a.terminal_wealth, b.terminal_wealth)
         np.testing.assert_array_equal(a.states, b.states)
 
     def test_wealth_does_not_depend_on_nu(self, chain2, set1):
@@ -115,7 +115,7 @@ class TestScheme:
         scaled = make_params(nu=[2.0, 0.65])
         a = rs.simulate_paths(set1, chain2, rs.optimal_weight_fn(set1), cfg, record="terminal")
         b = rs.simulate_paths(scaled, chain2, rs.optimal_weight_fn(scaled), cfg, record="terminal")
-        np.testing.assert_array_equal(a.V, b.V)
+        np.testing.assert_array_equal(a.terminal_wealth, b.terminal_wealth)
 
     def test_record_times_must_lie_on_grid(self, chain2, set1):
         cfg = rs.SimConfig(n_paths=2, steps_per_year=10, seed=1, v0=1.0, x0=0.02, state0=1)
@@ -160,15 +160,15 @@ class TestScheme:
 def _scalar_reference(p, chain, weight, cfg, record, frozen_path=None):
     """The module docstring's scheme, one path and one step at a time on Python floats.
 
-    Redraws what ``simulate_paths`` draws from each stream block's two
-    streams: from the first, the chain of every path in the block and
-    then all of its dW_X normals in one call; from the second, one normal
-    per path at each record time.  It keeps the library's operation
-    order; ``weight(t, state)`` is the strategy as a scalar function and
-    ``record`` lists the recorded grid indices.  Returns X, ln V, the
-    conditional mean and variance of ln V, the rho part C of ln V and
-    its quadratic variation <C> = rho^2 dt S and the states at the
-    record times, plus the running minimum of the truncated factor.
+    Redraws what ``simulate_paths`` draws from each stream block's one
+    stream: the chain of every path in the block, then all of its dW_X
+    normals in one call, then one normal Z per path for ln V(T).  It
+    keeps the library's operation order; ``weight(t, state)`` is the
+    strategy as a scalar function and ``record`` lists the recorded grid
+    indices.  Returns X, the conditional mean and variance of ln V, the
+    rho part C of ln V and its quadratic variation <C> = rho^2 dt S and
+    the states at the record times, ln V(T), and the running minimum of
+    the truncated factor.
     """
     horizon = p.horizon
     n_steps = max(1, int(round(horizon * cfg.steps_per_year)))
@@ -181,30 +181,28 @@ def _scalar_reference(p, chain, weight, cfg, record, frozen_path=None):
     r, lam, nu = p.r.tolist(), p.excess_slope.tolist(), p.nu.tolist()
     kappa, theta, chi = p.kappa.tolist(), p.theta.tolist(), p.chi.tolist()
     shape = (cfg.n_paths, len(record))
-    xs, lnvs, means, variances, cs, cqvs = (np.empty(shape) for _ in range(6))
+    xs, means, variances, cs, cqvs = (np.empty(shape) for _ in range(5))
+    log_wealth = np.empty(cfg.n_paths)
     states = np.empty(shape, dtype=np.int64)
     min_xp = math.inf
     for j0 in range(0, cfg.n_paths, _STREAM_BLOCK):
         nb = min(_STREAM_BLOCK, cfg.n_paths - j0)
         rng = rs.path_stream(cfg.seed, j0 // _STREAM_BLOCK)
-        rec_rng = rng.spawn(1)[0]
         if frozen_path is None:
             paths = scalar_block_chain(chain, horizon, cfg.state0, nb, rng)
         else:
             paths = [(frozen_path.jump_times.tolist(), frozen_path.states[1:].tolist())] * nb
         z = rng.standard_normal((n_steps * refine, nb)).tolist()
-        z_rec = [rec_rng.standard_normal(nb).tolist() for _ in record]
+        z_end = rng.standard_normal(nb).tolist()
         for c, (jumps, after) in enumerate(paths):
             i = j0 + c
             labels = [cfg.state0 if frozen_path is None else int(frozen_path.states[0]), *after]
-            x, m, big_s, s_rec, w, big_c = cfg.x0, math.log(cfg.v0), 0.0, 0.0, 0.0, 0.0
+            x, m, big_s, big_c = cfg.x0, math.log(cfg.v0), 0.0, 0.0
             slot = 0
             for k in range(n_steps + 1):
                 e = labels[bisect.bisect_right(jumps, grid[k])] - 1
                 if k == record[slot]:
-                    w += math.sqrt((big_s - s_rec) * orth) * z_rec[slot][c]
-                    s_rec = big_s
-                    xs[i, slot], lnvs[i, slot] = max(x, 0.0), m + w
+                    xs[i, slot] = max(x, 0.0)
                     means[i, slot], variances[i, slot], states[i, slot] = m, big_s * orth, e + 1
                     cs[i, slot], cqvs[i, slot] = big_c, big_s * (rho**2 * dt)
                     slot += 1
@@ -223,7 +221,8 @@ def _scalar_reference(p, chain, weight, cfg, record, frozen_path=None):
                 x += kappa[e] * theta[e] * dt - kappa[e] * dt * xp
                 x += chi[e] * sq_dtd * sq
                 min_xp = min(min_xp, xp)
-    return xs, lnvs, means, variances, cs, cqvs, states, min_xp
+            log_wealth[i] = m + math.sqrt(big_s * orth) * z_end[c]
+    return xs, means, variances, cs, cqvs, states, log_wealth, min_xp
 
 
 def _three_state_market():
@@ -280,11 +279,11 @@ def test_simulate_paths_matches_scalar_reference(
         record_idx = list(range(n_steps + 1))
     else:
         record_idx = sorted({round(t * 20) for t in ([] if record == "terminal" else record)} | {n_steps})
-    xs, lnvs, means, variances, cs, cqvs, states, min_xp = _scalar_reference(
+    xs, means, variances, cs, cqvs, states, log_wealth, min_xp = _scalar_reference(
         p, chain, weight, cfg, record_idx, path
     )
     assert bundle.X.tobytes() == xs.tobytes()
-    assert bundle.V.tobytes() == np.exp(lnvs).tobytes()
+    assert bundle.terminal_wealth.tobytes() == np.exp(log_wealth).tobytes()
     assert bundle.log_v_mean.tobytes() == means.tobytes()
     assert bundle.log_v_var.tobytes() == variances.tobytes()
     assert bundle.rho_part.tobytes() == cs.tobytes()
@@ -314,13 +313,13 @@ def test_results_do_not_depend_on_block_size(frozen, driver_steps_per_year, chai
             rs.simulate_paths(set1, chain2, rs.optimal_weight_fn(set1), cfg, record=[1.0, 2.5], frozen_path=path)
         )
     for other in runs[1:]:
-        for field in ("X", "V", "log_v_mean", "log_v_var", "rho_part", "rho_part_qv", "states"):
+        for field in ("X", "terminal_wealth", "log_v_mean", "log_v_var", "rho_part", "rho_part_qv", "states"):
             assert getattr(other, field).tobytes() == getattr(runs[0], field).tobytes()
         assert other.min_x_effective == runs[0].min_x_effective
 
 
 def test_factor_and_states_do_not_depend_on_record(chain2, set1):
-    # X, the states, the conditional moments of ln V and C come from the first stream only
+    # nothing is drawn at a record time: recording only copies the running values
     cfg = rs.SimConfig(n_paths=_STREAM_BLOCK + 37, steps_per_year=20, seed=29, v0=10.0, x0=0.01, state0=1)
     runs = [
         rs.simulate_paths(set1, chain2, rs.optimal_weight_fn(set1), cfg, record=record)
@@ -332,25 +331,19 @@ def test_factor_and_states_do_not_depend_on_record(chain2, set1):
             assert getattr(bundle, field).tobytes() == np.ascontiguousarray(getattr(runs[0], field)[:, cols]).tobytes()
 
 
-def test_record_normals_do_not_depend_on_the_step_size(chain2, set1):
-    # the record normals come from each block's second stream, one per path and record time
-    n_paths, record = _STREAM_BLOCK + 37, [1.0, 2.5]
-    expected = []
-    for j0 in range(0, n_paths, _STREAM_BLOCK):
-        rec = rs.path_stream(31, j0 // _STREAM_BLOCK).spawn(1)[0]
-        nb = min(_STREAM_BLOCK, n_paths - j0)
-        expected.append(np.stack([rec.standard_normal(nb) for _ in range(len(record) + 1)], axis=1))
-    expected = np.concatenate(expected)
-    for steps_per_year in (250, 500):
+def test_terminal_wealth_depends_on_neither_record_nor_step_size(chain2, set1):
+    # Z follows each block's dW_X normals on its one stream: a common driver grid shares it too
+    n_paths = _STREAM_BLOCK + 37
+    runs = []
+    for steps_per_year, record in ((250, "terminal"), (250, [1.0, 2.5]), (500, "all")):
         cfg = rs.SimConfig(
             n_paths=n_paths, steps_per_year=steps_per_year, seed=31, v0=10.0, x0=0.02, state0=1,
             driver_steps_per_year=500,
         )
-        bundle = rs.simulate_paths(set1, chain2, rs.optimal_weight_fn(set1), cfg, record=record)
-        # each record interval adds sqrt(its conditional variance) Z to ln V - m
-        dw = np.diff(np.log(bundle.V) - bundle.log_v_mean, axis=1, prepend=0.0)
-        z = dw / np.sqrt(np.diff(bundle.log_v_var, axis=1, prepend=0.0))
-        np.testing.assert_allclose(z, expected, rtol=0.0, atol=1e-9)
+        runs.append(rs.simulate_paths(set1, chain2, rs.optimal_weight_fn(set1), cfg, record=record))
+    assert runs[1].terminal_wealth.tobytes() == runs[0].terminal_wealth.tobytes()
+    z = [(np.log(b.terminal_wealth) - b.log_v_mean[:, -1]) / np.sqrt(b.log_v_var[:, -1]) for b in runs]
+    np.testing.assert_allclose(z[2], z[0], rtol=0.0, atol=1e-9)
 
 
 @pytest.mark.parametrize("case", ["set1", "set2", "set1_smmh_rho0"])
@@ -404,8 +397,8 @@ class TestControlledEstimator:
         assert np.isfinite(bundle.rho_part_qv).all() and (bundle.rho_part_qv[:, 1:] > 0).all()
         assert bundle.rho_part_qv[:, 0].tolist() == [0.0] * 50
         np.testing.assert_allclose(bundle.rho_part_qv[:, 1:], steps, rtol=1e-12, atol=0.0)
-        # with no orthogonal noise, ln V is its conditional mean
-        np.testing.assert_allclose(np.log(bundle.V), bundle.log_v_mean, rtol=0.0, atol=1e-13)
+        # with no orthogonal noise, ln V(T) is its conditional mean
+        np.testing.assert_allclose(np.log(bundle.terminal_wealth), bundle.log_v_mean[:, -1], rtol=0.0, atol=1e-13)
         mean, err = rs.expected_utility_controlled(bundle, p.delta)
         assert math.isfinite(mean) and 0.0 < err
 
@@ -434,7 +427,7 @@ class TestHistogram:
         one = np.ones((len(w), 1))
         bundle = rs.PathBundle(
             grid=np.array([0.0, 1.0]), record_times=np.array([1.0]), states=one.astype(np.int16), X=one,
-            V=w[:, None], log_v_mean=one, log_v_var=one, rho_part=one, rho_part_qv=one, seed=0, min_x_effective=1.0,
+            terminal_wealth=w, log_v_mean=one, log_v_var=one, rho_part=one, rho_part_qv=one, seed=0, min_x_effective=1.0,
         )
         hist = rs.terminal_wealth_histogram(bundle, edges)
         counts = [np.count_nonzero((w >= lo) & (w < hi)) for lo, hi in zip(edges[:-1], edges[1:])]

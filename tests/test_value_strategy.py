@@ -215,3 +215,22 @@ class TestValueSmmhRho:
         with pytest.raises(rs.DomainViolation):
             rs.value_smmh_rho(p, rs.ValueQuery(t=0.0, v=1.0, x=0.0, state=1), xi)
 
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("v", float("nan"), "wealth"),
+        ("v", float("inf"), "wealth"),
+        ("x", float("nan"), "factor level"),
+        ("x", float("inf"), "factor level"),
+    ],
+)
+def test_value_routes_reject_non_finite_wealth_and_factor(field, value, message, chain2):
+    point = dict(v=10.0, x=0.02)
+    point[field] = value
+    with pytest.raises(ValueError, match=f"{message} must be finite"):
+        rs.ValueQuery(t=0.0, state=1, **point)
+    mmh = make_params(variant="mmh", d=None, rho=0.0, lam_hat=[1.7, 2.21])
+    with pytest.raises(ValueError, match=f"{message} must be finite"):
+        rs.value_mmh_table(mmh, chain2, [0.0, 5.0], n_paths=20, seed=1, **point)
