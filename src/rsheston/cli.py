@@ -279,7 +279,7 @@ def cmd_validate(args) -> int:
     for check in feller.checks + solvable.checks:
         print(check.describe())
     ok = feller.ok and solvable.ok
-    print(f"overall: {'pass' if ok else 'FAIL'} (vartheta = {_fmt(solvable.vartheta)})")
+    print(f"overall: {'pass' if ok else 'FAIL'} (vartheta = {_fmt(cfg.params.vartheta)})")
     return 0 if ok else 1
 
 
@@ -300,8 +300,7 @@ def cmd_solve(args) -> int:
             xi = xi_mc_table(cfg.chain, integrand, times, cfg.n_paths_xi, cfg.seed)
         else:
             xi = xi_ode(cfg.chain, integrand, times=times)
-        # every time is a table node on either route, so this reads the nodes
-        xi_vals = np.column_stack([np.interp(times, xi.times, xi.values[:, e]) for e in range(p.n_states)])
+        xi_vals = xi.row(times)  # every time is a table node on either route
         d_vals = D_leverage(p, times)
         # the separable value (v0**delta/delta) xi(t, e) exp{D(t) x0}, as value_smmh_rho
         phi = util * xi_vals * np.exp(d_vals * cfg.x0)[:, None]

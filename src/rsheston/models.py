@@ -215,7 +215,6 @@ class ValidationReport:
     """Deterministic, order-stable list of per-check outcomes."""
 
     checks: tuple[CheckResult, ...]
-    vartheta: float = 1.0
 
     @property
     def ok(self) -> bool:
@@ -248,7 +247,7 @@ def validate_feller(p: HestonRegimeParams) -> ValidationReport:
         )
         for e in range(p.n_states)
     )
-    return ValidationReport(checks=checks, vartheta=p.vartheta)
+    return ValidationReport(checks=checks)
 
 
 def validate_solution_assumptions(p: HestonRegimeParams) -> ValidationReport:
@@ -308,4 +307,4 @@ def validate_solution_assumptions(p: HestonRegimeParams) -> ValidationReport:
                     float(2.0 * vt * bound),
                 )
             )
-    return ValidationReport(checks=tuple(checks), vartheta=vt)
+    return ValidationReport(checks=tuple(checks))

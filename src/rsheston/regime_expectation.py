@@ -12,11 +12,12 @@ Two independent routes are provided and cross-checked in the tests:
       xi(T, e_i) = 1.
 
   The mesh passes through 0, T and every time the caller asks for, so
-  those are table nodes.  Every step is bisected, from steps of at most
-  T/50, until the step-doubling estimate of the relative error is at
-  most ``_RTOL`` = 1e-10 on a table that is finite and positive; the
-  table carries that estimate, and a mesh that would need more than
-  ``_MAX_STEPS`` steps raises StepFailure.
+  those are table nodes; an ``XiTable`` is read at its nodes only.
+  Every step is bisected, from steps of at most T/50, until the
+  step-doubling estimate of the relative error is at most ``_RTOL`` =
+  1e-10 on a table that is finite and positive; the table carries that
+  estimate, and a mesh that would need more than ``_MAX_STEPS`` steps
+  raises StepFailure.
   The system is linear, so each RK4 step is one l x l propagator; a
   chunk of them is built at once by batched matrix products from one
   evaluation of u at all of the chunk's stage times, and applied by a
@@ -102,11 +103,12 @@ def upsilon_heston(p: HestonRegimeParams, coeff_fn: Callable[[float], float]) ->
 class XiTable:
     """Sampled xi values on a time grid, one column per state.
 
-    Linear interpolation in t is used between grid nodes, so the times
-    must not decrease (ValueError otherwise); the terminal row is
-    exactly 1.  ``std_err`` is populated for the MC method, and
-    ``error_estimate`` (the step-doubling estimate of the largest
-    relative error) for ``xi_ode``.
+    ``row`` and ``at`` return the value stored at a node, never one made
+    up between nodes: a time farther than 1e-12 from every node raises
+    ValueError.  The times must not decrease (ValueError otherwise), and
+    the terminal row is exactly 1.  ``std_err`` is populated for the MC
+    method, and ``error_estimate`` (the step-doubling estimate of the
+    largest relative error, which holds at the nodes) for ``xi_ode``.
     """
 
     times: np.ndarray
@@ -123,22 +125,30 @@ class XiTable:
     def n_states(self) -> int:
         return self.values.shape[1]
 
-    def _checked_time(self, t: float) -> float:
-        t = float(t)
-        if not self.times[0] - 1e-12 <= t <= self.times[-1] + 1e-12:  # also rejects nan
-            raise ValueError(f"t = {t} outside the tabulated range")
-        return t
+    def _nodes(self, t) -> np.ndarray:
+        """Index of the node nearest each time in t, which must lie within 1e-12 of it."""
+        t = np.asarray(t, dtype=float)
+        times = self.times
+        outside = t[~((times[0] - 1e-12 <= t) & (t <= times[-1] + 1e-12))]  # also catches nan
+        if outside.size:
+            raise ValueError(f"t = {outside[0]} outside the tabulated range")
+        j = np.minimum(np.searchsorted(times, t), len(times) - 1)
+        below = np.maximum(j - 1, 0)
+        j = np.where(t - times[below] < times[j] - t, below, j)
+        off = t[np.abs(times[j] - t) > 1e-12]
+        if off.size:
+            raise ValueError(f"t = {off[0]} is not a node of the table; xi is read only where it was solved")
+        return j
 
-    def row(self, t: float) -> np.ndarray:
-        """All-state values at time t (linear interpolation)."""
-        t = self._checked_time(t)
-        return np.array([np.interp(t, self.times, col) for col in self.values.T])
+    def row(self, t) -> np.ndarray:
+        """All-state values at the node t; for an array of times, one row per time."""
+        return self.values[self._nodes(t)]
 
     def at(self, t: float, state: int) -> float:
-        """Value of state (1..n_states) at time t; raises ValueError like ``row``."""
+        """Value of state (1..n_states) at the node t; raises ValueError like ``row``."""
         if state not in range(1, self.n_states + 1):
             raise ValueError(f"state {state!r} outside 1..{self.n_states}")
-        return float(np.interp(self._checked_time(t), self.times, self.values[:, state - 1]))
+        return float(self.values[self._nodes(t), state - 1])
 
 
 def xi_mc(
@@ -228,7 +238,7 @@ def xi_ode(spec: MarkovChainSpec, integrand: RegimeIntegrand, *, times=()) -> Xi
     """Backward RK4 solution of the coupled linear system for xi.
 
     The mesh runs through the knots {0, T} and ``times``: each time is a
-    table node bitwise, so reading the table there interpolates nothing.
+    table node bitwise, where ``XiTable.row`` and ``.at`` read it.
     A time that is not in [0, T] raises DomainViolation.  Each gap
     between neighbouring knots is split into equal steps of at most T/50
     first; then every step is bisected and the system solved again until

@@ -50,23 +50,19 @@ then has mean exactly 0 under the scheme, and
 values as a control variate (Glasserman, section 4.1).
 
 What depends only on (step, state) is tabulated once per run, per step
-k and state e, with pi = strategy(t_k, e) and h = sqrt(dt / refine) the
-scale of one driver normal: r dt, (pi lam_hat - (pi nu)^2 / 2) dt,
-rho h pi nu, (pi nu)^2, kappa dt, kappa theta dt and chi h.  A step
+k and state e, with pi = strategy(t_k, e) and h = sqrt(dt) the scale of
+one step's normal: r dt, (pi lam_hat - (pi nu)^2 / 2) dt, rho h pi nu,
+(pi nu)^2, kappa dt, kappa theta dt and chi h.  A step
 gathers one row per path and updates m, S and X in place.
 
 Paths come in stream blocks of 256: block j (paths 256 j onward) owns
 one RNG stream, ``path_stream(seed, j)``.  It draws the chain
 trajectories of all the block's paths (``sample_block``), then their
-dW_X normals, step-major: driver step by driver step, one normal per
-path; then each path's Z.  So nothing drawn depends on ``record``.  Nor
-does it depend on ``_BLOCK``, which only sets how many paths (whole
-stream blocks) are stepped together to bound memory, so results are
-bitwise reproducible regardless of batching.  Setting
-``driver_steps_per_year`` draws dW_X on a finer grid and sums it per
-step as it is drawn: two runs at different step sizes but the same
-driver grid then share their Brownian paths and their Z exactly, which
-makes discretization-convergence comparisons nearly noise-free.
+dW_X normals, step-major: step by step, one normal per path; then
+each path's Z.  So nothing drawn depends on ``record``.  Nor does it
+depend on ``_BLOCK``, which only sets how many paths (whole stream
+blocks) are stepped together to bound memory, so results are bitwise
+reproducible regardless of batching.
 """
 
 from __future__ import annotations
@@ -101,7 +97,7 @@ __all__ = [
 Strategy = Callable[[np.ndarray], np.ndarray]
 
 _BLOCK = 8192  # paths stepped together, a multiple of _STREAM_BLOCK: bounds memory only
-_DRIVER_CHUNK = 64  # driver steps of normals drawn per call into the reused buffer
+_DRAW_CHUNK = 64  # steps of normals drawn per call into the reused buffer
 _OVERFLOW = "wealth overflowed; check the strategy and parameters"
 
 
@@ -110,9 +106,7 @@ class SimConfig:
     """Simulation run parameters.
 
     The counts, the seed and ``state0`` must be integers (Python or
-    numpy), else ConfigError names the field.  ``driver_steps_per_year``
-    (optional) must be a positive multiple of ``steps_per_year``; see
-    the module docstring.
+    numpy), else ConfigError names the field.
     """
 
     n_paths: int
@@ -121,11 +115,9 @@ class SimConfig:
     v0: float
     x0: float
     state0: int
-    driver_steps_per_year: int | None = None
 
     def __post_init__(self):
-        optional = () if self.driver_steps_per_year is None else ("driver_steps_per_year",)
-        for name in ("n_paths", "steps_per_year", "seed", "state0", *optional):
+        for name in ("n_paths", "steps_per_year", "seed", "state0"):
             if not isinstance(getattr(self, name), (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_paths < 1:
@@ -140,8 +132,6 @@ class SimConfig:
             raise ConfigError(f"x0 must be finite and nonnegative, got {self.x0}")
         if self.state0 < 1:
             raise ConfigError("state0 must be a 1-based state label")
-        if optional and (self.driver_steps_per_year < 1 or self.driver_steps_per_year % self.steps_per_year):
-            raise ConfigError("driver_steps_per_year must be a positive multiple of steps_per_year")
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,8 +150,8 @@ class PathBundle:
     ``terminal_wealth`` are the same.
     ``min_x_effective``, the least truncated factor of any path, is
     tracked over every step, not only recorded ones.  RNG provenance:
-    under ``seed``, the stream of block j belongs to paths 256 j to
-    256 j + 255 (see the module docstring).
+    under the run's seed, the stream of block j belongs to paths 256 j
+    to 256 j + 255 (see the module docstring).
     """
 
     grid: np.ndarray
@@ -173,7 +163,6 @@ class PathBundle:
     log_v_var: np.ndarray
     rho_part: np.ndarray
     rho_part_qv: np.ndarray
-    seed: int
     min_x_effective: float
 
     @property
@@ -181,7 +170,8 @@ class PathBundle:
         return len(self.terminal_wealth)
 
     def column(self, t: float) -> int:
-        hits = np.flatnonzero(np.abs(self.record_times - t) <= 1e-9)
+        """Column of record time t, matched within ``record``'s on-grid tolerance; KeyError if absent."""
+        hits = np.flatnonzero(np.abs(self.record_times - t) <= _on_grid_tol(self.grid))
         if not hits.size:
             raise KeyError(f"time {t} was not recorded")
         return int(hits[0])
@@ -206,6 +196,11 @@ def optimal_weight_fn(p: HestonRegimeParams) -> Strategy:
     return fn
 
 
+def _on_grid_tol(grid: np.ndarray) -> float:
+    """How far a time may lie from a step grid time and still name it: 1e-9 max(1, T)."""
+    return 1e-9 * max(1.0, grid[-1])
+
+
 def _record_indices(record, n_steps: int, grid: np.ndarray) -> np.ndarray:
     if isinstance(record, str):
         if record == "all":
@@ -214,12 +209,11 @@ def _record_indices(record, n_steps: int, grid: np.ndarray) -> np.ndarray:
             return np.array([n_steps])
         raise ConfigError(f"unknown record mode {record!r}")
     idx = set()
-    tol = 1e-9 * max(1.0, grid[-1])
+    tol = _on_grid_tol(grid)
     for t in record:
         if not -tol <= float(t) <= grid[-1] + tol:  # also rejects nan
             raise ConfigError(f"record time {t} is outside [0, T] = [0, {grid[-1]}]")
-        j = int(round(float(t) / grid[1])) if n_steps else 0
-        j = min(max(j, 0), n_steps)
+        j = min(max(int(round(float(t) / grid[1])), 0), n_steps)
         if abs(grid[j] - float(t)) > tol:
             raise ConfigError(f"record time {t} is not on the step grid")
         idx.add(j)
@@ -258,10 +252,7 @@ def simulate_paths(
     dt = horizon / n_steps
     grid = np.arange(n_steps + 1) * dt
     grid[-1] = horizon
-    refine = 1
-    if cfg.driver_steps_per_year is not None:
-        refine = cfg.driver_steps_per_year // cfg.steps_per_year
-    sq_dtd = math.sqrt(dt / refine)
+    sq_dt = math.sqrt(dt)
 
     rec_idx = _record_indices(record, n_steps, grid)
     rec_times = grid[rec_idx]
@@ -277,9 +268,9 @@ def simulate_paths(
         pi_nu2 = pi_nu**2
         coef[:, 0] = p.r * dt
         coef[:, 1] = (pi * p.excess_slope - 0.5 * pi_nu2) * dt
-        coef[:, 2] = (p.rho * sq_dtd) * pi_nu
+        coef[:, 2] = (p.rho * sq_dt) * pi_nu
         coef[:, 3] = pi_nu2
-        coef[:, 4:] = np.stack([p.kappa * dt, p.kappa * p.theta * dt, p.chi * sq_dtd])
+        coef[:, 4:] = np.stack([p.kappa * dt, p.kappa * p.theta * dt, p.chi * sq_dt])
     if not np.isfinite(coef).all():
         raise FloatingPointError(_OVERFLOW)
     orth = max(0.0, 1.0 - p.rho**2) * dt  # the variance of ln V's dW_perp part is orth * S
@@ -297,15 +288,14 @@ def simulate_paths(
     min_xeff = math.inf
 
     sb = _STREAM_BLOCK
-    chunk = max(1, _DRIVER_CHUNK // refine)  # steps per normal draw
-    buf = np.empty(chunk * refine * sb)
+    buf = np.empty(_DRAW_CHUNK * sb)
     state0 = cfg.state0 if frozen_path is None else int(frozen_path.state_at(grid[0]))
     for i0 in range(0, n_paths, _BLOCK):
         i1 = min(i0 + _BLOCK, n_paths)
         b = i1 - i0
         streams = [(j0 - i0, min(sb, i1 - j0), path_stream(cfg.seed, j0 // sb)) for j0 in range(i0, i1, sb)]
         changes = _state_changes(chain, frozen_path, grid, state0, b, streams)
-        dwx = np.empty((chunk, b))
+        dwx = np.empty((_DRAW_CHUNK, b))
 
         e = np.full(b, state0 - 1, dtype=np.intp)
         x = np.full(b, cfg.x0)
@@ -331,9 +321,9 @@ def simulate_paths(
                     np.multiply(s_sum, rho2dt, out=out_cqv[i0:i1, s])
                 if k == n_steps:
                     break
-                j = k % chunk
+                j = k % _DRAW_CHUNK
                 if j == 0:
-                    _draw_increments(streams, min(chunk, n_steps - k), refine, buf, dwx)
+                    _draw_increments(streams, min(_DRAW_CHUNK, n_steps - k), buf, dwx)
                 # the labels are valid indices; mode="clip" lets take write into g unbuffered
                 np.take(coef[k], e, axis=1, out=g, mode="clip")
                 np.maximum(x, 0.0, out=xp)
@@ -376,7 +366,6 @@ def simulate_paths(
         log_v_var=out_var,
         rho_part=out_c,
         rho_part_qv=out_cqv,
-        seed=cfg.seed,
         min_x_effective=min_xeff,
     )
 
@@ -421,19 +410,19 @@ def _state_changes(chain, frozen_path, grid, state0, b, streams) -> dict[int, tu
     }
 
 
-def _draw_increments(streams, n, refine, buf, dwx) -> None:
+def _draw_increments(streams, n, buf, dwx) -> None:
     """Fill rows :n of dwx with the next n steps' dW_X normals of every stream block.
 
-    Each stream draws its (driver step, path) normals into ``buf``;
+    Each stream draws its (step, path) normals, one per path per step,
+    into the contiguous ``buf`` and copies them to its columns of dwx;
     consecutive calls continue the stream exactly where the last one
-    stopped, so chunking does not change a single draw.  A row holds
-    each path's sum of the step's ``refine`` driver normals; their scale
-    sqrt(dt / refine) sits in the coefficient table.
+    stopped, so chunking does not change a single draw.  Their scale
+    sqrt(dt) sits in the coefficient table.
     """
     for off, nb, rng in streams:
-        z = buf[: n * refine * nb].reshape(n, refine, nb)
+        z = buf[: n * nb].reshape(n, nb)
         rng.standard_normal(out=z)
-        z.sum(axis=1, out=dwx[:n, off : off + nb])
+        dwx[:n, off : off + nb] = z
 
 
 def _conditional_power(bundle: PathBundle, col: int, delta: float, log_factor=0.0) -> np.ndarray:
@@ -545,8 +534,8 @@ def martingale_diagnostic(
     Monte Carlo noise; under any other admissible strategy they drift
     downward.  Returns rows (t, mean, std_err, z) where z measures the
     gap to Phi(0, v0, x0, state0).  Phi reads xi from ``xi_ode`` at its
-    default tolerance, on a mesh through the checkpoints, so xi is never
-    interpolated between nodes; a checkpoint outside [0, T] raises
+    default tolerance, on a mesh through the checkpoints, so each one is
+    a node of the table; a checkpoint outside [0, T] raises
     DomainViolation there.
 
     Phi = V^delta / delta * xi(t, e) exp(D(t) X), and every factor but

@@ -173,7 +173,7 @@ def _mmh_cells(p: HestonRegimeParams, chain: MarkovChainSpec, times, starts, v, 
 
 
 def value_smmh_rho(p: HestonRegimeParams, q: ValueQuery, xi: XiTable) -> float:
-    """Separable value (SMMH or SMMH_RHO): (v**delta/delta) xi(t, e) exp{D(t) x}."""
+    """Separable value (SMMH or SMMH_RHO): (v**delta/delta) xi(t, e) exp{D(t) x}, t a node of ``xi``."""
     if p.variant is Variant.MMH:
         raise DomainViolation("value_smmh_rho applies to the separable variants only")
     q.check(p)

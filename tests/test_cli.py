@@ -547,6 +547,15 @@ class TestDiagnoseCommand:
         assert "--checkpoints" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_checkpoint_accepted_near_the_grid_is_found_again(self, set1_path, tmp_path):
+        # 2.500000004 lies within the grid tolerance 1e-9 max(1, T) = 5e-9 of step time 2.5,
+        # so the simulation records it and the diagnostic must read that column back
+        out = tmp_path / "d.csv"
+        argv = ["diagnose", str(set1_path), "--checkpoints", "0,2.500000004,5", "--paths", "20", "--out", str(out)]
+        assert cli.main(argv) == 0
+        _, rows = read_csv(out)
+        assert [float(row["t"]) for row in rows] == [0.0, 2.500000004, 5.0]
+
     @pytest.mark.parametrize("value", ["-1", "7", "0,5.5"])
     def test_checkpoint_outside_the_horizon_exits_one(self, value, set1_path, tmp_path, capsys):
         out = tmp_path / "d.csv"

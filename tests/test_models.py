@@ -171,4 +171,3 @@ class TestSolutionAssumptions:
         a = rs.validate_solution_assumptions(set1)
         b = rs.validate_solution_assumptions(set1)
         assert a.checks == b.checks
-        assert a.vartheta == b.vartheta

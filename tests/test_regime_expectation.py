@@ -206,15 +206,26 @@ class TestXiTable:
         assert table.std_err[-1, 0] == 0.0
 
     def test_rejects_decreasing_times(self, chain2):
-        # interpolation reads times in increasing order: a reversed table would refuse its own nodes
+        # the node lookup bisects times in increasing order: a reversed table would refuse its own nodes
         with pytest.raises(ValueError, match="must not decrease"):
             rs.xi_mc_table(chain2, flat_integrand(0.01, 2.0, 2), [2.0, 0.0], 50, seed=1)
 
-    def test_interpolation_onto_grid_nodes_is_exact(self, chain2, set1):
+    def test_at_reads_the_stored_node_value(self, chain2, set1):
         integrand = rs.upsilon_heston(set1, rs.d_leverage_fn(set1))
         table = rs.xi_ode(chain2, integrand)
         k = 3
         assert table.at(float(table.times[k]), 2) == table.values[k, 1]
+
+    def test_row_and_at_raise_between_nodes(self, chain2, set1):
+        # a value between nodes would carry an error that error_estimate does not bound
+        table = rs.xi_ode(chain2, rs.upsilon_heston(set1, rs.d_leverage_fn(set1)))
+        k = 3
+        for t in (0.5 * (table.times[k] + table.times[k + 1]), table.times[k] + 1e-11):
+            with pytest.raises(ValueError, match="not a node"):
+                table.row(t)
+            with pytest.raises(ValueError, match="not a node"):
+                table.at(t, 1)
+        np.testing.assert_array_equal(table.row(table.times[k] + 1e-13), table.values[k])
 
     @pytest.mark.parametrize("state", [0, 3, -1, 1.5])
     def test_at_rejects_a_state_outside_the_table(self, chain2, state):

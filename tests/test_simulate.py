@@ -26,11 +26,6 @@ class TestSimConfig:
             rs.SimConfig(n_paths=0, steps_per_year=10, seed=1, v0=1.0, x0=0.0, state0=1)
         with pytest.raises(rs.ConfigError):
             rs.SimConfig(n_paths=1, steps_per_year=10, seed=1, v0=0.0, x0=0.0, state0=1)
-        with pytest.raises(rs.ConfigError):
-            rs.SimConfig(
-                n_paths=1, steps_per_year=10, seed=1, v0=1.0, x0=0.0, state0=1,
-                driver_steps_per_year=15,
-            )
 
     @pytest.mark.parametrize(
         "field, value", [("v0", math.nan), ("v0", math.inf), ("x0", math.inf), ("x0", math.nan)]
@@ -49,9 +44,6 @@ class TestSimConfig:
             ("seed", 2.5),
             ("seed", -1),
             ("state0", 1.0),
-            ("driver_steps_per_year", 20.0),
-            ("driver_steps_per_year", 0),
-            ("driver_steps_per_year", -10),
         ],
     )
     def test_rejects_fractional_counts_and_bad_seeds_by_name(self, field, value):
@@ -61,7 +53,7 @@ class TestSimConfig:
             rs.SimConfig(**kwargs)
 
     def test_numpy_integers_run_as_python_integers(self, chain2, set1):
-        ints = dict(n_paths=3, steps_per_year=10, seed=5, state0=2, driver_steps_per_year=20)
+        ints = dict(n_paths=3, steps_per_year=10, seed=5, state0=2)
         runs = [
             rs.simulate_paths(
                 set1, chain2, rs.constant_strategy(0.3), rs.SimConfig(v0=10.0, x0=0.02, **kw), record="all"
@@ -136,26 +128,6 @@ class TestScheme:
         with pytest.raises(FloatingPointError, match="wealth overflowed"):
             rs.simulate_paths(p, chain1, rs.constant_strategy(1e150), cfg)
 
-    def test_discretization_convergence_with_shared_driver(self, chain2, set1):
-        # the two runs share Brownian paths through the common driver grid,
-        # isolating the step-size effect from Monte Carlo noise
-        coarse_cfg = rs.SimConfig(
-            n_paths=100_000, steps_per_year=250, seed=10, v0=10.0, x0=0.02, state0=1,
-            driver_steps_per_year=500,
-        )
-        fine_cfg = rs.SimConfig(
-            n_paths=100_000, steps_per_year=500, seed=10, v0=10.0, x0=0.02, state0=1,
-            driver_steps_per_year=500,
-        )
-        strat = rs.optimal_weight_fn(set1)
-        coarse = rs.expected_utility_mc(
-            rs.simulate_paths(set1, chain2, strat, coarse_cfg, record="terminal"), set1.delta
-        )
-        fine = rs.expected_utility_mc(
-            rs.simulate_paths(set1, chain2, strat, fine_cfg, record="terminal"), set1.delta
-        )
-        assert abs(coarse[0] - fine[0]) < coarse[1]
-
 
 def _scalar_reference(p, chain, weight, cfg, record, frozen_path=None):
     """The module docstring's scheme, one path and one step at a time on Python floats.
@@ -175,8 +147,7 @@ def _scalar_reference(p, chain, weight, cfg, record, frozen_path=None):
     dt = horizon / n_steps
     grid = (np.arange(n_steps + 1) * dt).tolist()
     grid[-1] = horizon
-    refine = (cfg.driver_steps_per_year or cfg.steps_per_year) // cfg.steps_per_year
-    sq_dtd = math.sqrt(dt / refine)
+    sq_dt = math.sqrt(dt)
     rho, orth = p.rho, max(0.0, 1.0 - p.rho**2) * dt
     r, lam, nu = p.r.tolist(), p.excess_slope.tolist(), p.nu.tolist()
     kappa, theta, chi = p.kappa.tolist(), p.theta.tolist(), p.chi.tolist()
@@ -192,7 +163,7 @@ def _scalar_reference(p, chain, weight, cfg, record, frozen_path=None):
             paths = scalar_block_chain(chain, horizon, cfg.state0, nb, rng)
         else:
             paths = [(frozen_path.jump_times.tolist(), frozen_path.states[1:].tolist())] * nb
-        z = rng.standard_normal((n_steps * refine, nb)).tolist()
+        z = rng.standard_normal((n_steps, nb)).tolist()
         z_end = rng.standard_normal(nb).tolist()
         for c, (jumps, after) in enumerate(paths):
             i = j0 + c
@@ -208,18 +179,17 @@ def _scalar_reference(p, chain, weight, cfg, record, frozen_path=None):
                     slot += 1
                 if k == n_steps:
                     break
-                zsum = sum(row[c] for row in z[k * refine:(k + 1) * refine])
                 pi = weight(grid[k], e + 1)
                 pn = pi * nu[e]
                 pn2 = pn * pn
                 xp = max(x, 0.0)
-                sq = math.sqrt(xp) * zsum
-                rho_step = (rho * sq_dtd) * pn * sq
+                sq = math.sqrt(xp) * z[k][c]
+                rho_step = (rho * sq_dt) * pn * sq
                 m += (r[e] * dt + (pi * lam[e] - 0.5 * pn2) * dt * xp) + rho_step
                 big_c += rho_step
                 big_s += pn2 * xp
                 x += kappa[e] * theta[e] * dt - kappa[e] * dt * xp
-                x += chi[e] * sq_dtd * sq
+                x += chi[e] * sq_dt * sq
                 min_xp = min(min_xp, xp)
             log_wealth[i] = m + math.sqrt(big_s * orth) * z_end[c]
     return xs, means, variances, cs, cqvs, states, log_wealth, min_xp
@@ -246,31 +216,27 @@ def _frozen_path(horizon=5.0):
 
 
 @pytest.mark.parametrize(
-    "three_states, frozen, driver_steps_per_year, block, n_paths, record",
+    "three_states, frozen, block, n_paths, record",
     [
-        pytest.param(False, False, None, None, 23, "all", id="refine1"),
-        pytest.param(False, False, 60, None, 23, "all", id="refine3"),
-        pytest.param(False, False, 60, _STREAM_BLOCK, 23, "all", id="refine3_block7"),
-        pytest.param(False, True, None, _STREAM_BLOCK, 23, "all", id="frozen_block7"),
-        pytest.param(True, False, 60, _STREAM_BLOCK, 23, "all", id="three_states"),
-        pytest.param(False, False, None, _STREAM_BLOCK, 2 * _STREAM_BLOCK + 23, "all", id="partial_stream_block"),
-        pytest.param(False, False, 60, _STREAM_BLOCK, _STREAM_BLOCK + 23, [1.0, 2.5], id="record_times_refine3"),
-        pytest.param(False, True, None, None, 23, [2.5, 1.0], id="record_times_frozen"),
-        pytest.param(True, False, None, _STREAM_BLOCK, _STREAM_BLOCK + 23, "terminal", id="terminal_three_states"),
+        pytest.param(False, False, None, 23, "all", id="refine1"),
+        pytest.param(False, False, _STREAM_BLOCK, 23, "all", id="sampled_block7"),
+        pytest.param(False, True, _STREAM_BLOCK, 23, "all", id="frozen_block7"),
+        pytest.param(True, False, _STREAM_BLOCK, 23, "all", id="three_states"),
+        pytest.param(False, False, _STREAM_BLOCK, 2 * _STREAM_BLOCK + 23, "all", id="partial_stream_block"),
+        pytest.param(False, False, _STREAM_BLOCK, _STREAM_BLOCK + 23, [1.0, 2.5], id="record_times_sampled"),
+        pytest.param(False, True, None, 23, [2.5, 1.0], id="record_times_frozen"),
+        pytest.param(True, False, _STREAM_BLOCK, _STREAM_BLOCK + 23, "terminal", id="terminal_three_states"),
     ],
 )
 def test_simulate_paths_matches_scalar_reference(
-    three_states, frozen, driver_steps_per_year, block, n_paths, record, chain2, set1, monkeypatch
+    three_states, frozen, block, n_paths, record, chain2, set1, monkeypatch
 ):
     p, chain, strategy = set1, chain2, rs.optimal_weight_fn(set1)
     weight = lambda t, state: rs.optimal_strategy(set1, t, state).pi_total  # noqa: E731
     if three_states:
         p, chain, strategy, weight = _three_state_market()
     path = _frozen_path() if frozen else None
-    cfg = rs.SimConfig(
-        n_paths=n_paths, steps_per_year=20, seed=17, v0=10.0, x0=0.01, state0=2,
-        driver_steps_per_year=driver_steps_per_year,
-    )
+    cfg = rs.SimConfig(n_paths=n_paths, steps_per_year=20, seed=17, v0=10.0, x0=0.01, state0=2)
     if block is not None:
         monkeypatch.setattr(simulate, "_BLOCK", block)
     bundle = rs.simulate_paths(p, chain, strategy, cfg, record=record, frozen_path=path)
@@ -292,19 +258,9 @@ def test_simulate_paths_matches_scalar_reference(
     assert bundle.min_x_effective == min_xp
 
 
-@pytest.mark.parametrize(
-    "frozen, driver_steps_per_year",
-    [
-        pytest.param(False, None, id="sampled"),
-        pytest.param(True, None, id="frozen"),
-        pytest.param(False, 60, id="refine3"),
-    ],
-)
-def test_results_do_not_depend_on_block_size(frozen, driver_steps_per_year, chain2, set1, monkeypatch):
-    cfg = rs.SimConfig(
-        n_paths=2 * _STREAM_BLOCK + 37, steps_per_year=20, seed=23, v0=10.0, x0=0.01, state0=1,
-        driver_steps_per_year=driver_steps_per_year,
-    )
+@pytest.mark.parametrize("frozen", [pytest.param(False, id="sampled"), pytest.param(True, id="frozen")])
+def test_results_do_not_depend_on_block_size(frozen, chain2, set1, monkeypatch):
+    cfg = rs.SimConfig(n_paths=2 * _STREAM_BLOCK + 37, steps_per_year=20, seed=23, v0=10.0, x0=0.01, state0=1)
     path = _frozen_path() if frozen else None
     runs = []
     for size in (simulate._BLOCK, _STREAM_BLOCK, 2 * _STREAM_BLOCK):  # all paths, one and two stream blocks at once
@@ -331,19 +287,14 @@ def test_factor_and_states_do_not_depend_on_record(chain2, set1):
             assert getattr(bundle, field).tobytes() == np.ascontiguousarray(getattr(runs[0], field)[:, cols]).tobytes()
 
 
-def test_terminal_wealth_depends_on_neither_record_nor_step_size(chain2, set1):
-    # Z follows each block's dW_X normals on its one stream: a common driver grid shares it too
-    n_paths = _STREAM_BLOCK + 37
-    runs = []
-    for steps_per_year, record in ((250, "terminal"), (250, [1.0, 2.5]), (500, "all")):
-        cfg = rs.SimConfig(
-            n_paths=n_paths, steps_per_year=steps_per_year, seed=31, v0=10.0, x0=0.02, state0=1,
-            driver_steps_per_year=500,
-        )
-        runs.append(rs.simulate_paths(set1, chain2, rs.optimal_weight_fn(set1), cfg, record=record))
+def test_terminal_wealth_does_not_depend_on_record(chain2, set1):
+    # Z follows each block's dW_X normals on its one stream, whatever is recorded
+    cfg = rs.SimConfig(n_paths=_STREAM_BLOCK + 37, steps_per_year=250, seed=31, v0=10.0, x0=0.02, state0=1)
+    runs = [
+        rs.simulate_paths(set1, chain2, rs.optimal_weight_fn(set1), cfg, record=record)
+        for record in ("terminal", [1.0, 2.5])
+    ]
     assert runs[1].terminal_wealth.tobytes() == runs[0].terminal_wealth.tobytes()
-    z = [(np.log(b.terminal_wealth) - b.log_v_mean[:, -1]) / np.sqrt(b.log_v_var[:, -1]) for b in runs]
-    np.testing.assert_allclose(z[2], z[0], rtol=0.0, atol=1e-9)
 
 
 @pytest.mark.parametrize("case", ["set1", "set2", "set1_smmh_rho0"])
@@ -427,7 +378,7 @@ class TestHistogram:
         one = np.ones((len(w), 1))
         bundle = rs.PathBundle(
             grid=np.array([0.0, 1.0]), record_times=np.array([1.0]), states=one.astype(np.int16), X=one,
-            terminal_wealth=w, log_v_mean=one, log_v_var=one, rho_part=one, rho_part_qv=one, seed=0, min_x_effective=1.0,
+            terminal_wealth=w, log_v_mean=one, log_v_var=one, rho_part=one, rho_part_qv=one, min_x_effective=1.0,
         )
         hist = rs.terminal_wealth_histogram(bundle, edges)
         counts = [np.count_nonzero((w >= lo) & (w < hi)) for lo, hi in zip(edges[:-1], edges[1:])]
