@@ -322,7 +322,7 @@ def cmd_simulate(args) -> int:
     p = cfg.params
     sim_cfg = cfg.sim_config(n_paths=args.paths, steps_per_year=args.steps_per_year, seed=args.seed)
     started = time.perf_counter()
-    bundle = simulate_paths(p, cfg.chain, optimal_weight_fn(p), sim_cfg, record="terminal")
+    bundle = simulate_paths(p, cfg.chain, optimal_weight_fn(p), sim_cfg)
     mean, err = expected_utility_controlled(bundle, p.delta)
     mean_cond, err_cond = expected_utility_mc(bundle, p.delta)
     runtime = time.perf_counter() - started
@@ -449,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("diagnose", help="value-process flatness along simulated paths")
     sp.add_argument("config")
-    sp.add_argument("--checkpoints", type=_finite_floats, default="0,1,2,3,4,5")
+    sp.add_argument("--checkpoints", type=_finite_floats, default=None)  # six even step-grid times when omitted
     sp.add_argument("--strategy", default="optimal")
     sp.add_argument("--paths", type=_int_at_least(1), default=None)
     sp.add_argument("--seed", type=_int_at_least(0), default=None)

@@ -164,7 +164,6 @@ class ExponentParams(NamedTuple):
     kappa: np.ndarray
     theta: np.ndarray
     beta: np.ndarray
-    vartheta: float
 
 
 @lru_cache(maxsize=32)
@@ -192,7 +191,7 @@ def exponent_params(p: HestonRegimeParams) -> ExponentParams:
     beta = ratio * slope**2 / (2.0 * vt)
     for arr in (kt, tt, beta):
         arr.setflags(write=False)
-    return ExponentParams(kappa=kt, theta=tt, beta=beta, vartheta=vt)
+    return ExponentParams(kappa=kt, theta=tt, beta=beta)
 
 
 @dataclass(frozen=True)
@@ -267,7 +266,7 @@ def validate_solution_assumptions(p: HestonRegimeParams) -> ValidationReport:
     vt = 1).
     """
     ep = exponent_params(p)
-    kt, beta, vt = ep.kappa, ep.beta, ep.vartheta
+    kt, beta, vt = ep.kappa, ep.beta, p.vartheta
     chi = p.chi
     checks = [
         CheckResult("factor_noise_positive", e + 1, bool(chi[e] > 0.0), 0.0, float(chi[e]))

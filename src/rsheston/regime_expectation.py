@@ -106,14 +106,14 @@ class XiTable:
     ``row`` and ``at`` return the value stored at a node, never one made
     up between nodes: a time farther than 1e-12 from every node raises
     ValueError.  The times must not decrease (ValueError otherwise), and
-    the terminal row is exactly 1.  ``std_err`` is populated for the MC
-    method, and ``error_estimate`` (the step-doubling estimate of the
-    largest relative error, which holds at the nodes) for ``xi_ode``.
+    the terminal row is exactly 1.  ``std_err`` is populated by
+    ``xi_mc_table``, and ``error_estimate`` (the step-doubling estimate
+    of the largest relative error, which holds at the nodes) by
+    ``xi_ode``.
     """
 
     times: np.ndarray
     values: np.ndarray
-    method: str
     std_err: np.ndarray | None = None
     error_estimate: float | None = None
 
@@ -188,7 +188,7 @@ def xi_mc_table(
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     values, errs = _xi_cells(spec, integrand, times, range(1, spec.n_states + 1), n_paths, seed)
-    return XiTable(times=times, values=values, method="MC", std_err=errs)
+    return XiTable(times=times, values=values, std_err=errs)
 
 
 def _xi_cells(spec, integrand: RegimeIntegrand, times, starts, n_paths: int, seed):
@@ -288,7 +288,7 @@ def xi_ode(spec: MarkovChainSpec, integrand: RegimeIntegrand, *, times=()) -> Xi
         positive = values.min() > 0.0 and values.max() < np.inf  # finite and positive; false on nan
         estimate = float((np.abs(values[::2] - coarse) / (15.0 * values[::2])).max()) if positive else math.inf
         if estimate <= _RTOL:
-            return XiTable(times=nodes[::-1].copy(), values=values[::-1].copy(), method="ODE", error_estimate=estimate)
+            return XiTable(times=nodes[::-1].copy(), values=values[::-1].copy(), error_estimate=estimate)
 
 
 def _solve(q: np.ndarray, fn_all, knots: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -32,7 +32,7 @@ closed form on the tilted parameters of ``models.exponent_params``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -180,7 +180,7 @@ def compose_piecewise(path: RegimePath, p: HestonRegimeParams) -> PiecewiseAB:
     """
     if np.any(path.states > p.n_states):
         raise ValueError("path states exceed the model's state count")
-    kt, tt, beta, vt = exponent_params(p)
+    kt, tt, beta = exponent_params(p)
     table = _exponent_table(kt, tt, p.chi, beta)
 
     edges = path.boundaries()
@@ -197,7 +197,7 @@ def compose_piecewise(path: RegimePath, p: HestonRegimeParams) -> PiecewiseAB:
         alpha = float(b)
         a_tail += float(big_a)
     return PiecewiseAB(
-        segments=tuple(reversed(segs)), start=path.start, horizon=path.horizon, vartheta=vt
+        segments=tuple(reversed(segs)), start=path.start, horizon=path.horizon, vartheta=p.vartheta
     )
 
 
@@ -212,7 +212,7 @@ def compose_segments(p: HestonRegimeParams, segs: Segments) -> tuple[np.ndarray,
     """
     if np.any((segs.states < 1) | (segs.states > p.n_states)):
         raise ValueError(f"path states must be labels 1..{p.n_states}")
-    kt, tt, beta, _ = exponent_params(p)
+    kt, tt, beta = exponent_params(p)
     table = _exponent_table(kt, tt, p.chi, beta)
     state = segs.states - 1
     dur = segs.hi - segs.lo
@@ -268,21 +268,13 @@ def D_leverage_integral(p: HestonRegimeParams, t):
     """int_t^T D(s) ds = vt A(T - t) / (kappa theta), since dA/dtau = kappa theta B."""
     big_a, _ = _tilted_ab(p, t)
     ep = exponent_params(p)
-    out = ep.vartheta / (ep.kappa[0] * ep.theta[0]) * big_a
+    out = p.vartheta / (ep.kappa[0] * ep.theta[0]) * big_a
     return float(out) if np.ndim(t) == 0 else out
 
 
 def d_leverage_fn(p: HestonRegimeParams):
-    """D_leverage with the parameters checked once, as a function of time.
+    """``D_leverage`` bound to p, as a function of a scalar time or an array of times.
 
-    The returned function takes a scalar time or an array of times (as
-    ``upsilon_heston``'s ``fn_all`` passes them) and returns D_leverage's
-    values, without evaluating A; of the checks on t it keeps only
-    t <= T (tau >= 0, nan rejected).
+    ``upsilon_heston`` takes it as the ``coeff_fn`` of its ``fn_all``.
     """
-    table, vt, horizon = _tilted_table(p), p.vartheta, p.horizon
-
-    def d_of(t):
-        return vt * _ab(table, 0.0, horizon - t, with_a=False)[1]
-
-    return d_of
+    return partial(D_leverage, p)

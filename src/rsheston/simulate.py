@@ -146,15 +146,15 @@ class PathBundle:
     ``rho_part_qv`` are the martingale C and its quadratic variation
     <C> = rho^2 dt S (module docstring).  ``terminal_wealth`` holds one
     draw of V(T) per path, exp(m + sqrt(s^2) Z) at the horizon.
-    Whatever ``record`` lists, the values at each recorded time and
-    ``terminal_wealth`` are the same.
+    ``record_times`` ends at the horizon.  Whatever ``record`` lists,
+    the values at each recorded time and ``terminal_wealth`` are the
+    same.
     ``min_x_effective``, the least truncated factor of any path, is
     tracked over every step, not only recorded ones.  RNG provenance:
     under the run's seed, the stream of block j belongs to paths 256 j
     to 256 j + 255 (see the module docstring).
     """
 
-    grid: np.ndarray
     record_times: np.ndarray
     states: np.ndarray
     X: np.ndarray
@@ -165,13 +165,9 @@ class PathBundle:
     rho_part_qv: np.ndarray
     min_x_effective: float
 
-    @property
-    def n_paths(self) -> int:
-        return len(self.terminal_wealth)
-
     def column(self, t: float) -> int:
         """Column of record time t, matched within ``record``'s on-grid tolerance; KeyError if absent."""
-        hits = np.flatnonzero(np.abs(self.record_times - t) <= _on_grid_tol(self.grid))
+        hits = np.flatnonzero(np.abs(self.record_times - t) <= _on_grid_tol(self.record_times[-1]))
         if not hits.size:
             raise KeyError(f"time {t} was not recorded")
         return int(hits[0])
@@ -196,28 +192,32 @@ def optimal_weight_fn(p: HestonRegimeParams) -> Strategy:
     return fn
 
 
-def _on_grid_tol(grid: np.ndarray) -> float:
+def _on_grid_tol(horizon: float) -> float:
     """How far a time may lie from a step grid time and still name it: 1e-9 max(1, T)."""
-    return 1e-9 * max(1.0, grid[-1])
+    return 1e-9 * max(1.0, horizon)
 
 
-def _record_indices(record, n_steps: int, grid: np.ndarray) -> np.ndarray:
+def _step_grid(horizon: float, steps_per_year: int) -> np.ndarray:
+    """The simulation's step times: round(T steps_per_year) equal steps (at least one), ending at T."""
+    n_steps = max(1, int(round(horizon * steps_per_year)))
+    grid = np.arange(n_steps + 1) * (horizon / n_steps)
+    grid[-1] = horizon
+    return grid
+
+
+def _record_indices(record, grid: np.ndarray) -> np.ndarray:
+    """Sorted grid indices of the times in ``record``, and of the horizon."""
     if isinstance(record, str):
-        if record == "all":
-            return np.arange(n_steps + 1)
-        if record == "terminal":
-            return np.array([n_steps])
-        raise ConfigError(f"unknown record mode {record!r}")
-    idx = set()
-    tol = _on_grid_tol(grid)
+        raise ConfigError("record takes a sequence of times, not a string")
+    idx = {len(grid) - 1}
+    tol = _on_grid_tol(grid[-1])
     for t in record:
         if not -tol <= float(t) <= grid[-1] + tol:  # also rejects nan
             raise ConfigError(f"record time {t} is outside [0, T] = [0, {grid[-1]}]")
-        j = min(max(int(round(float(t) / grid[1])), 0), n_steps)
+        j = min(max(int(round(float(t) / grid[1])), 0), len(grid) - 1)
         if abs(grid[j] - float(t)) > tol:
             raise ConfigError(f"record time {t} is not on the step grid")
         idx.add(j)
-    idx.add(n_steps)
     return np.array(sorted(idx))
 
 
@@ -226,35 +226,36 @@ def simulate_paths(
     chain: MarkovChainSpec,
     strategy: Strategy,
     cfg: SimConfig,
-    record="all",
+    record: Sequence[float] = (),
     frozen_path: RegimePath | None = None,
 ) -> PathBundle:
     """Simulate the market under a given strategy.
 
     ``strategy`` is called once, on the step start times.  ``record`` is
-    "all", "terminal", or a sequence of times in [0, T] that must lie on
-    the step grid (the terminal time is always included).  With
+    a sequence of times in [0, T] on the step grid; the horizon is
+    always recorded, and by default it is the only record time.  With
     ``frozen_path`` the regime trajectory is fixed instead of sampled,
-    which conditions the whole run on one chain path; its labels must
-    not exceed the model's state count.
+    which conditions the whole run on one chain path: it must start at
+    t = 0 in ``cfg.state0``, end at the model's horizon and carry no
+    label above the model's state count.
     """
     if chain.n_states != p.n_states:
         raise ConfigError("chain and model disagree on the state count")
     if cfg.state0 > p.n_states:
         raise ConfigError(f"state0 exceeds n_states = {p.n_states}")
-    if frozen_path is not None and abs(frozen_path.horizon - p.horizon) > 1e-12:
-        raise ConfigError("frozen path horizon must match the model horizon")
-    if frozen_path is not None and frozen_path.states.max() > p.n_states:
-        raise ConfigError(f"frozen path labels exceed n_states = {p.n_states}")
+    if frozen_path is not None:
+        if frozen_path.start != 0.0 or abs(frozen_path.horizon - p.horizon) > 1e-12:
+            raise ConfigError("frozen path must run from t = 0 to the model horizon")
+        if frozen_path.states[0] != cfg.state0:
+            raise ConfigError(f"frozen path must start in state0 = {cfg.state0}, not in {frozen_path.states[0]}")
+        if frozen_path.states.max() > p.n_states:
+            raise ConfigError(f"frozen path labels exceed n_states = {p.n_states}")
 
-    horizon = p.horizon
-    n_steps = max(1, int(round(horizon * cfg.steps_per_year)))
-    dt = horizon / n_steps
-    grid = np.arange(n_steps + 1) * dt
-    grid[-1] = horizon
+    grid = _step_grid(p.horizon, cfg.steps_per_year)
+    n_steps, dt = len(grid) - 1, grid[1]
     sq_dt = math.sqrt(dt)
 
-    rec_idx = _record_indices(record, n_steps, grid)
+    rec_idx = _record_indices(record, grid)
     rec_times = grid[rec_idx]
     rec_slot = {int(j): s for s, j in enumerate(rec_idx)}
 
@@ -289,15 +290,14 @@ def simulate_paths(
 
     sb = _STREAM_BLOCK
     buf = np.empty(_DRAW_CHUNK * sb)
-    state0 = cfg.state0 if frozen_path is None else int(frozen_path.state_at(grid[0]))
     for i0 in range(0, n_paths, _BLOCK):
         i1 = min(i0 + _BLOCK, n_paths)
         b = i1 - i0
         streams = [(j0 - i0, min(sb, i1 - j0), path_stream(cfg.seed, j0 // sb)) for j0 in range(i0, i1, sb)]
-        changes = _state_changes(chain, frozen_path, grid, state0, b, streams)
+        changes = _state_changes(chain, frozen_path, grid, cfg.state0, b, streams)
         dwx = np.empty((_DRAW_CHUNK, b))
 
-        e = np.full(b, state0 - 1, dtype=np.intp)
+        e = np.full(b, cfg.state0 - 1, dtype=np.intp)
         x = np.full(b, cfg.x0)
         lnv_mean = np.full(b, math.log(cfg.v0))
         s_sum, c_sum = np.zeros((2, b))  # S, C
@@ -357,7 +357,6 @@ def simulate_paths(
         min_xeff = min(min_xeff, float(lo_xp.min()))
 
     return PathBundle(
-        grid=grid,
         record_times=rec_times,
         states=out_states,
         X=out_x,
@@ -523,13 +522,15 @@ def martingale_diagnostic(
     p: HestonRegimeParams,
     chain: MarkovChainSpec,
     cfg: SimConfig,
-    checkpoints: Sequence[float],
+    checkpoints: Sequence[float] | None = None,
     strategy: Strategy | None = None,
 ) -> list[tuple[float, float, float, float]]:
     """Sample means of the value process along simulated paths.
 
     Evaluates Phi(t, V(t), X(t), state(t)) at each checkpoint; there
-    must be at least one, each in [0, T] and on the step grid.  Under
+    must be at least one, each in [0, T] and on the step grid.  By
+    default the checkpoints are six step-grid times spread evenly from
+    0 to T (each grid time once, should the grid have fewer steps).  Under
     the optimal strategy (the default) the means are flat in t up to
     Monte Carlo noise; under any other admissible strategy they drift
     downward.  Returns rows (t, mean, std_err, z) where z measures the
@@ -548,6 +549,9 @@ def martingale_diagnostic(
     """
     if p.variant is Variant.MMH:
         raise ConfigError("the value diagnostic is defined for the separable variants")
+    if checkpoints is None:
+        grid = _step_grid(p.horizon, cfg.steps_per_year)
+        checkpoints = grid[np.unique(np.rint(np.linspace(0, len(grid) - 1, 6)).astype(int))].tolist()
     if len(checkpoints) == 0:
         raise ConfigError("need at least one checkpoint")
     xi = xi_ode(chain, upsilon_heston(p, d_leverage_fn(p)), times=checkpoints)

@@ -173,7 +173,7 @@ def xi_ode_uniform(spec: rs.MarkovChainSpec, integrand: rs.RegimeIntegrand, n_st
     """
     knots = np.array([integrand.horizon, 0.0])
     nodes, values = _solve(spec.intensity, integrand.fn_all, knots, np.array([n_steps]))
-    return rs.XiTable(times=nodes[::-1].copy(), values=values[::-1].copy(), method="ODE")
+    return rs.XiTable(times=nodes[::-1].copy(), values=values[::-1].copy())
 
 
 def scalar_integrand(fn: Callable[[float, int], float], horizon: float, n_states: int) -> rs.RegimeIntegrand:

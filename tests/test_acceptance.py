@@ -64,7 +64,7 @@ def set2_run(chain, set2):
         n_paths=N_FULL, steps_per_year=250, seed=20240212, v0=10.0, x0=0.02, state0=1
     )
     started = time.perf_counter()
-    bundle = rs.simulate_paths(set2, chain, rs.optimal_weight_fn(set2), cfg, record="terminal")
+    bundle = rs.simulate_paths(set2, chain, rs.optimal_weight_fn(set2), cfg)
     return bundle, cfg, time.perf_counter() - started
 
 

@@ -556,6 +556,20 @@ class TestDiagnoseCommand:
         _, rows = read_csv(out)
         assert [float(row["t"]) for row in rows] == [0.0, 2.500000004, 5.0]
 
+    @pytest.mark.parametrize("horizon", [3.0, 5.0, 7.5])
+    def test_default_checkpoints_follow_the_horizon(self, horizon, set1_path, tmp_path):
+        # six step-grid times from 0 to T, whatever T is; at T = 5 they are 0, 1, ..., 5 exactly
+        cfg = tmp_path / "horizon.cfg"
+        cfg.write_text(Path(set1_path).read_text().replace("T = 5.0", f"T = {horizon}"))
+        out = tmp_path / "d.csv"
+        assert cli.main(["diagnose", str(cfg), "--paths", "20", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        times = [float(row["t"]) for row in rows]
+        np.testing.assert_allclose(times, np.linspace(0.0, horizon, 6), rtol=0.0, atol=1e-12)
+        assert times[0] == 0.0 and times[-1] == horizon
+        if horizon == 5.0:
+            assert [row["t"] for row in rows] == ["0", "1", "2", "3", "4", "5"]
+
     @pytest.mark.parametrize("value", ["-1", "7", "0,5.5"])
     def test_checkpoint_outside_the_horizon_exits_one(self, value, set1_path, tmp_path, capsys):
         out = tmp_path / "d.csv"

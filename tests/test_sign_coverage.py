@@ -224,7 +224,7 @@ def test_controlled_expected_utility_matches_the_closed_form(p):
     # 250 steps per year: at 50 the controlled estimator resolves the Euler bias
     chain = rs.validate_intensity(PATH_CHAINS[p.n_states])
     cfg = rs.SimConfig(n_paths=20_000, steps_per_year=250, seed=20261021, v0=10.0, x0=0.02, state0=1)
-    bundle = rs.simulate_paths(p, chain, rs.optimal_weight_fn(p), cfg, record="terminal")
+    bundle = rs.simulate_paths(p, chain, rs.optimal_weight_fn(p), cfg)
     controlled, controlled_err = rs.expected_utility_controlled(bundle, p.delta)
     _, conditional_err = rs.expected_utility_mc(bundle, p.delta)
     xi = rs.xi_ode(chain, rs.upsilon_heston(p, rs.d_leverage_fn(p)))

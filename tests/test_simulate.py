@@ -20,6 +20,11 @@ def one_state_params(**overrides):
     return rs.HestonRegimeParams(**kwargs)
 
 
+def _every_step(p, steps_per_year):
+    """Every time of the step grid of p at steps_per_year, as a record list."""
+    return np.linspace(0.0, p.horizon, int(round(p.horizon * steps_per_year)) + 1)
+
+
 class TestSimConfig:
     def test_rejects_bad_fields(self):
         with pytest.raises(rs.ConfigError):
@@ -56,7 +61,7 @@ class TestSimConfig:
         ints = dict(n_paths=3, steps_per_year=10, seed=5, state0=2)
         runs = [
             rs.simulate_paths(
-                set1, chain2, rs.constant_strategy(0.3), rs.SimConfig(v0=10.0, x0=0.02, **kw), record="all"
+                set1, chain2, rs.constant_strategy(0.3), rs.SimConfig(v0=10.0, x0=0.02, **kw), record=_every_step(set1, 10)
             )
             for kw in (ints, {k: np.int64(v) for k, v in ints.items()})
         ]
@@ -79,7 +84,7 @@ class TestScheme:
         p = one_state_params(chi=0.0)
         pi = 0.8
         cfg = rs.SimConfig(n_paths=20_000, steps_per_year=50, seed=6, v0=10.0, x0=0.02, state0=1)
-        bundle = rs.simulate_paths(p, chain1, rs.constant_strategy(pi), cfg, record="terminal")
+        bundle = rs.simulate_paths(p, chain1, rs.constant_strategy(pi), cfg)
         np.testing.assert_allclose(bundle.X[:, -1], 0.02, atol=1e-15)
         w = bundle.terminal_wealth
         expected_mean = 10 * np.exp((0.03 + pi * 1.7 * 0.02) * 5.0)
@@ -88,16 +93,16 @@ class TestScheme:
 
     def test_wealth_positive_and_factor_truncated(self, chain2, set1):
         cfg = rs.SimConfig(n_paths=2000, steps_per_year=50, seed=7, v0=10.0, x0=0.02, state0=1)
-        bundle = rs.simulate_paths(set1, chain2, rs.optimal_weight_fn(set1), cfg)
+        bundle = rs.simulate_paths(set1, chain2, rs.optimal_weight_fn(set1), cfg, record=_every_step(set1, 50))
         assert bundle.min_x_effective >= 0.0
         assert bundle.X.min() >= 0.0
         assert bundle.terminal_wealth.min() > 0.0
 
     def test_determinism_is_block_size_free(self, chain2, set1, monkeypatch):
         cfg = rs.SimConfig(n_paths=400, steps_per_year=30, seed=8, v0=10.0, x0=0.02, state0=1)
-        a = rs.simulate_paths(set1, chain2, rs.optimal_weight_fn(set1), cfg, record="terminal")
+        a = rs.simulate_paths(set1, chain2, rs.optimal_weight_fn(set1), cfg)
         monkeypatch.setattr(simulate, "_BLOCK", _STREAM_BLOCK)
-        b = rs.simulate_paths(set1, chain2, rs.optimal_weight_fn(set1), cfg, record="terminal")
+        b = rs.simulate_paths(set1, chain2, rs.optimal_weight_fn(set1), cfg)
         np.testing.assert_array_equal(a.terminal_wealth, b.terminal_wealth)
         np.testing.assert_array_equal(a.states, b.states)
 
@@ -105,8 +110,8 @@ class TestScheme:
         # the optimal weight absorbs nu, leaving identical wealth paths
         cfg = rs.SimConfig(n_paths=500, steps_per_year=40, seed=9, v0=10.0, x0=0.02, state0=1)
         scaled = make_params(nu=[2.0, 0.65])
-        a = rs.simulate_paths(set1, chain2, rs.optimal_weight_fn(set1), cfg, record="terminal")
-        b = rs.simulate_paths(scaled, chain2, rs.optimal_weight_fn(scaled), cfg, record="terminal")
+        a = rs.simulate_paths(set1, chain2, rs.optimal_weight_fn(set1), cfg)
+        b = rs.simulate_paths(scaled, chain2, rs.optimal_weight_fn(scaled), cfg)
         np.testing.assert_array_equal(a.terminal_wealth, b.terminal_wealth)
 
     def test_record_times_must_lie_on_grid(self, chain2, set1):
@@ -119,6 +124,19 @@ class TestScheme:
         cfg = rs.SimConfig(n_paths=2, steps_per_year=10, seed=1, v0=1.0, x0=0.02, state0=1)
         with pytest.raises(rs.ConfigError, match=r"outside \[0, T\]"):
             rs.simulate_paths(set1, chain2, rs.constant_strategy(0.0), cfg, record=[t])
+
+    def test_default_records_the_horizon_only(self, chain2, set1):
+        cfg = rs.SimConfig(n_paths=3, steps_per_year=10, seed=1, v0=1.0, x0=0.02, state0=1)
+        bundle = rs.simulate_paths(set1, chain2, rs.constant_strategy(0.3), cfg)
+        assert bundle.record_times.tolist() == [set1.horizon]
+        assert bundle.X.shape == bundle.states.shape == bundle.log_v_mean.shape == (3, 1)
+
+    @pytest.mark.parametrize("record", ["all", "terminal", "5"])
+    def test_a_string_record_is_rejected(self, record, chain2, set1):
+        # a string would otherwise be read one character at a time
+        cfg = rs.SimConfig(n_paths=2, steps_per_year=10, seed=1, v0=1.0, x0=0.02, state0=1)
+        with pytest.raises(rs.ConfigError, match="record takes a sequence of times, not a string"):
+            rs.simulate_paths(set1, chain2, rs.constant_strategy(0.0), cfg, record=record)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_while_stepping_raises_without_numpy_warnings(self, chain1):
@@ -218,14 +236,14 @@ def _frozen_path(horizon=5.0):
 @pytest.mark.parametrize(
     "three_states, frozen, block, n_paths, record",
     [
-        pytest.param(False, False, None, 23, "all", id="refine1"),
-        pytest.param(False, False, _STREAM_BLOCK, 23, "all", id="sampled_block7"),
-        pytest.param(False, True, _STREAM_BLOCK, 23, "all", id="frozen_block7"),
-        pytest.param(True, False, _STREAM_BLOCK, 23, "all", id="three_states"),
-        pytest.param(False, False, _STREAM_BLOCK, 2 * _STREAM_BLOCK + 23, "all", id="partial_stream_block"),
+        pytest.param(False, False, None, 23, "every_step", id="refine1"),
+        pytest.param(False, False, _STREAM_BLOCK, 23, "every_step", id="sampled_block7"),
+        pytest.param(False, True, _STREAM_BLOCK, 23, "every_step", id="frozen_block7"),
+        pytest.param(True, False, _STREAM_BLOCK, 23, "every_step", id="three_states"),
+        pytest.param(False, False, _STREAM_BLOCK, 2 * _STREAM_BLOCK + 23, "every_step", id="partial_stream_block"),
         pytest.param(False, False, _STREAM_BLOCK, _STREAM_BLOCK + 23, [1.0, 2.5], id="record_times_sampled"),
         pytest.param(False, True, None, 23, [2.5, 1.0], id="record_times_frozen"),
-        pytest.param(True, False, _STREAM_BLOCK, _STREAM_BLOCK + 23, "terminal", id="terminal_three_states"),
+        pytest.param(True, False, _STREAM_BLOCK, _STREAM_BLOCK + 23, (), id="terminal_three_states"),
     ],
 )
 def test_simulate_paths_matches_scalar_reference(
@@ -239,12 +257,11 @@ def test_simulate_paths_matches_scalar_reference(
     cfg = rs.SimConfig(n_paths=n_paths, steps_per_year=20, seed=17, v0=10.0, x0=0.01, state0=2)
     if block is not None:
         monkeypatch.setattr(simulate, "_BLOCK", block)
+    if record == "every_step":
+        record = _every_step(p, 20)
     bundle = rs.simulate_paths(p, chain, strategy, cfg, record=record, frozen_path=path)
     n_steps = round(p.horizon * 20)
-    if record == "all":
-        record_idx = list(range(n_steps + 1))
-    else:
-        record_idx = sorted({round(t * 20) for t in ([] if record == "terminal" else record)} | {n_steps})
+    record_idx = sorted({round(t * 20) for t in record} | {n_steps})
     xs, means, variances, cs, cqvs, states, log_wealth, min_xp = _scalar_reference(
         p, chain, weight, cfg, record_idx, path
     )
@@ -260,7 +277,9 @@ def test_simulate_paths_matches_scalar_reference(
 
 @pytest.mark.parametrize("frozen", [pytest.param(False, id="sampled"), pytest.param(True, id="frozen")])
 def test_results_do_not_depend_on_block_size(frozen, chain2, set1, monkeypatch):
-    cfg = rs.SimConfig(n_paths=2 * _STREAM_BLOCK + 37, steps_per_year=20, seed=23, v0=10.0, x0=0.01, state0=1)
+    # the frozen path starts in state 2
+    state0 = 2 if frozen else 1
+    cfg = rs.SimConfig(n_paths=2 * _STREAM_BLOCK + 37, steps_per_year=20, seed=23, v0=10.0, x0=0.01, state0=state0)
     path = _frozen_path() if frozen else None
     runs = []
     for size in (simulate._BLOCK, _STREAM_BLOCK, 2 * _STREAM_BLOCK):  # all paths, one and two stream blocks at once
@@ -279,7 +298,7 @@ def test_factor_and_states_do_not_depend_on_record(chain2, set1):
     cfg = rs.SimConfig(n_paths=_STREAM_BLOCK + 37, steps_per_year=20, seed=29, v0=10.0, x0=0.01, state0=1)
     runs = [
         rs.simulate_paths(set1, chain2, rs.optimal_weight_fn(set1), cfg, record=record)
-        for record in ("all", [1.0, 2.5], "terminal")
+        for record in (_every_step(set1, 20), [1.0, 2.5], ())
     ]
     for bundle in runs[1:]:
         cols = [runs[0].column(t) for t in bundle.record_times]
@@ -292,7 +311,7 @@ def test_terminal_wealth_does_not_depend_on_record(chain2, set1):
     cfg = rs.SimConfig(n_paths=_STREAM_BLOCK + 37, steps_per_year=250, seed=31, v0=10.0, x0=0.02, state0=1)
     runs = [
         rs.simulate_paths(set1, chain2, rs.optimal_weight_fn(set1), cfg, record=record)
-        for record in ("terminal", [1.0, 2.5])
+        for record in ((), [1.0, 2.5])
     ]
     assert runs[1].terminal_wealth.tobytes() == runs[0].terminal_wealth.tobytes()
 
@@ -305,7 +324,7 @@ def test_conditional_estimator_is_no_noisier_and_matches_the_closed_form(case, c
         "set1_smmh_rho0": make_params(variant="smmh", rho=0.0),
     }[case]
     cfg = rs.SimConfig(n_paths=20_000, steps_per_year=250, seed=20261020, v0=10.0, x0=0.02, state0=1)
-    bundle = rs.simulate_paths(p, chain2, rs.optimal_weight_fn(p), cfg, record="terminal")
+    bundle = rs.simulate_paths(p, chain2, rs.optimal_weight_fn(p), cfg)
     conditional, conditional_err = rs.expected_utility_mc(bundle, p.delta)
     u = bundle.terminal_wealth**p.delta / p.delta
     plain, plain_err = u.mean(), u.std(ddof=1) / math.sqrt(len(u))
@@ -325,14 +344,14 @@ def test_conditional_estimator_is_no_noisier_and_matches_the_closed_form(case, c
 class TestControlledEstimator:
     def test_zero_weight_gives_the_conditional_estimate(self, chain2, set1):
         cfg = rs.SimConfig(n_paths=300, steps_per_year=20, seed=3, v0=10.0, x0=0.02, state0=1)
-        bundle = rs.simulate_paths(set1, chain2, rs.constant_strategy(0.0), cfg, record="terminal")
+        bundle = rs.simulate_paths(set1, chain2, rs.constant_strategy(0.0), cfg)
         assert not bundle.rho_part.any() and not bundle.rho_part_qv.any()
         controlled = rs.expected_utility_controlled(bundle, set1.delta)
         assert controlled == rs.expected_utility_mc(bundle, set1.delta)
 
     def test_single_path_gives_the_conditional_estimate(self, chain2, set1):
         cfg = rs.SimConfig(n_paths=1, steps_per_year=20, seed=3, v0=10.0, x0=0.02, state0=1)
-        bundle = rs.simulate_paths(set1, chain2, rs.optimal_weight_fn(set1), cfg, record="terminal")
+        bundle = rs.simulate_paths(set1, chain2, rs.optimal_weight_fn(set1), cfg)
         mean, err = rs.expected_utility_controlled(bundle, set1.delta)
         assert mean == rs.expected_utility_mc(bundle, set1.delta)[0]
         assert math.isnan(err)
@@ -341,8 +360,8 @@ class TestControlledEstimator:
         # at rho = -1 the conditional variance of ln V is 0, but <C> is not
         p = one_state_params(rho=-1.0)
         cfg = rs.SimConfig(n_paths=50, steps_per_year=20, seed=4, v0=10.0, x0=0.02, state0=1)
-        bundle = rs.simulate_paths(p, chain1, rs.constant_strategy(0.8), cfg)
-        dt = bundle.grid[1]
+        bundle = rs.simulate_paths(p, chain1, rs.constant_strategy(0.8), cfg, record=_every_step(p, 20))
+        dt = p.horizon / round(p.horizon * cfg.steps_per_year)
         steps = np.cumsum(p.rho**2 * (0.8 * p.nu[0]) ** 2 * bundle.X[:, :-1] * dt, axis=1)
         assert not bundle.log_v_var.any()
         assert np.isfinite(bundle.rho_part_qv).all() and (bundle.rho_part_qv[:, 1:] > 0).all()
@@ -356,7 +375,7 @@ class TestControlledEstimator:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_control_raises_without_numpy_warnings(self, chain2, set1):
         cfg = rs.SimConfig(n_paths=8, steps_per_year=20, seed=5, v0=10.0, x0=0.02, state0=1)
-        bundle = rs.simulate_paths(set1, chain2, rs.optimal_weight_fn(set1), cfg, record="terminal")
+        bundle = rs.simulate_paths(set1, chain2, rs.optimal_weight_fn(set1), cfg)
         huge = dataclasses.replace(bundle, rho_part=bundle.rho_part + 1e4)
         with pytest.raises(FloatingPointError, match="wealth overflowed"):
             rs.expected_utility_controlled(huge, set1.delta)
@@ -377,7 +396,7 @@ class TestHistogram:
         w = np.concatenate([on_edges, [-1.0, -1e-300, 7.0, np.inf], np.random.default_rng(3).uniform(-1.0, 8.0, 500)])
         one = np.ones((len(w), 1))
         bundle = rs.PathBundle(
-            grid=np.array([0.0, 1.0]), record_times=np.array([1.0]), states=one.astype(np.int16), X=one,
+            record_times=np.array([1.0]), states=one.astype(np.int16), X=one,
             terminal_wealth=w, log_v_mean=one, log_v_var=one, rho_part=one, rho_part_qv=one, min_x_effective=1.0,
         )
         hist = rs.terminal_wealth_histogram(bundle, edges)
@@ -389,7 +408,7 @@ class TestHistogram:
     def test_single_path_single_count(self, chain1):
         p = one_state_params()
         cfg = rs.SimConfig(n_paths=1, steps_per_year=10, seed=3, v0=10.0, x0=0.02, state0=1)
-        bundle = rs.simulate_paths(p, chain1, rs.constant_strategy(0.0), cfg, record="terminal")
+        bundle = rs.simulate_paths(p, chain1, rs.constant_strategy(0.0), cfg)
         hist = rs.terminal_wealth_histogram(bundle, np.linspace(0, 150, 31))
         assert hist.counts.sum() + hist.overflow == 1
         mean, err = rs.expected_utility_mc(bundle, 0.3)
@@ -398,7 +417,7 @@ class TestHistogram:
     def test_bond_only_masses_single_bin(self, chain1):
         p = one_state_params()
         cfg = rs.SimConfig(n_paths=250, steps_per_year=10, seed=4, v0=10.0, x0=0.02, state0=1)
-        bundle = rs.simulate_paths(p, chain1, rs.constant_strategy(0.0), cfg, record="terminal")
+        bundle = rs.simulate_paths(p, chain1, rs.constant_strategy(0.0), cfg)
         edges = np.linspace(0, 150, 31)
         hist = rs.terminal_wealth_histogram(bundle, edges)
         target_bin = int(np.searchsorted(edges, 10 * np.exp(0.15), side="right")) - 1
@@ -409,7 +428,7 @@ class TestHistogram:
         cfgs = rs.SimConfig(n_paths=20_000, steps_per_year=100, seed=5, v0=10.0, x0=0.02, state0=1)
         spread = {}
         for name, p in (("set1", set1), ("set2", set2)):
-            bundle = rs.simulate_paths(p, chain2, rs.optimal_weight_fn(p), cfgs, record="terminal")
+            bundle = rs.simulate_paths(p, chain2, rs.optimal_weight_fn(p), cfgs)
             hist = rs.terminal_wealth_histogram(bundle, np.linspace(0, 150, 31))
             spread[name] = hist.q95 - hist.q05
         assert spread["set1"] > spread["set2"]
@@ -426,7 +445,7 @@ class TestMartingaleDiagnostic:
     def test_terminal_checkpoint_matches_expected_utility(self, chain2, set1):
         cfg = rs.SimConfig(n_paths=800, steps_per_year=20, seed=7, v0=10.0, x0=0.02, state0=1)
         rows = rs.martingale_diagnostic(set1, chain2, cfg, [0.0, 5.0])
-        bundle = rs.simulate_paths(set1, chain2, rs.optimal_weight_fn(set1), cfg, record="terminal")
+        bundle = rs.simulate_paths(set1, chain2, rs.optimal_weight_fn(set1), cfg)
         mean, _ = rs.expected_utility_mc(bundle, set1.delta)
         assert rows[-1][1] == pytest.approx(mean, rel=1e-12)
 
@@ -443,6 +462,15 @@ class TestMartingaleDiagnostic:
             rs.martingale_diagnostic(p_mmh, chain2, cfg, [0.0])
         rows = rs.martingale_diagnostic(make_params(variant="smmh", rho=0.0), chain2, cfg, [0.0])
         assert rows[0][3] == 0.0
+
+    def test_default_checkpoints_are_six_even_grid_times(self, chain2):
+        p = make_params(horizon=3.0)
+        cfg = rs.SimConfig(n_paths=10, steps_per_year=20, seed=1, v0=10.0, x0=0.02, state0=1)
+        rows = rs.martingale_diagnostic(p, chain2, cfg)
+        times = [t for t, *_ in rows]
+        np.testing.assert_allclose(times, np.linspace(0.0, 3.0, 6), rtol=0.0, atol=1e-12)
+        assert times[0] == 0.0 and times[-1] == 3.0
+        assert rows == rs.martingale_diagnostic(p, chain2, cfg, times)
 
     def test_requires_a_checkpoint(self, chain2, set1):
         cfg = rs.SimConfig(n_paths=10, steps_per_year=10, seed=1, v0=1.0, x0=0.02, state0=1)
@@ -471,7 +499,7 @@ class TestVarianceObservable:
             start=0.0, horizon=5.0, jump_times=np.array([2.0]), states=np.array([1, 2])
         )
         cfg = rs.SimConfig(n_paths=2, steps_per_year=10, seed=9, v0=10.0, x0=0.02, state0=1)
-        bundle = rs.simulate_paths(p, chain2, rs.constant_strategy(0.3), cfg, frozen_path=path)
+        bundle = rs.simulate_paths(p, chain2, rs.constant_strategy(0.3), cfg, record=_every_step(p, 10), frozen_path=path)
         var = _variance(bundle, p)
         k = bundle.column(2.0)
         assert var[0, k] / var[0, k - 1] == pytest.approx(1.3**2, rel=1e-12)
@@ -479,7 +507,7 @@ class TestVarianceObservable:
     def test_long_run_mean_is_nu_squared_theta(self, chain1):
         p = one_state_params(nu=1.2, horizon=400.0)
         cfg = rs.SimConfig(n_paths=1, steps_per_year=250, seed=10, v0=10.0, x0=0.02, state0=1)
-        bundle = rs.simulate_paths(p, chain1, rs.constant_strategy(0.0), cfg)
+        bundle = rs.simulate_paths(p, chain1, rs.constant_strategy(0.0), cfg, record=_every_step(p, 250))
         series = _variance(bundle, p)[0]
         batches = series[1:].reshape(20, -1).mean(axis=1)
         se = batches.std(ddof=1) / np.sqrt(len(batches))
@@ -491,4 +519,20 @@ def test_frozen_path_labels_above_the_state_count_are_rejected(chain2, set1, lab
     cfg = rs.SimConfig(n_paths=2, steps_per_year=10, seed=1, v0=10.0, x0=0.02, state0=1)
     path = rs.RegimePath(start=0.0, horizon=set1.horizon, jump_times=np.array([1.0]), states=np.array([1, label]))
     with pytest.raises(rs.ConfigError, match="n_states = 2"):
+        rs.simulate_paths(set1, chain2, rs.constant_strategy(0.3), cfg, frozen_path=path)
+
+
+@pytest.mark.parametrize(
+    "start, states, message",
+    [
+        pytest.param(2.0, [2, 1], "from t = 0", id="late_start"),
+        pytest.param(0.0, [2, 1], "start in state0 = 1, not in 2", id="other_state"),
+        pytest.param(2.0, [1, 2], "from t = 0", id="late_start_same_state"),
+    ],
+)
+def test_frozen_path_must_start_at_zero_in_state0(chain2, set1, start, states, message):
+    # neither cfg.state0 nor the path's own start may be replaced silently
+    cfg = rs.SimConfig(n_paths=2, steps_per_year=10, seed=1, v0=10.0, x0=0.02, state0=1)
+    path = rs.RegimePath(start=start, horizon=set1.horizon, jump_times=np.array([3.0]), states=np.array(states))
+    with pytest.raises(rs.ConfigError, match=message):
         rs.simulate_paths(set1, chain2, rs.constant_strategy(0.3), cfg, frozen_path=path)

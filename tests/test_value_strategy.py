@@ -102,7 +102,7 @@ class TestValueTimedepHeston:
         cfg = rs.SimConfig(
             n_paths=20_000, steps_per_year=250, seed=31, v0=10.0, x0=0.02, state0=1
         )
-        bundle = rs.simulate_paths(set1, chain, strategy, cfg, record="terminal", frozen_path=path)
+        bundle = rs.simulate_paths(set1, chain, strategy, cfg, frozen_path=path)
         mean, err = rs.expected_utility_mc(bundle, set1.delta)
         assert abs(mean - target) < 3 * err
 
@@ -139,7 +139,7 @@ class TestValueMmhGeneral:
         q = rs.ValueQuery(t=0.0, v=10.0, x=0.02, state=1)
         est, err = rs.value_mmh_general(p, chain2, q, 2000, seed=4)
         cfg = rs.SimConfig(n_paths=20_000, steps_per_year=250, seed=32, v0=10.0, x0=0.02, state0=1)
-        bundle = rs.simulate_paths(p, chain2, rs.optimal_weight_fn(p), cfg, record="terminal")
+        bundle = rs.simulate_paths(p, chain2, rs.optimal_weight_fn(p), cfg)
         sim_mean, sim_err = rs.expected_utility_mc(bundle, p.delta)
         assert abs(est - sim_mean) < 3 * np.hypot(err, sim_err)
 
