@@ -36,24 +36,24 @@ V^delta: conditional Monte Carlo (Glasserman, *Monte Carlo Methods in
 Financial Engineering*, 2004, section 4.5), never noisier than the
 plain mean.
 
-The rho part of m's increments, C = sum_k rho pi nu sqrt(xp) dW_X, is a
-martingale whose increments are Gaussian given the past, with
-quadratic variation <C> = rho^2 dt S.  Each path carries
+Under the optimal weight the separable value Phi = V^delta / delta
+xi(t, e) exp(D(t) X) is a martingale; given the chain, its dW_X part is
+the stochastic exponential of theta sqrt(X) dW_X, theta = delta rho pi
+nu + D(t) chi.  Each path carries the Euler product (with D = 0 where D
+has no closed form: ``mmh``, chi = 0, or past the solvability bounds)
 
-      C <- C + rho pi nu sqrt(xp) dW_X
+      K <- K (1 + th sqrt(xp) z),   th = delta rho h pi nu + D(t_k) chi h.
 
-(the product the m update already forms), and ``PathBundle`` keeps C
-and <C> at each record time; <C> comes from S, so it is exact at
-|rho| = 1 too, where s^2 is 0.  G = exp(delta C - delta^2 <C> / 2) - 1
-then has mean exactly 0 under the scheme, and
-``expected_utility_controlled`` regresses it out of the conditional
-values as a control variate (Glasserman, section 4.1).
+z is independent of the chain, of earlier normals and of th and xp, so
+each factor has mean 1 given the past: E[K] = 1 exactly, for any weight
+and any D, and a wrong D only weakens the control.  G = K - 1 is the
+control variate (Glasserman, section 4.1) of ``expected_utility_controlled``.
 
 What depends only on (step, state) is tabulated once per run, per step
 k and state e, with pi = strategy(t_k, e) and h = sqrt(dt) the scale of
 one step's normal: r dt, (pi lam_hat - (pi nu)^2 / 2) dt, rho h pi nu,
-(pi nu)^2, kappa dt, kappa theta dt and chi h.  A step
-gathers one row per path and updates m, S and X in place.
+(pi nu)^2, kappa dt, kappa theta dt, chi h and th.  A step gathers one
+row per path and updates m, S, K and X in place.
 
 Paths come in stream blocks of 256: block j (paths 256 j onward) owns
 one RNG stream, ``path_stream(seed, j)``.  It draws the chain
@@ -75,7 +75,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .markov_chain import _STREAM_BLOCK, MarkovChainSpec, RegimePath, path_stream, sample_block
-from .models import HestonRegimeParams, Variant
+from .models import HestonRegimeParams, Variant, validate_solution_assumptions
 from .regime_expectation import upsilon_heston, xi_ode
 from .riccati import D_leverage, d_leverage_fn
 from .value_strategy import ValueQuery, optimal_weights, value_smmh_rho
@@ -99,6 +99,7 @@ Strategy = Callable[[np.ndarray], np.ndarray]
 _BLOCK = 8192  # paths stepped together, a multiple of _STREAM_BLOCK: bounds memory only
 _DRAW_CHUNK = 64  # steps of normals drawn per call into the reused buffer
 _OVERFLOW = "wealth overflowed; check the strategy and parameters"
+_MAX_TABLE_ROWS = 2**22  # (step, state) rows of the coefficient table: 256 MiB of float64
 
 
 @dataclass(frozen=True)
@@ -142,9 +143,8 @@ class PathBundle:
     value actually driving variance, hence nonnegative); the asset price
     is not simulated.  ``log_v_mean`` and ``log_v_var`` are the mean and
     variance of ln V given the chain and the factor path up to each
-    record time (m and s^2 in the module docstring).  ``rho_part`` and
-    ``rho_part_qv`` are the martingale C and its quadratic variation
-    <C> = rho^2 dt S (module docstring).  ``terminal_wealth`` holds one
+    record time (m and s^2 in the module docstring), ``value_noise`` K,
+    of mean exactly 1 (module docstring).  ``terminal_wealth`` holds one
     draw of V(T) per path, exp(m + sqrt(s^2) Z) at the horizon.
     ``record_times`` ends at the horizon.  Whatever ``record`` lists,
     the values at each recorded time and ``terminal_wealth`` are the
@@ -161,8 +161,7 @@ class PathBundle:
     terminal_wealth: np.ndarray
     log_v_mean: np.ndarray
     log_v_var: np.ndarray
-    rho_part: np.ndarray
-    rho_part_qv: np.ndarray
+    value_noise: np.ndarray
     min_x_effective: float
 
     def column(self, t: float) -> int:
@@ -197,11 +196,20 @@ def _on_grid_tol(horizon: float) -> float:
     return 1e-9 * max(1.0, horizon)
 
 
-def _step_grid(horizon: float, steps_per_year: int) -> np.ndarray:
-    """The simulation's step times: round(T steps_per_year) equal steps (at least one), ending at T."""
-    n_steps = max(1, int(round(horizon * steps_per_year)))
-    grid = np.arange(n_steps + 1) * (horizon / n_steps)
-    grid[-1] = horizon
+def _step_grid(p: HestonRegimeParams, steps_per_year: int) -> np.ndarray:
+    """The simulation's step times: round(T steps_per_year) equal steps (at least one), ending at T.
+
+    Raises ConfigError, before anything is allocated, when T
+    steps_per_year times the state count exceeds ``_MAX_TABLE_ROWS``.
+    """
+    if p.horizon * steps_per_year * p.n_states > _MAX_TABLE_ROWS:
+        raise ConfigError(
+            f"T = {p.horizon} at steps_per_year = {steps_per_year} in {p.n_states} states exceeds the "
+            f"simulation's bound of {_MAX_TABLE_ROWS} steps x states"
+        )
+    n_steps = max(1, int(round(p.horizon * steps_per_year)))
+    grid = np.arange(n_steps + 1) * (p.horizon / n_steps)
+    grid[-1] = p.horizon
     return grid
 
 
@@ -251,7 +259,7 @@ def simulate_paths(
         if frozen_path.states.max() > p.n_states:
             raise ConfigError(f"frozen path labels exceed n_states = {p.n_states}")
 
-    grid = _step_grid(p.horizon, cfg.steps_per_year)
+    grid = _step_grid(p, cfg.steps_per_year)
     n_steps, dt = len(grid) - 1, grid[1]
     sq_dt = math.sqrt(dt)
 
@@ -261,9 +269,11 @@ def simulate_paths(
 
     l = p.n_states
     pi = np.broadcast_to(np.asarray(strategy(grid[:-1]), dtype=float), (n_steps, l))
+    closed_form = p.variant is not Variant.MMH and validate_solution_assumptions(p).ok  # the checks include chi > 0
+    d_k = D_leverage(p, grid[:-1]) if closed_form else np.zeros(n_steps)
     # coef[k, :, e]: r dt, (pi lam_hat - (pi nu)^2 / 2) dt, rho h pi nu, (pi nu)^2,
-    # kappa dt, kappa theta dt, chi h at step k in state e (see the module docstring)
-    coef = np.empty((n_steps, 7, l))
+    # kappa dt, kappa theta dt, chi h, th at step k in state e (see the module docstring)
+    coef = np.empty((n_steps, 8, l))
     with np.errstate(over="ignore", invalid="ignore"):  # a weight too large to step is rejected below
         pi_nu = pi * p.nu
         pi_nu2 = pi_nu**2
@@ -271,11 +281,11 @@ def simulate_paths(
         coef[:, 1] = (pi * p.excess_slope - 0.5 * pi_nu2) * dt
         coef[:, 2] = (p.rho * sq_dt) * pi_nu
         coef[:, 3] = pi_nu2
-        coef[:, 4:] = np.stack([p.kappa * dt, p.kappa * p.theta * dt, p.chi * sq_dt])
+        coef[:, 4:7] = np.stack([p.kappa * dt, p.kappa * p.theta * dt, p.chi * sq_dt])
+        coef[:, 7] = p.delta * coef[:, 2] + d_k[:, None] * coef[:, 6]
     if not np.isfinite(coef).all():
         raise FloatingPointError(_OVERFLOW)
     orth = max(0.0, 1.0 - p.rho**2) * dt  # the variance of ln V's dW_perp part is orth * S
-    rho2dt = p.rho**2 * dt  # <C> = rho2dt * S
 
     n_paths = cfg.n_paths
     m = len(rec_idx)
@@ -284,8 +294,7 @@ def simulate_paths(
     out_w = np.empty(n_paths)
     out_mean = np.empty((n_paths, m))
     out_var = np.empty((n_paths, m))
-    out_c = np.empty((n_paths, m))
-    out_cqv = np.empty((n_paths, m))
+    out_k = np.empty((n_paths, m))
     min_xeff = math.inf
 
     sb = _STREAM_BLOCK
@@ -300,9 +309,9 @@ def simulate_paths(
         e = np.full(b, cfg.state0 - 1, dtype=np.intp)
         x = np.full(b, cfg.x0)
         lnv_mean = np.full(b, math.log(cfg.v0))
-        s_sum, c_sum = np.zeros((2, b))  # S, C
-        g = np.empty((7, b))
-        a, bx, c, pn2, kdt, kthdt, ch = g
+        s_sum, k_prod = np.zeros(b), np.ones(b)  # S, K
+        g = np.empty((8, b))
+        a, bx, c, pn2, kdt, kthdt, ch, th = g
         xp, sq, acc, tmp = np.empty((4, b))
         lo_xp = np.full(b, math.inf)
         # an overflow leaves m or S non-finite to the end, so it is caught at the horizon
@@ -317,8 +326,7 @@ def simulate_paths(
                     out_x[i0:i1, s] = np.maximum(x, 0.0)
                     out_mean[i0:i1, s] = lnv_mean
                     np.multiply(s_sum, orth, out=out_var[i0:i1, s])
-                    out_c[i0:i1, s] = c_sum
-                    np.multiply(s_sum, rho2dt, out=out_cqv[i0:i1, s])
+                    out_k[i0:i1, s] = k_prod
                 if k == n_steps:
                     break
                 j = k % _DRAW_CHUNK
@@ -329,13 +337,15 @@ def simulate_paths(
                 np.maximum(x, 0.0, out=xp)
                 np.sqrt(xp, out=sq)
                 sq *= dwx[j]
-                # m += (a + bx * xp) + c * sq, C += c * sq, S += pn2 * xp
+                # m += (a + bx * xp) + c * sq, K *= 1 + th * sq, S += pn2 * xp
                 np.multiply(bx, xp, out=acc)
                 acc += a
                 np.multiply(c, sq, out=tmp)
                 acc += tmp
-                c_sum += tmp
                 lnv_mean += acc
+                np.multiply(th, sq, out=tmp)
+                tmp += 1.0
+                k_prod *= tmp
                 np.multiply(pn2, xp, out=tmp)
                 s_sum += tmp
                 # x += kthdt - kdt * xp, then x += ch * sq
@@ -363,8 +373,7 @@ def simulate_paths(
         terminal_wealth=out_w,
         log_v_mean=out_mean,
         log_v_var=out_var,
-        rho_part=out_c,
-        rho_part_qv=out_cqv,
+        value_noise=out_k,
         min_x_effective=min_xeff,
     )
 
@@ -440,6 +449,16 @@ def _conditional_power(bundle: PathBundle, col: int, delta: float, log_factor=0.
     return out
 
 
+def _mean_and_err(values: np.ndarray, ddof: int = 1) -> tuple[float, float]:
+    """Mean and std_err (NaN with n <= ddof) of per-path values; FloatingPointError, unwarned, on overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(values.mean())
+        err = float(values.std(ddof=ddof) / math.sqrt(len(values))) if len(values) > ddof else math.nan
+    if not math.isfinite(mean) or math.isinf(err):  # err is NaN only with n <= ddof
+        raise FloatingPointError(_OVERFLOW)
+    return mean, err
+
+
 def expected_utility_mc(bundle: PathBundle, delta: float) -> tuple[float, float]:
     """Conditional Monte Carlo mean and standard error of U(V(T)) = V(T)^delta / delta.
 
@@ -449,29 +468,25 @@ def expected_utility_mc(bundle: PathBundle, delta: float) -> tuple[float, float]
     at most that of the plain mean of ``terminal_wealth**delta / delta``.
     With a single path the standard error is NaN (absent).
     """
-    u = _conditional_power(bundle, -1, delta) / delta
-    mean = float(u.mean())
-    if len(u) == 1:
-        return mean, float("nan")
-    return mean, float(u.std(ddof=1) / math.sqrt(len(u)))
+    return _mean_and_err(_conditional_power(bundle, -1, delta) / delta)
 
 
 def expected_utility_controlled(bundle: PathBundle, delta: float) -> tuple[float, float]:
-    """``expected_utility_mc`` with the rho part of ln V(T) as a control variate.
+    """``expected_utility_mc`` with the value process's dW_X part as a control variate.
 
-    Regresses G = exp(delta C - delta^2 <C> / 2) - 1, whose mean is
-    exactly 0 (``PathBundle.rho_part``, ``.rho_part_qv``), out of the
+    Regresses G = K - 1, whose mean is exactly 0 (K is
+    ``PathBundle.value_noise`` at the horizon), out of the
     conditional values Y = exp(delta m + delta^2 s^2 / 2) / delta: with
     beta the in-sample least-squares slope of Y on G, the estimate is
     the mean of Y - beta G and the standard error the residual standard
     deviation (n - 2 degrees of freedom) over sqrt(n).  The in-sample
     slope biases the estimate by O(1 / n).  With fewer than three paths,
-    or when G does not vary (rho = 0, a zero weight), beta is 0 and the
-    result is exactly ``expected_utility_mc``'s.  A non-finite G raises
-    FloatingPointError, without a numpy warning.
+    or when G does not vary (``mmh`` or chi = 0, at rho = 0), beta is 0
+    and the result is exactly ``expected_utility_mc``'s.  A non-finite G
+    or result raises FloatingPointError, without a numpy warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        g = np.expm1(delta * bundle.rho_part[:, -1] - (0.5 * delta * delta) * bundle.rho_part_qv[:, -1])
+        g = bundle.value_noise[:, -1] - 1.0
         centred = g - g.mean()
         spread = float(centred @ centred)
     if not (np.isfinite(g).all() and math.isfinite(spread)):
@@ -481,10 +496,7 @@ def expected_utility_controlled(bundle: PathBundle, delta: float) -> tuple[float
     u = _conditional_power(bundle, -1, delta) / delta
     with np.errstate(over="ignore", invalid="ignore"):
         resid = u - (float(centred @ u) / spread) * g
-        mean, err = float(resid.mean()), float(resid.std(ddof=2) / math.sqrt(len(u)))
-    if not (math.isfinite(mean) and math.isfinite(err)):
-        raise FloatingPointError(_OVERFLOW)
-    return mean, err
+    return _mean_and_err(resid, ddof=2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -545,12 +557,13 @@ def martingale_diagnostic(
     exp(delta m + delta^2 s^2 / 2), as in ``expected_utility_mc``.  A
     checkpoint where all paths agree to rounding (the t = 0 anchor) has
     std_err 0, and z 0 if its mean is Phi(0, ...) to rounding, else inf.
-    With a single path std_err and z are NaN (absent) at every checkpoint.
+    With a single path std_err and z are NaN (absent) at every checkpoint;
+    an overflowing one raises FloatingPointError, without a numpy warning.
     """
     if p.variant is Variant.MMH:
         raise ConfigError("the value diagnostic is defined for the separable variants")
+    grid = _step_grid(p, cfg.steps_per_year)  # checks the step count before xi_ode runs
     if checkpoints is None:
-        grid = _step_grid(p.horizon, cfg.steps_per_year)
         checkpoints = grid[np.unique(np.rint(np.linspace(0, len(grid) - 1, 6)).astype(int))].tolist()
     if len(checkpoints) == 0:
         raise ConfigError("need at least one checkpoint")
@@ -566,8 +579,7 @@ def martingale_diagnostic(
         log_factor = D_leverage(p, float(t)) * bundle.X[:, col]
         xi_e = xi.row(float(t))[bundle.states[:, col] - 1]
         phi = util * xi_e * _conditional_power(bundle, col, p.delta, log_factor)
-        mean = float(phi.mean())
-        err = math.nan if len(phi) == 1 else float(phi.std(ddof=1) / math.sqrt(len(phi)))
+        mean, err = _mean_and_err(phi)
         if err <= 1e-13 * abs(mean):  # false on nan: one path gives a NaN z too
             # all paths coincide (e.g. the t = 0 anchor); rounding noise is not noise
             err = 0.0

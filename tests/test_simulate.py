@@ -1,6 +1,7 @@
 import bisect
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,6 +139,24 @@ class TestScheme:
         with pytest.raises(rs.ConfigError, match="record takes a sequence of times, not a string"):
             rs.simulate_paths(set1, chain2, rs.constant_strategy(0.0), cfg, record=record)
 
+    @pytest.mark.parametrize("horizon, steps_per_year", [(1e6, 20), (1e300, 250), (1.7e308, 250)])
+    def test_step_count_is_bounded_before_any_allocation(self, chain2, horizon, steps_per_year):
+        p = make_params(horizon=horizon)
+        cfg = rs.SimConfig(n_paths=300, steps_per_year=steps_per_year, seed=1, v0=10.0, x0=0.02, state0=1)
+        runs = (
+            lambda: rs.simulate_paths(p, chain2, rs.constant_strategy(0.3), cfg),
+            lambda: rs.martingale_diagnostic(p, chain2, cfg, [0.0]),
+        )
+        for run in runs:
+            tracemalloc.start()
+            try:
+                with pytest.raises(rs.ConfigError, match=r"T = .* steps_per_year = .* 4194304 steps x states"):
+                    run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, peak
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_while_stepping_raises_without_numpy_warnings(self, chain1):
         # the weight table is finite, but (pi nu)^2 / 2 * X overflows on the first step
@@ -156,9 +175,9 @@ def _scalar_reference(p, chain, weight, cfg, record, frozen_path=None):
     keeps the library's operation order; ``weight(t, state)`` is the
     strategy as a scalar function and ``record`` lists the recorded grid
     indices.  Returns X, the conditional mean and variance of ln V, the
-    rho part C of ln V and its quadratic variation <C> = rho^2 dt S and
-    the states at the record times, ln V(T), and the running minimum of
-    the truncated factor.
+    Euler product K of the value process's dW_X part and the states at
+    the record times, ln V(T), and the running minimum of the truncated
+    factor.  K reads D at the step times from ``D_leverage``.
     """
     horizon = p.horizon
     n_steps = max(1, int(round(horizon * cfg.steps_per_year)))
@@ -169,8 +188,9 @@ def _scalar_reference(p, chain, weight, cfg, record, frozen_path=None):
     rho, orth = p.rho, max(0.0, 1.0 - p.rho**2) * dt
     r, lam, nu = p.r.tolist(), p.excess_slope.tolist(), p.nu.tolist()
     kappa, theta, chi = p.kappa.tolist(), p.theta.tolist(), p.chi.tolist()
+    d_steps = rs.D_leverage(p, np.array(grid[:-1])).tolist()
     shape = (cfg.n_paths, len(record))
-    xs, means, variances, cs, cqvs = (np.empty(shape) for _ in range(5))
+    xs, means, variances, ks = (np.empty(shape) for _ in range(4))
     log_wealth = np.empty(cfg.n_paths)
     states = np.empty(shape, dtype=np.int64)
     min_xp = math.inf
@@ -186,14 +206,14 @@ def _scalar_reference(p, chain, weight, cfg, record, frozen_path=None):
         for c, (jumps, after) in enumerate(paths):
             i = j0 + c
             labels = [cfg.state0 if frozen_path is None else int(frozen_path.states[0]), *after]
-            x, m, big_s, big_c = cfg.x0, math.log(cfg.v0), 0.0, 0.0
+            x, m, big_s, big_k = cfg.x0, math.log(cfg.v0), 0.0, 1.0
             slot = 0
             for k in range(n_steps + 1):
                 e = labels[bisect.bisect_right(jumps, grid[k])] - 1
                 if k == record[slot]:
                     xs[i, slot] = max(x, 0.0)
                     means[i, slot], variances[i, slot], states[i, slot] = m, big_s * orth, e + 1
-                    cs[i, slot], cqvs[i, slot] = big_c, big_s * (rho**2 * dt)
+                    ks[i, slot] = big_k
                     slot += 1
                 if k == n_steps:
                     break
@@ -202,15 +222,15 @@ def _scalar_reference(p, chain, weight, cfg, record, frozen_path=None):
                 pn2 = pn * pn
                 xp = max(x, 0.0)
                 sq = math.sqrt(xp) * z[k][c]
-                rho_step = (rho * sq_dt) * pn * sq
-                m += (r[e] * dt + (pi * lam[e] - 0.5 * pn2) * dt * xp) + rho_step
-                big_c += rho_step
+                rho_h = (rho * sq_dt) * pn
+                m += (r[e] * dt + (pi * lam[e] - 0.5 * pn2) * dt * xp) + rho_h * sq
+                big_k *= 1.0 + (p.delta * rho_h + d_steps[k] * (chi[e] * sq_dt)) * sq
                 big_s += pn2 * xp
                 x += kappa[e] * theta[e] * dt - kappa[e] * dt * xp
                 x += chi[e] * sq_dt * sq
                 min_xp = min(min_xp, xp)
             log_wealth[i] = m + math.sqrt(big_s * orth) * z_end[c]
-    return xs, means, variances, cs, cqvs, states, log_wealth, min_xp
+    return xs, means, variances, ks, states, log_wealth, min_xp
 
 
 def _three_state_market():
@@ -262,15 +282,14 @@ def test_simulate_paths_matches_scalar_reference(
     bundle = rs.simulate_paths(p, chain, strategy, cfg, record=record, frozen_path=path)
     n_steps = round(p.horizon * 20)
     record_idx = sorted({round(t * 20) for t in record} | {n_steps})
-    xs, means, variances, cs, cqvs, states, log_wealth, min_xp = _scalar_reference(
+    xs, means, variances, ks, states, log_wealth, min_xp = _scalar_reference(
         p, chain, weight, cfg, record_idx, path
     )
     assert bundle.X.tobytes() == xs.tobytes()
     assert bundle.terminal_wealth.tobytes() == np.exp(log_wealth).tobytes()
     assert bundle.log_v_mean.tobytes() == means.tobytes()
     assert bundle.log_v_var.tobytes() == variances.tobytes()
-    assert bundle.rho_part.tobytes() == cs.tobytes()
-    assert bundle.rho_part_qv.tobytes() == cqvs.tobytes()
+    assert bundle.value_noise.tobytes() == ks.tobytes()
     np.testing.assert_array_equal(bundle.states, states)
     assert bundle.min_x_effective == min_xp
 
@@ -288,7 +307,7 @@ def test_results_do_not_depend_on_block_size(frozen, chain2, set1, monkeypatch):
             rs.simulate_paths(set1, chain2, rs.optimal_weight_fn(set1), cfg, record=[1.0, 2.5], frozen_path=path)
         )
     for other in runs[1:]:
-        for field in ("X", "terminal_wealth", "log_v_mean", "log_v_var", "rho_part", "rho_part_qv", "states"):
+        for field in ("X", "terminal_wealth", "log_v_mean", "log_v_var", "value_noise", "states"):
             assert getattr(other, field).tobytes() == getattr(runs[0], field).tobytes()
         assert other.min_x_effective == runs[0].min_x_effective
 
@@ -302,7 +321,7 @@ def test_factor_and_states_do_not_depend_on_record(chain2, set1):
     ]
     for bundle in runs[1:]:
         cols = [runs[0].column(t) for t in bundle.record_times]
-        for field in ("X", "log_v_mean", "log_v_var", "rho_part", "rho_part_qv", "states"):
+        for field in ("X", "log_v_mean", "log_v_var", "value_noise", "states"):
             assert getattr(bundle, field).tobytes() == np.ascontiguousarray(getattr(runs[0], field)[:, cols]).tobytes()
 
 
@@ -337,17 +356,44 @@ def test_conditional_estimator_is_no_noisier_and_matches_the_closed_form(case, c
     assert controlled_err <= conditional_err
     assert abs(controlled - target) <= 3 * controlled_err, (controlled, controlled_err, target)
     if p.rho == 0.0:
-        # G is identically 0, so nothing is regressed out
-        assert (controlled, controlled_err) == (conditional, conditional_err)
+        # the D chi part of the control does not vanish with rho
+        assert controlled_err < conditional_err
+
+
+@pytest.mark.parametrize(
+    "case, weight", [("set1", None), ("set2", None), ("set1", 0.8)], ids=["set1", "set2", "set1_constant_0.8"]
+)
+def test_value_noise_has_mean_one(case, weight, chain2):
+    # each Euler factor 1 + th sqrt(xp) z has mean 1 given the past, for any weight
+    p = make_params() if case == "set1" else make_params(delta=-1.0)
+    strategy = rs.optimal_weight_fn(p) if weight is None else rs.constant_strategy(weight)
+    cfg = rs.SimConfig(n_paths=20_000, steps_per_year=50, seed=20261022, v0=10.0, x0=0.02, state0=1)
+    k = rs.simulate_paths(p, chain2, strategy, cfg).value_noise[:, -1]
+    assert k.std() > 0.0
+    assert abs(k.mean() - 1.0) <= 3 * k.std(ddof=1) / math.sqrt(len(k)), (k.mean(), k.std(ddof=1))
 
 
 class TestControlledEstimator:
-    def test_zero_weight_gives_the_conditional_estimate(self, chain2, set1):
+    def test_zero_weight_gives_the_conditional_estimate(self, chain2):
+        # the control is constant, so nothing is regressed out: mmh has no D term, and D chi is 0 at chi = 0
         cfg = rs.SimConfig(n_paths=300, steps_per_year=20, seed=3, v0=10.0, x0=0.02, state0=1)
-        bundle = rs.simulate_paths(set1, chain2, rs.constant_strategy(0.0), cfg)
-        assert not bundle.rho_part.any() and not bundle.rho_part_qv.any()
-        controlled = rs.expected_utility_controlled(bundle, set1.delta)
-        assert controlled == rs.expected_utility_mc(bundle, set1.delta)
+        for p in (
+            make_params(variant="mmh", d=None, rho=0.0, lam_hat=[1.7, 2.21]),
+            make_params(variant="smmh", rho=0.0, chi=0.0),
+        ):
+            bundle = rs.simulate_paths(p, chain2, rs.constant_strategy(0.0), cfg)
+            assert (bundle.value_noise == 1.0).all()
+            controlled = rs.expected_utility_controlled(bundle, p.delta)
+            assert controlled == rs.expected_utility_mc(bundle, p.delta)
+
+    def test_models_past_the_solvability_bounds_keep_the_rho_control(self, chain2):
+        # no closed-form D here, so th is delta rho h pi nu alone: the run neither raises nor loses the control
+        p = make_params(delta=0.9, rho=0.8, d=5.0)
+        assert not rs.validate_solution_assumptions(p).ok
+        cfg = rs.SimConfig(n_paths=300, steps_per_year=20, seed=3, v0=10.0, x0=0.02, state0=1)
+        bundle = rs.simulate_paths(p, chain2, rs.constant_strategy(0.3), cfg)
+        mean, err = rs.expected_utility_controlled(bundle, p.delta)
+        assert math.isfinite(mean) and 0.0 < err < rs.expected_utility_mc(bundle, p.delta)[1]
 
     def test_single_path_gives_the_conditional_estimate(self, chain2, set1):
         cfg = rs.SimConfig(n_paths=1, steps_per_year=20, seed=3, v0=10.0, x0=0.02, state0=1)
@@ -357,16 +403,19 @@ class TestControlledEstimator:
         assert math.isnan(err)
 
     def test_perfect_correlation_keeps_the_quadratic_variation(self, chain1):
-        # at rho = -1 the conditional variance of ln V is 0, but <C> is not
+        # at rho = -1 the conditional variance of ln V is 0, but the control still moves
         p = one_state_params(rho=-1.0)
         cfg = rs.SimConfig(n_paths=50, steps_per_year=20, seed=4, v0=10.0, x0=0.02, state0=1)
-        bundle = rs.simulate_paths(p, chain1, rs.constant_strategy(0.8), cfg, record=_every_step(p, 20))
-        dt = p.horizon / round(p.horizon * cfg.steps_per_year)
-        steps = np.cumsum(p.rho**2 * (0.8 * p.nu[0]) ** 2 * bundle.X[:, :-1] * dt, axis=1)
+        times = _every_step(p, 20)
+        bundle = rs.simulate_paths(p, chain1, rs.constant_strategy(0.8), cfg, record=times)
+        dt, h, pn = times[1], math.sqrt(times[1]), 0.8 * p.nu[0]
+        # m's steps and the truncated factor at each step start give each step's sqrt(xp) z
+        drift = p.r[0] * dt + (0.8 * p.excess_slope[0] - 0.5 * pn**2) * dt * bundle.X[:, :-1]
+        sq = (np.diff(bundle.log_v_mean, axis=1) - drift) / (p.rho * h * pn)
+        th = p.delta * (p.rho * h * pn) + rs.D_leverage(p, times[:-1]) * (p.chi[0] * h)
         assert not bundle.log_v_var.any()
-        assert np.isfinite(bundle.rho_part_qv).all() and (bundle.rho_part_qv[:, 1:] > 0).all()
-        assert bundle.rho_part_qv[:, 0].tolist() == [0.0] * 50
-        np.testing.assert_allclose(bundle.rho_part_qv[:, 1:], steps, rtol=1e-12, atol=0.0)
+        assert bundle.value_noise[:, 0].tolist() == [1.0] * 50
+        np.testing.assert_allclose(bundle.value_noise[:, 1:], np.cumprod(1.0 + th * sq, axis=1), rtol=1e-12, atol=0.0)
         # with no orthogonal noise, ln V(T) is its conditional mean
         np.testing.assert_allclose(np.log(bundle.terminal_wealth), bundle.log_v_mean[:, -1], rtol=0.0, atol=1e-13)
         mean, err = rs.expected_utility_controlled(bundle, p.delta)
@@ -376,7 +425,9 @@ class TestControlledEstimator:
     def test_overflowing_control_raises_without_numpy_warnings(self, chain2, set1):
         cfg = rs.SimConfig(n_paths=8, steps_per_year=20, seed=5, v0=10.0, x0=0.02, state0=1)
         bundle = rs.simulate_paths(set1, chain2, rs.optimal_weight_fn(set1), cfg)
-        huge = dataclasses.replace(bundle, rho_part=bundle.rho_part + 1e4)
+        value_noise = bundle.value_noise.copy()
+        value_noise[3, -1] = np.inf
+        huge = dataclasses.replace(bundle, value_noise=value_noise)
         with pytest.raises(FloatingPointError, match="wealth overflowed"):
             rs.expected_utility_controlled(huge, set1.delta)
 
@@ -397,7 +448,7 @@ class TestHistogram:
         one = np.ones((len(w), 1))
         bundle = rs.PathBundle(
             record_times=np.array([1.0]), states=one.astype(np.int16), X=one,
-            terminal_wealth=w, log_v_mean=one, log_v_var=one, rho_part=one, rho_part_qv=one, min_x_effective=1.0,
+            terminal_wealth=w, log_v_mean=one, log_v_var=one, value_noise=one, min_x_effective=1.0,
         )
         hist = rs.terminal_wealth_histogram(bundle, edges)
         counts = [np.count_nonzero((w >= lo) & (w < hi)) for lo, hi in zip(edges[:-1], edges[1:])]
@@ -476,6 +527,13 @@ class TestMartingaleDiagnostic:
         cfg = rs.SimConfig(n_paths=10, steps_per_year=10, seed=1, v0=1.0, x0=0.02, state0=1)
         with pytest.raises(rs.ConfigError, match="at least one checkpoint"):
             rs.martingale_diagnostic(set1, chain2, cfg, [])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_spread_raises_without_numpy_warnings(self, chain2, set2):
+        # V^delta / delta is about -1e300 here: every Phi is finite, but their spread overflows
+        cfg = rs.SimConfig(n_paths=300, steps_per_year=250, seed=1, v0=1e-300, x0=0.02, state0=1)
+        with pytest.raises(FloatingPointError, match="wealth overflowed"):
+            rs.martingale_diagnostic(set2, chain2, cfg, [0.0, 1.0])
 
     def test_tiny_means_keep_their_noise(self, chain2, set1):
         # a weight of 200 drives Phi far below 1 while the paths still differ
